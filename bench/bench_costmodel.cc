@@ -36,8 +36,7 @@ void Register() {
   for (const Archetype& a : kArchetypes) {
     for (exec::PatternAlgo algo :
          {exec::PatternAlgo::kNLJoin, exec::PatternAlgo::kStaircase,
-          exec::PatternAlgo::kTwig, exec::PatternAlgo::kStream,
-          exec::PatternAlgo::kCostBased}) {
+          exec::PatternAlgo::kTwig, exec::PatternAlgo::kCostBased}) {
       std::string name =
           std::string("CostModel/") + a.name + "/" + AlgoTag(algo);
       std::string query = a.query;

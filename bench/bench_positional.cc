@@ -32,7 +32,7 @@ void Register() {
     for (bool folded : {false, true}) {
       for (exec::PatternAlgo algo :
            {exec::PatternAlgo::kNLJoin, exec::PatternAlgo::kStaircase,
-            exec::PatternAlgo::kTwig}) {
+            exec::PatternAlgo::kTwig, exec::PatternAlgo::kCostBased}) {
         std::string name = std::string("Positional/") + w.name +
                            (folded ? "/folded/" : "/paper/") + AlgoTag(algo);
         std::string query = w.query;

@@ -42,7 +42,12 @@
 #    bench_governor, bench_compile, bench_plan_cache and bench_batch whose
 #    perf-trajectory records (--json) are merged by tools/bench_smoke.py
 #    into BENCH_smoke.json at the repo root, with a WARN-ONLY per-record
-#    timing delta against the committed baseline printed to the log.
+#    timing delta against the committed baseline printed to the log;
+#  - a smoke run of the served-query benchmark (bench/e2e/run.py --smoke):
+#    every served workload, briefly, untraced and traced, with each
+#    response hash checked against the Core-interpreter reference and
+#    every BENCHMARK.json metric required to be reported. It builds its
+#    own Release tree in .bench_build on first use.
 #
 # The debug-sanitize test phase is split by ctest label:
 # `-L "analysis|plan_cache"` (verifiers, property inference, translation
@@ -195,6 +200,10 @@ python3 tools/bench_smoke.py --out BENCH_smoke.json "${BASELINE[@]}" \
 python3 -c "import json; json.load(open('BENCH_smoke.json'))" \
   && echo "BENCH_smoke.json: valid JSON"
 leg_done bench-smoke
+
+echo "==== [bench-e2e-smoke] served workloads vs the reference results ===="
+python3 bench/e2e/run.py --smoke
+leg_done bench-e2e-smoke
 
 run_config debug-sanitize build-ci-sanitize labeled \
   -DCMAKE_BUILD_TYPE=Debug -DXQTP_WERROR=ON \

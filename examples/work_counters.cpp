@@ -55,8 +55,8 @@ int main() {
         {"input", {xqtp::xdm::Item(c.doc->root())}}};
     std::printf("  %-10s %15s %15s %12s\n", "algorithm", "nodes visited",
                 "index entries", "index skips");
-    for (PatternAlgo algo : {PatternAlgo::kNLJoin, PatternAlgo::kStaircase,
-                             PatternAlgo::kTwig, PatternAlgo::kStream}) {
+    for (PatternAlgo algo :
+         {PatternAlgo::kNLJoin, PatternAlgo::kStaircase, PatternAlgo::kTwig}) {
       xqtp::exec::ScopedExecStats scope;
       auto res = engine.Execute(*cq, globals, algo);
       if (!res.ok()) {

@@ -8,7 +8,7 @@
 //   \gen member <nodes> <depth> <tags>    generate a MemBeR document
 //   \gen xmark <factor>                   generate an XMark document
 //   \doc <name>           bind query globals to document <name>
-//   \algo nl|sc|tj|st|cb  switch the tree-pattern algorithm
+//   \algo nl|sc|tj|cb     switch the tree-pattern algorithm
 //   \explain <query>      show every compilation phase
 //   \plan <query>         show the optimized plan only
 //   \quit                 exit
@@ -146,12 +146,10 @@ void Dispatch(ShellState* st, const std::string& line) {
       st->algo = xqtp::exec::PatternAlgo::kStaircase;
     } else if (a == "tj") {
       st->algo = xqtp::exec::PatternAlgo::kTwig;
-    } else if (a == "st") {
-      st->algo = xqtp::exec::PatternAlgo::kStream;
     } else if (a == "cb") {
       st->algo = xqtp::exec::PatternAlgo::kCostBased;
     } else {
-      std::printf("usage: \\algo nl|sc|tj|st|cb\n");
+      std::printf("usage: \\algo nl|sc|tj|cb\n");
       return;
     }
     std::printf("algorithm: %s\n", xqtp::exec::PatternAlgoName(st->algo));
@@ -174,7 +172,7 @@ void Dispatch(ShellState* st, const std::string& line) {
   } else if (cmd == "\\help") {
     std::printf(
         "\\load <name> <file> | \\gen member <n> <d> <t> | \\gen xmark <f> "
-        "| \\doc <name> | \\algo nl|sc|tj|st|cb | \\explain <q> | "
+        "| \\doc <name> | \\algo nl|sc|tj|cb | \\explain <q> | "
         "\\plan <q> | \\quit\n");
   } else {
     RunQuery(st, line);

@@ -102,9 +102,10 @@ const exec::ParallelContext& OracleParallelContext() {
 
 const std::vector<exec::PatternAlgo>& CrossCheckAlgos() {
   static const std::vector<exec::PatternAlgo> kAlgos = {
-      exec::PatternAlgo::kNLJoin,    exec::PatternAlgo::kStaircase,
-      exec::PatternAlgo::kTwig,      exec::PatternAlgo::kStream,
-      exec::PatternAlgo::kTwigStack, exec::PatternAlgo::kShredded,
+      exec::PatternAlgo::kNLJoin,
+      exec::PatternAlgo::kStaircase,
+      exec::PatternAlgo::kTwig,
+      exec::PatternAlgo::kShredded,
   };
   return kAlgos;
 }

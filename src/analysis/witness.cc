@@ -118,8 +118,8 @@ WitnessCorpus::WitnessCorpus(StringInterner* interner) {
       "<r><a><b id=\"1\"/><b id=\"2\"/><c/><b id=\"3\"/><b id=\"4\"/></a>"
       "<a><c/><b id=\"5\"/></a><a><b id=\"6\"/></a></r>",
       interner);
-  // Deep single-path chain with a repeated a/b spine: stresses stack depth
-  // and ancestor bookkeeping in the streaming evaluators.
+  // Deep single-path chain with a repeated a/b spine: stresses nested
+  // context pruning and ancestor bookkeeping in the index joins.
   Add("deep-chain",
       "<r><a><b><a><b><a><b><c>1</c></b></a></b></a></b></a></r>", interner);
   // Wide fan-out: every alphabet tag as a sibling, twice.

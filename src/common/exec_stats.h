@@ -17,8 +17,7 @@
 namespace xqtp {
 
 struct ExecStats {
-  /// Tree nodes touched by cursor navigation (NL) or stream events
-  /// (streaming evaluation).
+  /// Tree nodes touched by cursor navigation (NL).
   int64_t nodes_visited = 0;
   /// Per-tag index entries scanned by the Staircase / Twig merges.
   int64_t index_entries_scanned = 0;

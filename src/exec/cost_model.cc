@@ -16,23 +16,7 @@ using xml::Node;
 
 /// Size of the per-tag stream a step would scan.
 double StreamSize(const Document& doc, const PatternNode& q) {
-  if (q.axis == Axis::kAttribute) {
-    if (q.test.kind == NodeTestKind::kName) {
-      return static_cast<double>(doc.AttributesByName(q.test.name).size());
-    }
-    return 0;
-  }
-  switch (q.test.kind) {
-    case NodeTestKind::kName:
-      return static_cast<double>(doc.ElementsByTag(q.test.name).size());
-    case NodeTestKind::kAnyName:
-      return static_cast<double>(doc.AllElements().size());
-    case NodeTestKind::kText:
-      return static_cast<double>(doc.TextNodes().size());
-    case NodeTestKind::kAnyNode:
-      return static_cast<double>(doc.AllNodes().size());
-  }
-  return static_cast<double>(doc.AllNodes().size());
+  return static_cast<double>(StepStream(doc, q.axis, q.test).size());
 }
 
 /// Total stream size of every node of the sub-twig rooted at `q`
@@ -96,6 +80,11 @@ const DocStats& StatsFor(const Document& doc) { return doc.Stats(); }
 double EstimateCost(const pattern::TreePattern& tp,
                     const xdm::Sequence& context, PatternAlgo algo) {
   if (tp.root == nullptr || context.empty()) return 0;
+  // An algorithm that hands the pattern to the nested loop costs what the
+  // nested loop costs.
+  if (!HandlesPatternShape(algo, tp)) {
+    return EstimateCost(tp, context, PatternAlgo::kNLJoin);
+  }
   const Node* first = nullptr;
   double share = 0;  // expected fraction of the document under the contexts
   double k = 0;
@@ -179,18 +168,9 @@ double EstimateCost(const pattern::TreePattern& tp,
     case PatternAlgo::kTwig:
       // One windowed merge per pattern edge, plus hashing overhead.
       return 1 + 1.5 * TwigStreams(doc, *tp.root) * share;
-    case PatternAlgo::kStream:
-      // One scan of the context windows, with per-node work growing with
-      // the number of descendant steps (instance fan-out).
-      return 1 + window * (1 + 0.25 * tp.StepCount());
     case PatternAlgo::kShredded:
       // Same access pattern as the pointer-based staircase join.
       return EstimateCost(tp, context, PatternAlgo::kStaircase);
-    case PatternAlgo::kTwigStack:
-      // Like the merge-based twig join, one pass over every pattern
-      // node's stream — but the non-root streams are unwindowed, so the
-      // whole streams are charged.
-      return 1 + 1.5 * TwigStreams(doc, *tp.root);
     case PatternAlgo::kCostBased:
       break;
   }

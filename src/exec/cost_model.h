@@ -26,7 +26,8 @@ using DocStats = xml::DocumentStats;
 const DocStats& StatsFor(const xml::Document& doc);
 
 /// Estimated cost (abstract node-visit units) of evaluating `tp` over the
-/// given contexts with `algo`.
+/// given contexts with `algo`. When `algo` hands `tp` to the nested loop
+/// (HandlesPatternShape), this is the nested-loop estimate.
 double EstimateCost(const pattern::TreePattern& tp,
                     const xdm::Sequence& context, PatternAlgo algo);
 

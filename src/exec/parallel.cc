@@ -139,23 +139,6 @@ using pattern::TreePattern;
 using xml::Document;
 using xml::Node;
 
-/// Document-ordered stream of the nodes matching `test` on an element-ish
-/// axis (the same per-tag indexes the Staircase/Twig joins consume).
-const std::vector<const Node*>& StreamFor(const Document& doc,
-                                          const NodeTest& test) {
-  switch (test.kind) {
-    case NodeTestKind::kName:
-      return doc.ElementsByTag(test.name);
-    case NodeTestKind::kAnyName:
-      return doc.AllElements();
-    case NodeTestKind::kText:
-      return doc.TextNodes();
-    case NodeTestKind::kAnyNode:
-      return doc.AllNodes();
-  }
-  return doc.AllNodes();
-}
-
 void SortDedup(std::vector<const Node*>* v) {
   std::sort(v->begin(), v->end(), xml::DocOrderLess);
   v->erase(std::unique(v->begin(), v->end()), v->end());
@@ -186,7 +169,8 @@ std::vector<const Node*> ExpandRootCandidates(const PatternNode& root,
   if (ctx.empty()) return out;
   SortDedup(&ctx);
   const Document& doc = *ctx.front()->doc;
-  const std::vector<const Node*>& stream = StreamFor(doc, root.test);
+  const std::vector<const Node*>& stream =
+      StepStream(doc, root.axis, root.test);
   switch (root.axis) {
     case Axis::kDescendant:
     case Axis::kDescendantOrSelf: {
@@ -278,11 +262,7 @@ std::vector<BindingRow> MergeSortedRuns(std::vector<std::vector<BindingRow>> run
 }
 
 void PrewarmSteps(const Document& doc, const PatternNode& p) {
-  if (p.axis == Axis::kAttribute) {
-    if (p.test.kind == NodeTestKind::kName) doc.AttributesByName(p.test.name);
-  } else {
-    StreamFor(doc, p.test);
-  }
+  StepStream(doc, p.axis, p.test);
   for (const PatternNodePtr& pred : p.predicates) PrewarmSteps(doc, *pred);
   if (p.next != nullptr) PrewarmSteps(doc, *p.next);
 }

@@ -1,10 +1,12 @@
 // Shared tree-pattern machinery: the algorithm dispatch behind
-// TupleTreePattern (EvalPattern / EvalPatternSequential), the lexical row
-// order every algorithm finalizes into, and the governance boundary — a
-// cooperative governor check guards every pattern evaluation, and the
-// individual algorithms poll on a stride inside their inner loops
-// (GovernorTicker), so a deadline or external cancel interrupts even one
-// huge pattern operator mid-scan instead of waiting for it to finish.
+// TupleTreePattern (EvalPattern / EvalPatternSequential), the pattern
+// shapes each algorithm handles itself, the index stream a step scans, the
+// lexical row order every algorithm finalizes into, and the governance
+// boundary — a cooperative governor check guards every pattern
+// evaluation, and the individual algorithms poll on a stride inside their
+// inner loops (GovernorTicker), so a deadline or external cancel
+// interrupts even one huge pattern operator mid-scan instead of waiting
+// for it to finish.
 #include "exec/pattern_eval.h"
 
 #include <algorithm>
@@ -29,16 +31,49 @@ const char* PatternAlgoName(PatternAlgo algo) {
       return "SCJoin";
     case PatternAlgo::kTwig:
       return "TwigJoin";
-    case PatternAlgo::kStream:
-      return "Stream";
-    case PatternAlgo::kTwigStack:
-      return "TwigStack";
     case PatternAlgo::kShredded:
       return "Shredded";
     case PatternAlgo::kCostBased:
       return "CostBased";
   }
   return "?";
+}
+
+bool HandlesPatternShape(PatternAlgo algo, const TreePattern& tp) {
+  switch (algo) {
+    case PatternAlgo::kNLJoin:
+    case PatternAlgo::kCostBased:
+      return true;
+    case PatternAlgo::kStaircase:
+      return tp.SingleOutputAtExtractionPoint();
+    case PatternAlgo::kShredded:
+      return tp.SingleOutputAtExtractionPoint() && tp.UsesOnlyPatternAxes();
+    case PatternAlgo::kTwig:
+      return tp.SingleOutputAtExtractionPoint() && tp.UsesOnlyPatternAxes() &&
+             !tp.HasPositionalSteps();
+  }
+  return false;
+}
+
+const std::vector<const xml::Node*>& StepStream(const xml::Document& doc,
+                                                Axis axis,
+                                                const NodeTest& test) {
+  if (axis == Axis::kAttribute) {
+    static const std::vector<const xml::Node*> kEmpty;
+    if (test.kind == NodeTestKind::kName) return doc.AttributesByName(test.name);
+    return kEmpty;
+  }
+  switch (test.kind) {
+    case NodeTestKind::kName:
+      return doc.ElementsByTag(test.name);
+    case NodeTestKind::kAnyName:
+      return doc.AllElements();
+    case NodeTestKind::kText:
+      return doc.TextNodes();
+    case NodeTestKind::kAnyNode:
+      return doc.AllNodes();
+  }
+  return doc.AllNodes();
 }
 
 bool RowLexLess(const BindingRow& a, const BindingRow& b) {
@@ -69,10 +104,6 @@ Result<std::vector<BindingRow>> EvalPatternSequential(
       return EvalPatternStaircase(tp, context);
     case PatternAlgo::kTwig:
       return EvalPatternTwig(tp, context);
-    case PatternAlgo::kStream:
-      return EvalPatternStream(tp, context);
-    case PatternAlgo::kTwigStack:
-      return EvalPatternTwigStack(tp, context);
     case PatternAlgo::kShredded:
       return storage::EvalPatternShredded(tp, context);
     case PatternAlgo::kCostBased:

@@ -1,4 +1,4 @@
-// The physical tree-pattern algorithms behind TupleTreePattern. All three
+// The physical tree-pattern algorithms behind TupleTreePattern. All four
 // produce the operator semantics of Section 4.1: the distinct projected
 // bindings of the pattern over the context nodes, in root-to-leaf lexical
 // order (which coincides with XPath document order when the single output
@@ -12,13 +12,12 @@
 //                merge pass per pattern edge over document-ordered tag
 //                streams (bottom-up match-set computation, then a top-down
 //                filtering pass).
-//  - kStream:    streaming evaluation (a future-work item of the paper):
-//                one pre-order scan of the context region with match-
-//                instance stacks and buffered predicate resolution.
+//  - kShredded:  the staircase join over the relational node table.
 //
-// The Staircase and Twig implementations handle single-output patterns
-// (the only shape the optimizer emits); multi-output patterns fall back to
-// the nested-loop algorithm, which enumerates full bindings.
+// The index-based algorithms handle single-output patterns (the only
+// shape the optimizer emits); multi-output patterns, and the other shapes
+// HandlesPatternShape rejects, fall back to the nested-loop algorithm,
+// which enumerates full bindings.
 #ifndef XQTP_EXEC_PATTERN_EVAL_H_
 #define XQTP_EXEC_PATTERN_EVAL_H_
 
@@ -35,14 +34,26 @@ enum class PatternAlgo : uint8_t {
   kNLJoin,
   kStaircase,
   kTwig,
-  kStream,
-  kTwigStack,  ///< the classic stack-based TwigStack (twig variant #2)
   kShredded,   ///< relational staircase join over the shredded node table
                ///< (storage/node_table.h — the XPath accelerator encoding)
   kCostBased,  ///< per-evaluation choice by the cost model (cost_model.h)
 };
 
 const char* PatternAlgoName(PatternAlgo algo);
+
+/// Whether `algo` evaluates patterns of `tp`'s shape itself. False means
+/// it hands `tp` to EvalPatternNL: a multi-output pattern (every index
+/// algorithm), a non-pattern axis (TwigJoin, Shredded) or a positional
+/// step (TwigJoin). The algorithms and the cost model share this rule, so
+/// the cost of a handoff is priced as the nested loop that actually runs.
+bool HandlesPatternShape(PatternAlgo algo, const pattern::TreePattern& tp);
+
+/// The document-ordered index a pattern step with `axis` and `test`
+/// scans: the per-tag element, attribute-name, text or all-node stream.
+/// Empty for attribute wildcards, which are navigated instead.
+const std::vector<const xml::Node*>& StepStream(const xml::Document& doc,
+                                                Axis axis,
+                                                const NodeTest& test);
 
 /// Parallel-evaluation parameters (exec/parallel.h); EvalPattern takes an
 /// optional pointer so pattern evaluation stays usable without the driver.
@@ -100,12 +111,6 @@ Result<std::vector<BindingRow>> EvalPatternStaircase(
 [[nodiscard]]
 Result<std::vector<BindingRow>> EvalPatternTwig(const pattern::TreePattern& tp,
                                                 const xdm::Sequence& context);
-[[nodiscard]]
-Result<std::vector<BindingRow>> EvalPatternStream(
-    const pattern::TreePattern& tp, const xdm::Sequence& context);
-[[nodiscard]]
-Result<std::vector<BindingRow>> EvalPatternTwigStack(
-    const pattern::TreePattern& tp, const xdm::Sequence& context);
 
 }  // namespace xqtp::exec
 

@@ -29,28 +29,6 @@ using pattern::TreePattern;
 using xml::Document;
 using xml::Node;
 
-/// The document-ordered stream of nodes that can match `test` on a
-/// descendant-ish axis.
-const std::vector<const Node*>& StreamFor(const Document& doc, Axis axis,
-                                          const NodeTest& test) {
-  if (axis == Axis::kAttribute) {
-    static const std::vector<const Node*> kEmpty;
-    if (test.kind == NodeTestKind::kName) return doc.AttributesByName(test.name);
-    return kEmpty;  // @* handled navigationally
-  }
-  switch (test.kind) {
-    case NodeTestKind::kName:
-      return doc.ElementsByTag(test.name);
-    case NodeTestKind::kAnyName:
-      return doc.AllElements();
-    case NodeTestKind::kText:
-      return doc.TextNodes();
-    case NodeTestKind::kAnyNode:
-      return doc.AllNodes();
-  }
-  return doc.AllNodes();
-}
-
 /// Removes contexts that are descendants of an earlier context (staircase
 /// pruning): their subtrees are covered. Input must be pre-sorted.
 void PruneCovered(std::vector<const Node*>* ctx) {
@@ -94,7 +72,7 @@ class StaircaseEval {
               break;
             }
             const std::vector<const Node*>& stream =
-                StreamFor(doc, axis, test);
+                StepStream(doc, axis, test);
             CountIndexSkip();
             auto it = std::upper_bound(
                 stream.begin(), stream.end(), c->pre,
@@ -127,7 +105,7 @@ class StaircaseEval {
       case Axis::kDescendantOrSelf: {
         PruneCovered(&ctx);
         const Document& doc = *ctx.front()->doc;
-        const std::vector<const Node*>& stream = StreamFor(doc, axis, test);
+        const std::vector<const Node*>& stream = StepStream(doc, axis, test);
         size_t pos = 0;
         for (const Node* c : ctx) {
           if (axis == Axis::kDescendantOrSelf &&
@@ -162,7 +140,7 @@ class StaircaseEval {
         // index scan per step even for child axes, while Table 1 shows
         // child and descendant variants costing about the same.
         const Document& doc = *ctx.front()->doc;
-        const std::vector<const Node*>& stream = StreamFor(doc, axis, test);
+        const std::vector<const Node*>& stream = StepStream(doc, axis, test);
         for (const Node* c : ctx) {
           CountIndexSkip();
           auto it = std::upper_bound(
@@ -263,7 +241,7 @@ Result<std::vector<BindingRow>> EvalPatternStaircase(
     const TreePattern& tp, const xdm::Sequence& context) {
   XQTP_FAULT_POINT("exec.pattern.staircase");
   if (tp.root == nullptr) return std::vector<BindingRow>{};
-  if (!tp.SingleOutputAtExtractionPoint()) {
+  if (!HandlesPatternShape(PatternAlgo::kStaircase, tp)) {
     // The staircase join is a set-at-a-time path algorithm; full binding
     // enumeration falls back to the nested-loop evaluator.
     return EvalPatternNL(tp, context);

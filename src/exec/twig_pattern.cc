@@ -38,28 +38,6 @@ using xml::Node;
 
 using NodeVec = std::vector<const Node*>;
 
-const NodeVec& StreamFor(const Document& doc, Axis axis,
-                         const NodeTest& test) {
-  static const NodeVec kEmpty;
-  if (axis == Axis::kAttribute) {
-    if (test.kind == NodeTestKind::kName) {
-      return doc.AttributesByName(test.name);
-    }
-    return kEmpty;
-  }
-  switch (test.kind) {
-    case NodeTestKind::kName:
-      return doc.ElementsByTag(test.name);
-    case NodeTestKind::kAnyName:
-      return doc.AllElements();
-    case NodeTestKind::kText:
-      return doc.TextNodes();
-    case NodeTestKind::kAnyNode:
-      return doc.AllNodes();
-  }
-  return doc.AllNodes();
-}
-
 /// Removes nodes covered by an earlier node's subtree (input pre-sorted).
 NodeVec PruneCovered(const NodeVec& v) {
   NodeVec kept;
@@ -167,7 +145,7 @@ NodeVec SemijoinDown(const NodeVec& a_vec, const NodeVec& d_vec, Axis axis) {
 /// the cost is bounded by the windows, never the whole stream.
 NodeVec ReachableVia(const Document& doc, Axis axis, const NodeTest& test,
                      const NodeVec& ctx) {
-  const NodeVec& stream = StreamFor(doc, axis, test);
+  const NodeVec& stream = StepStream(doc, axis, test);
   switch (axis) {
     case Axis::kDescendant:
       return WindowIntoSubtrees(stream, ctx);
@@ -324,8 +302,7 @@ Result<std::vector<BindingRow>> EvalPatternTwig(const TreePattern& tp,
                                                 const xdm::Sequence& context) {
   XQTP_FAULT_POINT("exec.pattern.twig");
   if (tp.root == nullptr) return std::vector<BindingRow>{};
-  if (!tp.SingleOutputAtExtractionPoint() || !tp.UsesOnlyPatternAxes() ||
-      tp.HasPositionalSteps()) {
+  if (!HandlesPatternShape(PatternAlgo::kTwig, tp)) {
     // Positional steps need per-parent counting, which the set-at-a-time
     // merges cannot express — delegate to the nested-loop evaluator.
     return EvalPatternNL(tp, context);

@@ -49,6 +49,13 @@ bool ClearIn(PatternNode* n, Symbol field) {
   return false;
 }
 
+int CountOutputs(const PatternNode& n) {
+  int c = n.output != kInvalidSymbol ? 1 : 0;
+  for (const PatternNodePtr& p : n.predicates) c += CountOutputs(*p);
+  if (n.next) c += CountOutputs(*n.next);
+  return c;
+}
+
 int CountSteps(const PatternNode& n) {
   int c = 1;
   for (const PatternNodePtr& p : n.predicates) c += CountSteps(*p);
@@ -114,10 +121,11 @@ std::vector<Symbol> TreePattern::OutputFields() const {
 }
 
 bool TreePattern::SingleOutputAtExtractionPoint() const {
-  std::vector<Symbol> outs = OutputFields();
-  if (outs.size() != 1) return false;
+  // Counts rather than collecting OutputFields(): the pattern algorithms
+  // and the cost model ask this on every pattern evaluation.
   const PatternNode* ep = ExtractionPoint();
-  return ep != nullptr && ep->output == outs[0];
+  return ep != nullptr && ep->output != kInvalidSymbol &&
+         CountOutputs(*root) == 1;
 }
 
 int TreePattern::StepCount() const { return root ? CountSteps(*root) : 0; }

@@ -280,7 +280,7 @@ Result<std::vector<exec::BindingRow>> EvalPatternShredded(
     const TreePattern& tp, const xdm::Sequence& context) {
   XQTP_FAULT_POINT("storage.pattern.shredded");
   if (tp.root == nullptr) return std::vector<exec::BindingRow>{};
-  if (!tp.SingleOutputAtExtractionPoint() || !tp.UsesOnlyPatternAxes()) {
+  if (!exec::HandlesPatternShape(exec::PatternAlgo::kShredded, tp)) {
     return exec::EvalPatternNL(tp, context);
   }
   const xml::Document* doc = nullptr;

@@ -10,6 +10,15 @@ namespace {
 using pattern::MakeSingleStep;
 using pattern::TreePattern;
 
+/// Every TupleTreePattern in `op`'s plan tree.
+void CollectPatterns(const algebra::Op& op,
+                     std::vector<const TreePattern*>* out) {
+  if (op.kind == algebra::OpKind::kTupleTreePattern) out->push_back(&op.tp);
+  for (const algebra::OpPtr& in : op.inputs) CollectPatterns(*in, out);
+  if (op.dep != nullptr) CollectPatterns(*op.dep, out);
+  if (op.dep2 != nullptr) CollectPatterns(*op.dep2, out);
+}
+
 class CostModelTest : public ::testing::Test {
  protected:
   void SetUp() override {
@@ -116,6 +125,58 @@ TEST_F(CostModelTest, CostBasedEvaluationIsCorrect) {
     for (size_t i = 0; i < ref->size(); ++i) {
       EXPECT_TRUE((*ref)[i] == (*cb)[i]) << q << " item " << i;
     }
+  }
+}
+
+TEST_F(CostModelTest, HandoffsArePricedAsTheNestedLoop) {
+  // desc::t01/child::t02[1]{out}: TwigJoin hands positional steps to the
+  // nested loop; the staircase joins count positions themselves.
+  TreePattern positional = MakeSingleStep(
+      Tag("dot"), Axis::kDescendant, NodeTest::Name(Tag("t01")), Tag("a"));
+  TreePattern step = MakeSingleStep(Tag("a"), Axis::kChild,
+                                    NodeTest::Name(Tag("t02")), Tag("out"));
+  step.root->position = 1;
+  pattern::AppendPath(&positional, std::move(step));
+  ASSERT_TRUE(positional.HasPositionalSteps());
+  // desc::t01{a}/child::t02{out}: every index algorithm hands
+  // multi-output patterns to the nested loop.
+  TreePattern multi = MakeSingleStep(Tag("dot"), Axis::kDescendant,
+                                     NodeTest::Name(Tag("t01")), Tag("a"));
+  pattern::AppendPathKeepOutput(
+      &multi, MakeSingleStep(Tag("a"), Axis::kChild,
+                             NodeTest::Name(Tag("t02")), Tag("out")));
+  ASSERT_FALSE(multi.SingleOutputAtExtractionPoint());
+
+  xdm::Sequence ctx{xdm::Item(wide_->root())};
+  double nl_positional = EstimateCost(positional, ctx, PatternAlgo::kNLJoin);
+  EXPECT_EQ(EstimateCost(positional, ctx, PatternAlgo::kTwig), nl_positional);
+  EXPECT_NE(EstimateCost(positional, ctx, PatternAlgo::kStaircase),
+            nl_positional);
+  double nl_multi = EstimateCost(multi, ctx, PatternAlgo::kNLJoin);
+  for (PatternAlgo algo : {PatternAlgo::kStaircase, PatternAlgo::kTwig,
+                           PatternAlgo::kShredded}) {
+    EXPECT_EQ(EstimateCost(multi, ctx, algo), nl_multi)
+        << PatternAlgoName(algo);
+  }
+}
+
+TEST_F(CostModelTest, FoldedPositionalPatternsAvoidTheTwigHandoff) {
+  // QE2 and QE5 with the positional predicate folded into the pattern:
+  // TwigJoin would run them as the nested loop, so the model must not
+  // pick it.
+  engine::CompileOptions copts;
+  copts.positional_patterns = true;
+  xdm::Sequence ctx{xdm::Item(wide_->root())};
+  for (const char* q :
+       {"$input/desc::t01/child::t02[1]/child::t03[child::t04]",
+        "$input/desc::t01/desc::t02[1]/desc::t03[desc::t04]"}) {
+    auto cq = engine_.Compile(q, copts);
+    ASSERT_TRUE(cq.ok()) << q << ": " << cq.status().ToString();
+    std::vector<const TreePattern*> tps;
+    CollectPatterns(cq->optimized(), &tps);
+    ASSERT_EQ(tps.size(), 1u) << q;
+    ASSERT_TRUE(tps[0]->HasPositionalSteps()) << q;
+    EXPECT_NE(ChooseAlgorithm(*tps[0], ctx), PatternAlgo::kTwig) << q;
   }
 }
 

@@ -104,14 +104,6 @@ TEST_F(ExecStatsTest, IndexAlgorithmsSkipRatherThanTraverse) {
   EXPECT_EQ(nl.index_entries_scanned, 0);
 }
 
-TEST_F(ExecStatsTest, StreamingVisitsTheRegionOnce) {
-  ExecStats st = Measure("$input//t1[t1]", PatternAlgo::kStream);
-  // One start event per element in the region (19999 non-root elements),
-  // counted once despite pattern-instance fan-out.
-  EXPECT_GE(st.nodes_visited, 19000);
-  EXPECT_LE(st.nodes_visited, 21000);
-}
-
 TEST_F(ExecStatsTest, PatternEvalsCounted) {
   ExecStats s = Measure("$input//t1", PatternAlgo::kNLJoin);
   EXPECT_EQ(s.pattern_evals, 1);  // a single TupleTreePattern evaluation

@@ -36,8 +36,7 @@ class FragmentTest : public ::testing::Test {
       for (auto algo : {exec::PatternAlgo::kNLJoin,
                         exec::PatternAlgo::kStaircase,
                         exec::PatternAlgo::kTwig,
-                        exec::PatternAlgo::kStream,
-                        exec::PatternAlgo::kTwigStack}) {
+                        exec::PatternAlgo::kShredded}) {
         auto res = engine_.Execute(*cq, globals, algo, pc);
         EXPECT_TRUE(res.ok()) << q << ": " << res.status().ToString();
         if (!res.ok()) continue;

@@ -29,8 +29,10 @@ using std::chrono::milliseconds;
 using std::chrono::steady_clock;
 
 constexpr PatternAlgo kAllAlgos[] = {
-    PatternAlgo::kNLJoin,    PatternAlgo::kStaircase, PatternAlgo::kTwig,
-    PatternAlgo::kStream,    PatternAlgo::kTwigStack, PatternAlgo::kShredded,
+    PatternAlgo::kNLJoin,
+    PatternAlgo::kStaircase,
+    PatternAlgo::kTwig,
+    PatternAlgo::kShredded,
 };
 
 /// A quadratic self-join over the XMark people: each of the ~N^2 loop

@@ -109,7 +109,6 @@ TEST(RecursiveDocumentStress, DeeplyNestedSameTag) {
     ASSERT_TRUE(ref.ok()) << q;
     for (auto algo :
          {exec::PatternAlgo::kStaircase, exec::PatternAlgo::kTwig,
-          exec::PatternAlgo::kTwigStack, exec::PatternAlgo::kStream,
           exec::PatternAlgo::kShredded}) {
       auto res = e.Execute(*cq, globals, algo);
       ASSERT_TRUE(res.ok()) << q << " " << exec::PatternAlgoName(algo);

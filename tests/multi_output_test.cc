@@ -83,7 +83,6 @@ TEST_F(MultiOutputTest, EveryAlgorithmAgreesViaFallback) {
   auto ref = engine_.Execute(*cq, globals, exec::PatternAlgo::kNLJoin);
   ASSERT_TRUE(ref.ok());
   for (auto algo : {exec::PatternAlgo::kStaircase, exec::PatternAlgo::kTwig,
-                    exec::PatternAlgo::kStream, exec::PatternAlgo::kTwigStack,
                     exec::PatternAlgo::kShredded}) {
     auto res = engine_.Execute(*cq, globals, algo);
     ASSERT_TRUE(res.ok()) << exec::PatternAlgoName(algo);

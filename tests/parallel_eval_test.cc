@@ -19,8 +19,10 @@ namespace xqtp::exec {
 namespace {
 
 constexpr PatternAlgo kAllAlgos[] = {
-    PatternAlgo::kNLJoin,    PatternAlgo::kStaircase, PatternAlgo::kTwig,
-    PatternAlgo::kStream,    PatternAlgo::kTwigStack, PatternAlgo::kShredded,
+    PatternAlgo::kNLJoin,
+    PatternAlgo::kStaircase,
+    PatternAlgo::kTwig,
+    PatternAlgo::kShredded,
 };
 
 EvalOptions ParallelOpts(PatternAlgo algo, int threads) {
@@ -46,7 +48,7 @@ class ParallelEvalTest : public ::testing::Test {
   const xml::Document* doc_;
 };
 
-// Tentpole acceptance: all six algorithms x {row, batch} execution modes
+// Acceptance matrix: all four algorithms x {row, batch} execution modes
 // x {1, 2, 8} threads x the XMark query corpus, bit-identical to the
 // sequential row-mode result. The mode dimension pins the columnar batch
 // evaluator (and its morsel driver entry) to the row-at-a-time reference,
@@ -177,9 +179,9 @@ TEST_F(ParallelEvalTest, SingleMorselFallsBackToSequential) {
 }
 
 // Regression: root fan-out re-roots the pattern with a self axis, a shape
-// the optimizer never builds. The Stream evaluator used to miss a later
-// descendant-or-self step matching the context node itself under the
-// self-rooted instance (found by the equiv_fuzz oracle).
+// the optimizer never builds. A later descendant-or-self step must still
+// match the context node itself under the self-rooted instance (a
+// divergence of this shape was found by the equiv_fuzz oracle).
 TEST(ParallelRerootTest, SelfRootedStreamKeepsContextMatches) {
   engine::Engine e;
   auto doc = e.LoadDocument("w", "<r><b><b><d/></b><a/></b></r>");

@@ -154,9 +154,9 @@ TEST_P(PatternEvalTest, MultipleContextNodes) {
 
 TEST_P(PatternEvalTest, DescendantOrSelfTiesWithParentStep) {
   // child::r/descendant-or-self::node() — the // expansion applied right
-  // after an exact step. The r element heads BOTH steps' streams at once;
-  // regression: TwigStack broke the tie toward the child step, never
-  // stacked r, and lost every binding (including the self match).
+  // after an exact step. The r element heads BOTH steps' streams at once,
+  // so an algorithm that breaks the tie toward the child step never
+  // matches r and loses every binding (including the self match).
   StringInterner in2;
   auto res = xml::Parse("<r><d/><d/></r>", &in2);
   ASSERT_TRUE(res.ok());
@@ -173,9 +173,9 @@ TEST_P(PatternEvalTest, DescendantOrSelfTiesWithParentStep) {
 }
 
 TEST_P(PatternEvalTest, RootAttributeStep) {
-  // A bare attribute::id step against element contexts; regression: the
-  // streaming evaluator emitted attribute events only while visiting
-  // descendants, so the context node's own attributes never matched.
+  // A bare attribute::id step against element contexts: the context
+  // node's own attributes must match, not only those met while visiting
+  // its descendants.
   const auto& cs = doc_->ElementsByTag(interner_.Intern("c"));
   xdm::Sequence ctx;
   for (const xml::Node* n : cs) ctx.push_back(xdm::Item(n));
@@ -236,15 +236,13 @@ INSTANTIATE_TEST_SUITE_P(AllAlgorithms, PatternEvalTest,
                          ::testing::Values(PatternAlgo::kNLJoin,
                                            PatternAlgo::kStaircase,
                                            PatternAlgo::kTwig,
-                                           PatternAlgo::kStream,
-                                           PatternAlgo::kTwigStack,
                                            PatternAlgo::kShredded),
                          [](const auto& info) {
                            return PatternAlgoName(info.param);
                          });
 
 // Multi-output binding enumeration (Section 4.1 example) — evaluated by
-// the nested-loop algorithm (Staircase/Twig delegate to it).
+// the nested-loop algorithm (the index algorithms delegate to it).
 TEST(PatternBindings, PaperSection41Example) {
   StringInterner in;
   auto res = xml::Parse(
@@ -270,9 +268,7 @@ TEST(PatternBindings, PaperSection41Example) {
 
   EXPECT_FALSE(tp.SingleOutputAtExtractionPoint());  // two outputs
   for (PatternAlgo algo : {PatternAlgo::kNLJoin, PatternAlgo::kStaircase,
-                           PatternAlgo::kTwig, PatternAlgo::kStream,
-                           PatternAlgo::kTwigStack,
-                           PatternAlgo::kShredded}) {
+                           PatternAlgo::kTwig, PatternAlgo::kShredded}) {
     auto rows = EvalPattern(tp, {xdm::Item(res.value()->root())}, algo);
     ASSERT_TRUE(rows.ok());
     // One tuple per (c, d) binding: (c1, d2), (c1, d3).
