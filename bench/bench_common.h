@@ -244,8 +244,6 @@ inline const char* AlgoTag(exec::PatternAlgo algo) {
       return "TJ";
     case exec::PatternAlgo::kStaircase:
       return "SC";
-    case exec::PatternAlgo::kShredded:
-      return "SH";
     case exec::PatternAlgo::kCostBased:
       return "CB";
   }

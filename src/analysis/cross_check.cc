@@ -105,7 +105,6 @@ const std::vector<exec::PatternAlgo>& CrossCheckAlgos() {
       exec::PatternAlgo::kNLJoin,
       exec::PatternAlgo::kStaircase,
       exec::PatternAlgo::kTwig,
-      exec::PatternAlgo::kShredded,
   };
   return kAlgos;
 }

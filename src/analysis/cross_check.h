@@ -1,7 +1,7 @@
 // Cross-evaluator oracle: the paper's central claim that every physical
 // pattern algorithm computes the same operator semantics (Section 4.1
 // bindings, root-to-leaf lexical order) is checked dynamically by running
-// the same pattern — or whole plan — through all four algorithms and
+// the same pattern — or whole plan — through all three algorithms and
 // asserting identical ordered results. The "Demythization" comparison
 // (PAPERS.md) shows holistic vs. binary evaluators are exactly where
 // silent divergence hides; this oracle turns such divergence into a
@@ -20,7 +20,7 @@
 
 namespace xqtp::analysis {
 
-/// The algorithms the oracle exercises: all four physical pattern
+/// The algorithms the oracle exercises: all three physical pattern
 /// algorithms. kCostBased is excluded — it delegates to one of these.
 const std::vector<exec::PatternAlgo>& CrossCheckAlgos();
 

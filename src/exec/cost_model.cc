@@ -168,9 +168,6 @@ double EstimateCost(const pattern::TreePattern& tp,
     case PatternAlgo::kTwig:
       // One windowed merge per pattern edge, plus hashing overhead.
       return 1 + 1.5 * TwigStreams(doc, *tp.root) * share;
-    case PatternAlgo::kShredded:
-      // Same access pattern as the pointer-based staircase join.
-      return EstimateCost(tp, context, PatternAlgo::kStaircase);
     case PatternAlgo::kCostBased:
       break;
   }

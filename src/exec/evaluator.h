@@ -3,7 +3,7 @@
 // streaming between pipeline-able operators — with a row-at-a-time
 // TupleSeq reference path behind TupleExecMode::kRow. TupleTreePattern
 // dispatches to the configured physical algorithm (NLJoin / Staircase /
-// Twig / Shredded, or the cost model's per-evaluation choice).
+// Twig, or the cost model's per-evaluation choice).
 #ifndef XQTP_EXEC_EVALUATOR_H_
 #define XQTP_EXEC_EVALUATOR_H_
 

@@ -21,8 +21,6 @@
 #include "common/fault_injection.h"
 #include "common/interner.h"
 #include "exec/exec_stats.h"
-#include "storage/node_table.h"
-#include "xdm/sequence_ops.h"
 #include "xml/document.h"
 
 namespace xqtp::exec {
@@ -139,81 +137,6 @@ using pattern::TreePattern;
 using xml::Document;
 using xml::Node;
 
-void SortDedup(std::vector<const Node*>* v) {
-  std::sort(v->begin(), v->end(), xml::DocOrderLess);
-  v->erase(std::unique(v->begin(), v->end()), v->end());
-}
-
-/// Staircase pruning: contexts covered by an earlier context's subtree
-/// contribute no new descendants. Input must be sorted.
-void PruneCovered(std::vector<const Node*>* ctx) {
-  std::vector<const Node*> kept;
-  kept.reserve(ctx->size());
-  for (const Node* n : *ctx) {
-    if (!kept.empty() && (kept.back() == n || kept.back()->IsAncestorOf(*n))) {
-      continue;
-    }
-    kept.push_back(n);
-  }
-  *ctx = std::move(kept);
-}
-
-/// Expands the root step's candidate set directly from the per-tag index
-/// (the staircase region scan), instead of letting every worker rediscover
-/// it navigationally. Returns the document-ordered duplicate-free matches
-/// of `root` over `ctx`; the caller has verified a downward axis, no
-/// positional constraint, and a single document.
-std::vector<const Node*> ExpandRootCandidates(const PatternNode& root,
-                                              std::vector<const Node*> ctx) {
-  std::vector<const Node*> out;
-  if (ctx.empty()) return out;
-  SortDedup(&ctx);
-  const Document& doc = *ctx.front()->doc;
-  const std::vector<const Node*>& stream =
-      StepStream(doc, root.axis, root.test);
-  switch (root.axis) {
-    case Axis::kDescendant:
-    case Axis::kDescendantOrSelf: {
-      PruneCovered(&ctx);
-      size_t pos = 0;
-      for (const Node* c : ctx) {
-        if (root.axis == Axis::kDescendantOrSelf &&
-            xdm::MatchesTest(c, root.axis, root.test)) {
-          out.push_back(c);
-        }
-        CountIndexSkip();
-        auto it = std::upper_bound(
-            stream.begin() + static_cast<ptrdiff_t>(pos), stream.end(),
-            c->pre, [](int32_t pre, const Node* n) { return pre < n->pre; });
-        pos = static_cast<size_t>(it - stream.begin());
-        while (pos < stream.size() && stream[pos]->post < c->post) {
-          out.push_back(stream[pos]);
-          ++pos;
-          CountIndexEntries(1);
-        }
-      }
-      break;  // disjoint regions: already sorted and duplicate-free
-    }
-    case Axis::kChild: {
-      for (const Node* c : ctx) {
-        CountIndexSkip();
-        auto it = std::upper_bound(
-            stream.begin(), stream.end(), c->pre,
-            [](int32_t pre, const Node* n) { return pre < n->pre; });
-        for (; it != stream.end() && (*it)->post < c->post; ++it) {
-          CountIndexEntries(1);
-          if ((*it)->parent == c) out.push_back(*it);
-        }
-      }
-      SortDedup(&out);
-      break;
-    }
-    default:
-      break;  // unreachable: gated by the caller
-  }
-  return out;
-}
-
 struct MorselRange {
   size_t begin;
   size_t end;
@@ -278,14 +201,11 @@ void MergeWorkerStats(const std::vector<ExecStats>& slots) {
 }  // namespace
 
 void PrewarmPatternIndexes(const xml::Document& doc,
-                           const pattern::TreePattern& tp, PatternAlgo algo) {
+                           const pattern::TreePattern& tp) {
   if (tp.root == nullptr) return;
   PrewarmSteps(doc, *tp.root);
   // The cost model reads the lazily-computed document statistics.
   doc.Stats();
-  if (algo == PatternAlgo::kShredded || algo == PatternAlgo::kCostBased) {
-    storage::NodeTable::For(doc);
-  }
 }
 
 bool TryEvalPatternParallel(const pattern::TreePattern& tp,
@@ -328,8 +248,16 @@ bool TryEvalPatternParallel(const pattern::TreePattern& tp,
       if (it.node()->doc != doc) return false;  // index scans are per-doc
       ctx.push_back(it.node());
     }
-    std::vector<const Node*> candidates =
-        ExpandRootCandidates(root, std::move(ctx));
+    std::sort(ctx.begin(), ctx.end(), xml::DocOrderLess);
+    ctx.erase(std::unique(ctx.begin(), ctx.end()), ctx.end());
+    GovernorTicker gov;
+    std::vector<const Node*> candidates = ScanRegions(
+        StepStream(*doc, root.axis, root.test), ctx, root.axis, root.test,
+        &gov);
+    if (!gov.status().ok()) {
+      *out = gov.status();
+      return true;
+    }
     if (candidates.size() < static_cast<size_t>(par.min_fanout)) return false;
     self_tp = tp.Clone();
     self_tp.root->axis = Axis::kSelf;  // candidates already match the test
@@ -353,7 +281,7 @@ bool TryEvalPatternParallel(const pattern::TreePattern& tp,
   for (const Node* n : units) {
     if (std::find(docs.begin(), docs.end(), n->doc) == docs.end()) {
       docs.push_back(n->doc);
-      PrewarmPatternIndexes(*n->doc, *eval_tp, algo);
+      PrewarmPatternIndexes(*n->doc, *eval_tp);
     }
   }
 
@@ -512,7 +440,7 @@ Result<TupleBatch> EvalPatternTuplesParallel(const pattern::TreePattern& tp,
         if (std::find(docs.begin(), docs.end(), it.node()->doc) ==
             docs.end()) {
           docs.push_back(it.node()->doc);
-          PrewarmPatternIndexes(*it.node()->doc, tp, algo);
+          PrewarmPatternIndexes(*it.node()->doc, tp);
         }
       }
     }

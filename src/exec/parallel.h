@@ -207,12 +207,11 @@ Result<TupleBatch> EvalPatternTuplesParallel(const pattern::TreePattern& tp,
 /// legacy Engine::Execute contract, did not — parallelize.
 int64_t ParallelEvaluationCountForTesting();
 
-/// Pre-builds the lazily-constructed per-tag streams (and, for the
-/// shredded algorithm, the relational NodeTable) that evaluating `tp`
-/// with `algo` will touch, so worker threads only ever hit the built
-/// fast path of Document's lazy getters.
+/// Pre-builds the lazily-constructed per-tag streams and document
+/// statistics that evaluating `tp` will touch, so worker threads only
+/// ever hit the built fast path of Document's lazy getters.
 void PrewarmPatternIndexes(const xml::Document& doc,
-                           const pattern::TreePattern& tp, PatternAlgo algo);
+                           const pattern::TreePattern& tp);
 
 }  // namespace xqtp::exec
 

@@ -1,7 +1,8 @@
 // Shared tree-pattern machinery: the algorithm dispatch behind
 // TupleTreePattern (EvalPattern / EvalPatternSequential), the pattern
-// shapes each algorithm handles itself, the index stream a step scans, the
-// lexical row order every algorithm finalizes into, and the governance
+// shapes each algorithm handles itself, the index stream a step scans and
+// the staircase region scan over it, the lexical row order every
+// algorithm finalizes into, and the governance
 // boundary — a cooperative governor check guards every pattern
 // evaluation, and the individual algorithms poll on a stride inside their
 // inner loops (GovernorTicker), so a deadline or external cancel
@@ -16,7 +17,7 @@
 #include "exec/exec_stats.h"
 #include "exec/governor.h"
 #include "exec/parallel.h"
-#include "storage/node_table.h"
+#include "xdm/sequence_ops.h"
 #include "xml/document.h"
 
 namespace xqtp::exec {
@@ -31,8 +32,6 @@ const char* PatternAlgoName(PatternAlgo algo) {
       return "SCJoin";
     case PatternAlgo::kTwig:
       return "TwigJoin";
-    case PatternAlgo::kShredded:
-      return "Shredded";
     case PatternAlgo::kCostBased:
       return "CostBased";
   }
@@ -46,8 +45,6 @@ bool HandlesPatternShape(PatternAlgo algo, const TreePattern& tp) {
       return true;
     case PatternAlgo::kStaircase:
       return tp.SingleOutputAtExtractionPoint();
-    case PatternAlgo::kShredded:
-      return tp.SingleOutputAtExtractionPoint() && tp.UsesOnlyPatternAxes();
     case PatternAlgo::kTwig:
       return tp.SingleOutputAtExtractionPoint() && tp.UsesOnlyPatternAxes() &&
              !tp.HasPositionalSteps();
@@ -74,6 +71,53 @@ const std::vector<const xml::Node*>& StepStream(const xml::Document& doc,
       return doc.AllNodes();
   }
   return doc.AllNodes();
+}
+
+std::vector<const xml::Node*> ScanRegions(
+    const std::vector<const xml::Node*>& stream,
+    const std::vector<const xml::Node*>& ctx, Axis axis, const NodeTest& test,
+    GovernorTicker* gov) {
+  const bool child = axis == Axis::kChild;
+  const bool self = axis == Axis::kDescendantOrSelf;
+  std::vector<const xml::Node*> out;
+  bool sorted = true;
+  const xml::Node* cover = nullptr;  // the last context not inside another
+  size_t pos = 0;
+  for (const xml::Node* c : ctx) {
+    if (cover == nullptr || !cover->IsAncestorOf(*c)) {
+      cover = c;
+    } else if (child) {
+      sorted = false;  // c's children interleave with its cover's
+    } else {
+      // Pruned: c's region, and c itself when it matches, were scanned
+      // with its cover's — unless c is an attribute, which node() matches
+      // but no descendant-axis stream holds.
+      if (self && c->IsAttribute() && xdm::MatchesTest(c, axis, test)) {
+        out.push_back(c);
+        sorted = false;
+      }
+      continue;
+    }
+    if (self && xdm::MatchesTest(c, axis, test)) out.push_back(c);
+    // Skip to the first stream entry inside c's subtree.
+    CountIndexSkip();
+    auto it = std::upper_bound(
+        stream.begin() + static_cast<ptrdiff_t>(pos), stream.end(), c->pre,
+        [](int32_t pre, const xml::Node* n) { return pre < n->pre; });
+    pos = static_cast<size_t>(it - stream.begin());
+    // Descendants of c are contiguous in preorder.
+    size_t end = pos;
+    for (; end < stream.size() && stream[end]->post < c->post; ++end) {
+      if (!gov->Tick()) return out;
+      CountIndexEntries(1);
+      if (!child || stream[end]->parent == c) out.push_back(stream[end]);
+    }
+    // A later child-axis context may nest inside c's region; a later
+    // descendant-axis context starts past it.
+    if (!child) pos = end;
+  }
+  if (!sorted) std::sort(out.begin(), out.end(), xml::DocOrderLess);
+  return out;
 }
 
 bool RowLexLess(const BindingRow& a, const BindingRow& b) {
@@ -104,8 +148,6 @@ Result<std::vector<BindingRow>> EvalPatternSequential(
       return EvalPatternStaircase(tp, context);
     case PatternAlgo::kTwig:
       return EvalPatternTwig(tp, context);
-    case PatternAlgo::kShredded:
-      return storage::EvalPatternShredded(tp, context);
     case PatternAlgo::kCostBased:
       return EvalPatternSequential(tp, context, ChooseAlgorithm(tp, context));
   }

@@ -1,4 +1,4 @@
-// The physical tree-pattern algorithms behind TupleTreePattern. All four
+// The physical tree-pattern algorithms behind TupleTreePattern. All three
 // produce the operator semantics of Section 4.1: the distinct projected
 // bindings of the pattern over the context nodes, in root-to-leaf lexical
 // order (which coincides with XPath document order when the single output
@@ -12,7 +12,9 @@
 //                merge pass per pattern edge over document-ordered tag
 //                streams (bottom-up match-set computation, then a top-down
 //                filtering pass).
-//  - kShredded:  the staircase join over the relational node table.
+//
+// Both index algorithms, and the parallel driver's root-step expansion,
+// read the tag streams through one staircase region scan (ScanRegions).
 //
 // The index-based algorithms handle single-output patterns (the only
 // shape the optimizer emits); multi-output patterns, and the other shapes
@@ -34,8 +36,6 @@ enum class PatternAlgo : uint8_t {
   kNLJoin,
   kStaircase,
   kTwig,
-  kShredded,   ///< relational staircase join over the shredded node table
-               ///< (storage/node_table.h — the XPath accelerator encoding)
   kCostBased,  ///< per-evaluation choice by the cost model (cost_model.h)
 };
 
@@ -43,8 +43,8 @@ const char* PatternAlgoName(PatternAlgo algo);
 
 /// Whether `algo` evaluates patterns of `tp`'s shape itself. False means
 /// it hands `tp` to EvalPatternNL: a multi-output pattern (every index
-/// algorithm), a non-pattern axis (TwigJoin, Shredded) or a positional
-/// step (TwigJoin). The algorithms and the cost model share this rule, so
+/// algorithm), a non-pattern axis (TwigJoin) or a positional step
+/// (TwigJoin). The algorithms and the cost model share this rule, so
 /// the cost of a handoff is priced as the nested loop that actually runs.
 bool HandlesPatternShape(PatternAlgo algo, const pattern::TreePattern& tp);
 
@@ -54,6 +54,27 @@ bool HandlesPatternShape(PatternAlgo algo, const pattern::TreePattern& tp);
 const std::vector<const xml::Node*>& StepStream(const xml::Document& doc,
                                                 Axis axis,
                                                 const NodeTest& test);
+
+class GovernorTicker;
+
+/// The staircase region scan: the entries of the document-ordered
+/// `stream` reachable from the sorted, duplicate-free context nodes `ctx`
+/// along `axis` (child, descendant or descendant-or-self), in document
+/// order and without duplicates.
+///  - On the descendant axes a context inside an earlier context's
+///    subtree is pruned: its region is already covered.
+///  - Each scanned region costs one binary-search skip (CountIndexSkip)
+///    and a contiguous scan with one CountIndexEntries and one
+///    gov->Tick() per entry.
+///  - On the child axis only entries whose parent is the region's context
+///    are kept.
+///  - On descendant-or-self the contexts that match `test` are added.
+/// A tripped `gov` ends the scan early with a truncated result; the
+/// caller surfaces gov->status().
+std::vector<const xml::Node*> ScanRegions(
+    const std::vector<const xml::Node*>& stream,
+    const std::vector<const xml::Node*>& ctx, Axis axis, const NodeTest& test,
+    GovernorTicker* gov);
 
 /// Parallel-evaluation parameters (exec/parallel.h); EvalPattern takes an
 /// optional pointer so pattern evaluation stays usable without the driver.

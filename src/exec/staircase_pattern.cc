@@ -4,8 +4,9 @@
 // the context "staircase" is pruned (contexts covered by an earlier
 // context's subtree contribute nothing new on the descendant axes) and the
 // per-tag index is scanned once per remaining context region, skipping
-// between regions with binary search. Child and attribute steps use the
-// constant-cost structure pointers of the data model, as in Galax.
+// between regions with binary search (ScanRegions, pattern_eval.h).
+// Attribute and the other axis steps use the constant-cost structure
+// pointers of the data model, as in Galax.
 // Predicate branches are existential semijoins evaluated per candidate
 // node — this is exactly why the paper observes Staircase join degrading
 // on heavily-branched patterns (QE3/QE6) while remaining excellent on
@@ -28,19 +29,6 @@ using pattern::PatternNodePtr;
 using pattern::TreePattern;
 using xml::Document;
 using xml::Node;
-
-/// Removes contexts that are descendants of an earlier context (staircase
-/// pruning): their subtrees are covered. Input must be pre-sorted.
-void PruneCovered(std::vector<const Node*>* ctx) {
-  std::vector<const Node*> kept;
-  kept.reserve(ctx->size());
-  for (const Node* n : *ctx) {
-    if (!kept.empty() && kept.back()->IsAncestorOf(*n)) continue;
-    if (!kept.empty() && kept.back() == n) continue;
-    kept.push_back(n);
-  }
-  *ctx = std::move(kept);
-}
 
 void SortDedup(std::vector<const Node*>* v) {
   std::sort(v->begin(), v->end(), xml::DocOrderLess);
@@ -101,60 +89,17 @@ class StaircaseEval {
       return out;
     }
     switch (axis) {
+      case Axis::kChild:
       case Axis::kDescendant:
-      case Axis::kDescendantOrSelf: {
-        PruneCovered(&ctx);
-        const Document& doc = *ctx.front()->doc;
-        const std::vector<const Node*>& stream = StepStream(doc, axis, test);
-        size_t pos = 0;
-        for (const Node* c : ctx) {
-          if (axis == Axis::kDescendantOrSelf &&
-              xdm::MatchesTest(c, axis, test)) {
-            out.push_back(c);
-          }
-          // Skip to the first stream node inside c's subtree.
-          CountIndexSkip();
-          auto it = std::upper_bound(
-              stream.begin() + static_cast<ptrdiff_t>(pos), stream.end(),
-              c->pre, [](int32_t pre, const Node* n) { return pre < n->pre; });
-          pos = static_cast<size_t>(it - stream.begin());
-          // Descendants of c are contiguous in preorder.
-          while (pos < stream.size() && stream[pos]->post < c->post) {
-            if (!gov_.Tick()) return out;
-            out.push_back(stream[pos]);
-            ++pos;
-            CountIndexEntries(1);
-          }
-        }
-        // Pruning guarantees disjoint regions, so `out` is sorted and
-        // duplicate-free — except descendant-or-self self-hits may
-        // interleave with a previous region only if regions nested, which
-        // pruning rules out.
-        break;
-      }
-      case Axis::kChild: {
+      case Axis::kDescendantOrSelf:
         // Child is also evaluated against the index, scanning the tag
         // stream inside each context's subtree region and filtering on the
         // parent pointer — the pre/post-plane treatment of Staircase join.
         // This is why the paper's Section 5.3 observes SCJoin paying an
         // index scan per step even for child axes, while Table 1 shows
         // child and descendant variants costing about the same.
-        const Document& doc = *ctx.front()->doc;
-        const std::vector<const Node*>& stream = StepStream(doc, axis, test);
-        for (const Node* c : ctx) {
-          CountIndexSkip();
-          auto it = std::upper_bound(
-              stream.begin(), stream.end(), c->pre,
-              [](int32_t pre, const Node* n) { return pre < n->pre; });
-          for (; it != stream.end() && (*it)->post < c->post; ++it) {
-            if (!gov_.Tick()) return out;
-            CountIndexEntries(1);
-            if ((*it)->parent == c) out.push_back(*it);
-          }
-        }
-        SortDedup(&out);
-        break;
-      }
+        return ScanRegions(StepStream(*ctx.front()->doc, axis, test), ctx,
+                           axis, test, &gov_);
       case Axis::kAttribute:
         for (const Node* c : ctx) {
           for (const Node* a : c->attributes) {

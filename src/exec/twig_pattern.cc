@@ -20,7 +20,6 @@
 #include <unordered_set>
 
 #include "common/fault_injection.h"
-#include "exec/exec_stats.h"
 #include "exec/governor.h"
 #include "exec/pattern_eval.h"
 #include "xdm/sequence_ops.h"
@@ -37,45 +36,6 @@ using xml::Document;
 using xml::Node;
 
 using NodeVec = std::vector<const Node*>;
-
-/// Removes nodes covered by an earlier node's subtree (input pre-sorted).
-NodeVec PruneCovered(const NodeVec& v) {
-  NodeVec kept;
-  kept.reserve(v.size());
-  for (const Node* n : v) {
-    if (!kept.empty() && (kept.back() == n || kept.back()->IsAncestorOf(*n))) {
-      continue;
-    }
-    kept.push_back(n);
-  }
-  return kept;
-}
-
-/// The part of `stream` lying inside the subtrees of `roots` (pre-sorted,
-/// need not be disjoint — covered roots are pruned first). One binary
-/// search plus a contiguous scan per disjoint region.
-NodeVec WindowIntoSubtrees(const NodeVec& stream, const NodeVec& roots) {
-  NodeVec out;
-  size_t pos = 0;
-  // The contiguous region scans are the twig join's hot loop; a tripped
-  // governor truncates them and EvalPatternTwig's final poll surfaces the
-  // latched verdict, discarding the partial sets.
-  GovernorTicker gov;
-  for (const Node* r : PruneCovered(roots)) {
-    CountIndexSkip();
-    auto it = std::upper_bound(
-        stream.begin() + static_cast<ptrdiff_t>(pos), stream.end(), r->pre,
-        [](int32_t pre, const Node* n) { return pre < n->pre; });
-    pos = static_cast<size_t>(it - stream.begin());
-    while (pos < stream.size() && stream[pos]->post < r->post) {
-      if (!gov.Tick()) return out;
-      out.push_back(stream[pos]);
-      ++pos;
-      CountIndexEntries(1);
-    }
-  }
-  return out;
-}
 
 /// Keep a in A iff some d in D lies below a along `axis` (both sorted).
 NodeVec SemijoinDown(const NodeVec& a_vec, const NodeVec& d_vec, Axis axis) {
@@ -140,32 +100,33 @@ NodeVec SemijoinDown(const NodeVec& a_vec, const NodeVec& d_vec, Axis axis) {
 }
 
 /// Nodes matching `test` reachable from some node of `ctx` along `axis`,
-/// computed with subtree windowing over the per-tag stream (document
-/// order preserved). Self-membership tests use the node test directly, so
-/// the cost is bounded by the windows, never the whole stream.
+/// computed with the staircase region scan over the per-tag stream
+/// (document order preserved). Self-membership tests use the node test
+/// directly, so the cost is bounded by the windows, never the whole stream.
 NodeVec ReachableVia(const Document& doc, Axis axis, const NodeTest& test,
-                     const NodeVec& ctx) {
-  const NodeVec& stream = StepStream(doc, axis, test);
+                     const NodeVec& ctx, GovernorTicker* gov) {
   switch (axis) {
     case Axis::kDescendant:
-      return WindowIntoSubtrees(stream, ctx);
-    case Axis::kDescendantOrSelf: {
-      NodeVec window = WindowIntoSubtrees(stream, ctx);
-      NodeVec selves;
-      for (const Node* c : ctx) {
-        if (xdm::MatchesTest(c, axis, test)) selves.push_back(c);
+    case Axis::kDescendantOrSelf:
+      return ScanRegions(StepStream(doc, axis, test), ctx, axis, test, gov);
+    case Axis::kAttribute:
+      if (test.kind != NodeTestKind::kName) {
+        // Attribute wildcards have no stream: navigate the contexts'
+        // attributes, which follow their owner in document order.
+        NodeVec out;
+        for (const Node* c : ctx) {
+          for (const Node* a : c->attributes) {
+            if (xdm::MatchesTest(a, axis, test)) out.push_back(a);
+          }
+        }
+        return out;
       }
-      if (selves.empty()) return window;
-      NodeVec merged;
-      merged.reserve(window.size() + selves.size());
-      std::merge(window.begin(), window.end(), selves.begin(), selves.end(),
-                 std::back_inserter(merged), xml::DocOrderLess);
-      merged.erase(std::unique(merged.begin(), merged.end()), merged.end());
-      return merged;
-    }
-    case Axis::kChild:
-    case Axis::kAttribute: {
-      NodeVec window = WindowIntoSubtrees(stream, ctx);
+      [[fallthrough]];
+    case Axis::kChild: {
+      // One pruned scan of the contexts' regions, then a parent filter:
+      // nested contexts do not rescan the stream.
+      NodeVec window = ScanRegions(StepStream(doc, axis, test), ctx,
+                                   Axis::kDescendant, test, gov);
       std::unordered_set<const Node*> parents(ctx.begin(), ctx.end());
       NodeVec out;
       out.reserve(window.size());
@@ -206,12 +167,15 @@ NodeVec ReachableVia(const Document& doc, Axis axis, const NodeTest& test,
 /// Phase-3 variant of ReachableVia operating on an already-refined
 /// candidate vector (small, hashable) instead of a whole stream.
 NodeVec SemijoinUpWithin(const NodeVec& candidates, const NodeVec& ctx,
-                         Axis axis) {
-  switch (axis) {
+                         const PatternNode& p, GovernorTicker* gov) {
+  switch (p.axis) {
     case Axis::kDescendant:
-      return WindowIntoSubtrees(candidates, ctx);
+      return ScanRegions(candidates, ctx, p.axis, p.test, gov);
     case Axis::kDescendantOrSelf: {
-      NodeVec window = WindowIntoSubtrees(candidates, ctx);
+      // A context is a self-hit only while it is still a candidate, which
+      // matching the test alone does not imply after refinement.
+      NodeVec window =
+          ScanRegions(candidates, ctx, Axis::kDescendant, p.test, gov);
       std::unordered_set<const Node*> cand(candidates.begin(),
                                            candidates.end());
       NodeVec selves;
@@ -270,13 +234,13 @@ NodeVec SemijoinUpWithin(const NodeVec& candidates, const NodeVec& ctx,
 
 class TwigEval {
  public:
-  explicit TwigEval(const Document& doc) : doc_(doc) {}
+  TwigEval(const Document& doc, GovernorTicker* gov) : doc_(doc), gov_(gov) {}
 
   /// Phase 1+2 for the sub-twig rooted at `p` with context candidates
   /// `ctx`: computes (and memoizes) the refined match set of every node
   /// in the sub-twig.
   const NodeVec& ComputeSets(const PatternNode& p, const NodeVec& ctx) {
-    NodeVec m = ReachableVia(doc_, p.axis, p.test, ctx);
+    NodeVec m = ReachableVia(doc_, p.axis, p.test, ctx, gov_);
     for (const PatternNodePtr& pred : p.predicates) {
       if (m.empty()) break;
       const NodeVec& pm = ComputeSets(*pred, m);
@@ -293,6 +257,7 @@ class TwigEval {
 
  private:
   const Document& doc_;
+  GovernorTicker* gov_;
   std::unordered_map<const PatternNode*, NodeVec> sets_;
 };
 
@@ -324,7 +289,11 @@ Result<std::vector<BindingRow>> EvalPatternTwig(const TreePattern& tp,
     if (n->doc != ctx.front()->doc) return EvalPatternNL(tp, context);
   }
 
-  TwigEval eval(*ctx.front()->doc);
+  // The region scans are the twig join's hot loop; a tripped governor
+  // truncates them and the final poll below surfaces the latched verdict,
+  // discarding the partial sets.
+  GovernorTicker gov;
+  TwigEval eval(*ctx.front()->doc, &gov);
   eval.ComputeSets(*tp.root, ctx);
 
   // Phase 3: final top-down reachability over the refined main-path sets.
@@ -335,7 +304,7 @@ Result<std::vector<BindingRow>> EvalPatternTwig(const TreePattern& tp,
   }
   NodeVec reach = eval.SetOf(*path[0]);
   for (size_t i = 1; i < path.size() && !reach.empty(); ++i) {
-    reach = SemijoinUpWithin(eval.SetOf(*path[i]), reach, path[i]->axis);
+    reach = SemijoinUpWithin(eval.SetOf(*path[i]), reach, *path[i], &gov);
   }
   // Surface a mid-merge trip (sticky in the governor) before the possibly
   // truncated sets become a result.

@@ -140,20 +140,6 @@ const std::vector<const Node*>& Document::AttributesByName(Symbol name) const {
   return vec;
 }
 
-const DocumentExtension* Document::GetOrBuildExtension(
-    DocumentExtension* (*factory)(const Document&)) const {
-  // Build outside the lock (the factory reads lazily-built structures
-  // that take the lock themselves), then publish under the lock.
-  {
-    ReaderLock lock(&lazy_mu_);
-    if (extension_ != nullptr) return extension_.get();
-  }
-  std::unique_ptr<DocumentExtension> built(factory(*this));
-  WriterLock lock(&lazy_mu_);
-  if (extension_ == nullptr) extension_ = std::move(built);
-  return extension_.get();
-}
-
 DocumentBuilder::DocumentBuilder(StringInterner* interner)
     : doc_(std::make_unique<Document>(interner)) {
   Node* root = doc_->NewNode();

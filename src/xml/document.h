@@ -23,13 +23,6 @@ struct DocumentStats {
   int max_depth = 1;        ///< deepest element level
 };
 
-/// Base class for lazily-attached per-document derived structures built
-/// by higher layers (e.g. the relational shredding in src/storage).
-class DocumentExtension {
- public:
-  virtual ~DocumentExtension() = default;
-};
-
 /// An XML document. Owns its nodes (stable addresses via deque arena).
 /// Build one with DocumentBuilder or xml::Parse.
 class Document {
@@ -65,13 +58,6 @@ class Document {
 
   /// Structural statistics; computed on first use and cached.
   const DocumentStats& Stats() const;
-
-  /// Returns the document's extension, building it with `factory` under
-  /// the document lock on first use. A single extension slot exists per
-  /// document (one consumer: the relational shredding); the extension's
-  /// lifetime is tied to the document.
-  const DocumentExtension* GetOrBuildExtension(
-      DocumentExtension* (*factory)(const Document&)) const;
 
   /// All attribute nodes with the given name, in document order.
   const std::vector<const Node*>& AttributesByName(Symbol name) const;
@@ -116,10 +102,6 @@ class Document {
   mutable bool all_nodes_built_ GUARDED_BY(lazy_mu_) = false;
   mutable DocumentStats stats_ GUARDED_BY(lazy_mu_);
   mutable bool stats_built_ GUARDED_BY(lazy_mu_) = false;
-  /// The pointer cell is guarded; the pointee is deliberately NOT
-  /// PT_GUARDED_BY: an extension is immutable once published under the
-  /// lock, so readers dereference it lock-free (see DESIGN.md).
-  mutable std::unique_ptr<DocumentExtension> extension_ GUARDED_BY(lazy_mu_);
 };
 
 /// Incremental builder. Usage:

@@ -153,8 +153,7 @@ TEST_F(CostModelTest, HandoffsArePricedAsTheNestedLoop) {
   EXPECT_NE(EstimateCost(positional, ctx, PatternAlgo::kStaircase),
             nl_positional);
   double nl_multi = EstimateCost(multi, ctx, PatternAlgo::kNLJoin);
-  for (PatternAlgo algo : {PatternAlgo::kStaircase, PatternAlgo::kTwig,
-                           PatternAlgo::kShredded}) {
+  for (PatternAlgo algo : {PatternAlgo::kStaircase, PatternAlgo::kTwig}) {
     EXPECT_EQ(EstimateCost(multi, ctx, algo), nl_multi)
         << PatternAlgoName(algo);
   }

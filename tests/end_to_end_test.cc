@@ -1,6 +1,6 @@
 // End-to-end: the paper's query corpus evaluated on generated workloads,
 // with result equality asserted across the core interpreter, the
-// unoptimized plan, and the optimized plan under all four pattern
+// unoptimized plan, and the optimized plan under all three pattern
 // algorithms.
 #include <gtest/gtest.h>
 
@@ -26,8 +26,7 @@ void ExpectAllRoutesAgree(engine::Engine* e, const xml::Document& doc,
   for (auto pc :
        {engine::PlanChoice::kUnoptimized, engine::PlanChoice::kOptimized}) {
     for (auto algo : {exec::PatternAlgo::kNLJoin, exec::PatternAlgo::kStaircase,
-                      exec::PatternAlgo::kTwig,
-                      exec::PatternAlgo::kShredded}) {
+                      exec::PatternAlgo::kTwig}) {
       auto res = e->Execute(*cq, globals, algo, pc);
       ASSERT_TRUE(res.ok()) << q << ": " << res.status().ToString();
       ASSERT_EQ(res->size(), ref->size())

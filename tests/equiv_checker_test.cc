@@ -83,7 +83,7 @@ TEST(QueryGen, GeneratedQueriesCompile) {
 }
 
 TEST(CrossCheck, AllAlgorithmsAgreeOnWitnessCorpus) {
-  ASSERT_EQ(analysis::CrossCheckAlgos().size(), 4u);
+  ASSERT_EQ(analysis::CrossCheckAlgos().size(), 3u);
   StringInterner interner;
   analysis::WitnessCorpus corpus(&interner);
   // descendant::a[child::b] — a predicate twig, the shape where holistic

@@ -1,6 +1,6 @@
 // Evaluator tests: every compiled query is checked through all plan
 // choices (core interpreter, unoptimized P1-style plan, optimized plan)
-// and all four pattern algorithms, against hand-computed expectations.
+// and all three pattern algorithms, against hand-computed expectations.
 #include <gtest/gtest.h>
 
 #include "engine/engine.h"
@@ -41,7 +41,7 @@ class EvaluatorTest : public ::testing::Test {
                     engine::PlanChoice::kUnoptimized,
                     engine::PlanChoice::kOptimized}) {
       for (auto algo : {PatternAlgo::kNLJoin, PatternAlgo::kStaircase,
-                        PatternAlgo::kTwig, PatternAlgo::kShredded}) {
+                        PatternAlgo::kTwig}) {
         auto res = engine_.Execute(*cq, globals, algo, pc);
         EXPECT_TRUE(res.ok())
             << q << " [" << PatternAlgoName(algo) << "]: "

@@ -48,7 +48,6 @@ constexpr SiteConfig kRegistry[] = {
     {"exec.pattern.nl", exec::PatternAlgo::kNLJoin, 1},
     {"exec.pattern.staircase", exec::PatternAlgo::kStaircase, 1},
     {"exec.pattern.twig", exec::PatternAlgo::kTwig, 1},
-    {"storage.pattern.shredded", exec::PatternAlgo::kShredded, 1},
     // Morsel-parallel driver: a worker hits the fault mid-query and the
     // pool must still drain.
     {"exec.parallel.morsel", exec::PatternAlgo::kNLJoin, 4},

@@ -35,8 +35,7 @@ class FragmentTest : public ::testing::Test {
                     engine::PlanChoice::kOptimized}) {
       for (auto algo : {exec::PatternAlgo::kNLJoin,
                         exec::PatternAlgo::kStaircase,
-                        exec::PatternAlgo::kTwig,
-                        exec::PatternAlgo::kShredded}) {
+                        exec::PatternAlgo::kTwig}) {
         auto res = engine_.Execute(*cq, globals, algo, pc);
         EXPECT_TRUE(res.ok()) << q << ": " << res.status().ToString();
         if (!res.ok()) continue;

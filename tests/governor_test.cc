@@ -32,7 +32,6 @@ constexpr PatternAlgo kAllAlgos[] = {
     PatternAlgo::kNLJoin,
     PatternAlgo::kStaircase,
     PatternAlgo::kTwig,
-    PatternAlgo::kShredded,
 };
 
 /// A quadratic self-join over the XMark people: each of the ~N^2 loop

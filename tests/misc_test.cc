@@ -107,9 +107,7 @@ TEST(RecursiveDocumentStress, DeeplyNestedSameTag) {
         {"d", {xdm::Item(doc.value()->root())}}};
     auto ref = e.Execute(*cq, globals, exec::PatternAlgo::kNLJoin);
     ASSERT_TRUE(ref.ok()) << q;
-    for (auto algo :
-         {exec::PatternAlgo::kStaircase, exec::PatternAlgo::kTwig,
-          exec::PatternAlgo::kShredded}) {
+    for (auto algo : {exec::PatternAlgo::kStaircase, exec::PatternAlgo::kTwig}) {
       auto res = e.Execute(*cq, globals, algo);
       ASSERT_TRUE(res.ok()) << q << " " << exec::PatternAlgoName(algo);
       EXPECT_EQ((*res)[0].integer(), (*ref)[0].integer())

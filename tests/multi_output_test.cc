@@ -82,8 +82,7 @@ TEST_F(MultiOutputTest, EveryAlgorithmAgreesViaFallback) {
   engine::Engine::GlobalMap globals{{"d", {xdm::Item(doc_->root())}}};
   auto ref = engine_.Execute(*cq, globals, exec::PatternAlgo::kNLJoin);
   ASSERT_TRUE(ref.ok());
-  for (auto algo : {exec::PatternAlgo::kStaircase, exec::PatternAlgo::kTwig,
-                    exec::PatternAlgo::kShredded}) {
+  for (auto algo : {exec::PatternAlgo::kStaircase, exec::PatternAlgo::kTwig}) {
     auto res = engine_.Execute(*cq, globals, algo);
     ASSERT_TRUE(res.ok()) << exec::PatternAlgoName(algo);
     ASSERT_EQ(res->size(), ref->size()) << exec::PatternAlgoName(algo);

@@ -41,8 +41,7 @@ class PositionalTest : public ::testing::Test {
     std::vector<std::string> expected;
     for (const xdm::Item& it : *ref) expected.push_back(it.StringValue());
     for (auto algo : {exec::PatternAlgo::kNLJoin, exec::PatternAlgo::kStaircase,
-                      exec::PatternAlgo::kTwig,
-                      exec::PatternAlgo::kShredded}) {
+                      exec::PatternAlgo::kTwig}) {
       auto res = engine_.Execute(*ext, globals, algo);
       EXPECT_TRUE(res.ok()) << q << ": " << res.status().ToString();
       if (!res.ok()) continue;
@@ -155,8 +154,7 @@ TEST_F(PositionalTest, RandomizedAgreementOnMember) {
     auto ref = e2.Execute(*cq_ref, globals, exec::PatternAlgo::kNLJoin);
     ASSERT_TRUE(ref.ok()) << q;
     for (auto algo : {exec::PatternAlgo::kNLJoin, exec::PatternAlgo::kStaircase,
-                      exec::PatternAlgo::kTwig,
-                      exec::PatternAlgo::kShredded}) {
+                      exec::PatternAlgo::kTwig}) {
       auto res = e2.Execute(*cq_ext, globals, algo);
       ASSERT_TRUE(res.ok()) << q;
       ASSERT_EQ(res->size(), ref->size())

@@ -101,7 +101,7 @@ TEST_P(PropertyTest, AllRoutesAgreeOnRandomQueries) {
                     engine::PlanChoice::kOptimized}) {
       for (auto algo :
            {exec::PatternAlgo::kNLJoin, exec::PatternAlgo::kStaircase,
-            exec::PatternAlgo::kTwig, exec::PatternAlgo::kShredded}) {
+            exec::PatternAlgo::kTwig}) {
         auto res = e.Execute(*cq, globals, algo, pc);
         ASSERT_TRUE(res.ok()) << q << ": " << res.status().ToString();
         ASSERT_EQ(res->size(), ref->size())

@@ -44,8 +44,7 @@ TEST_F(XmarkQueriesTest, AllRoutesAgreeOnEveryQuery) {
                     engine::PlanChoice::kOptimized}) {
       for (auto algo :
            {exec::PatternAlgo::kNLJoin, exec::PatternAlgo::kStaircase,
-            exec::PatternAlgo::kTwig, exec::PatternAlgo::kShredded,
-            exec::PatternAlgo::kCostBased}) {
+            exec::PatternAlgo::kTwig, exec::PatternAlgo::kCostBased}) {
         auto res = engine_.Execute(*cq, globals, algo, pc);
         ASSERT_TRUE(res.ok()) << q.id << ": " << res.status().ToString();
         ASSERT_EQ(res->size(), ref->size())

@@ -3,7 +3,7 @@
 // grammar (analysis/qgen.h), compiles each one with the per-rule
 // equivalence oracle armed, and differentially executes every compiled
 // query through all evaluation routes (Core interpreter, unoptimized
-// plan, optimized plan x all four pattern algorithms) over the witness
+// plan, optimized plan x all three pattern algorithms) over the witness
 // corpus. Failures are shrunk (query first, then witness document) and
 // saved as replayable artifacts.
 //

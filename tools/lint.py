@@ -32,9 +32,13 @@ discipline:
                     unreviewable.
   fault-site-registered  every fault-injection site named in src/ (via
                     XQTP_FAULT_POINT("...") or a direct fault::Poll("...")
-                    in void context) must appear in the sweep registry in
-                    tests/fault_injection_test.cc, so a new site cannot
-                    ship without the sweep forcing a failure through it.
+                    in void context) must appear in the sweep registry
+                    (kRegistry in tests/fault_injection_test.cc), so a new
+                    site cannot ship without the sweep forcing a failure
+                    through it; and every registry row must name such a
+                    site, so a deleted site cannot leave a dead row behind
+                    (the sweep itself only notices where fault points are
+                    compiled in).
   tupleseq-materialization  src/exec/evaluator.cc streams TupleBatches
                     between tuple operators; naming TupleSeq there means
                     whole-sequence materialization crept back into the
@@ -336,18 +340,38 @@ FAULT_POINT_RAW_RE = re.compile(
     r'(?:XQTP_FAULT_POINT|(?:::xqtp::)?fault::Poll)\s*\(\s*"([^"]+)"')
 
 
+# The sweep's registry array, and the site literal opening each of its rows.
+FAULT_REGISTRY_ARRAY_RE = re.compile(r"\bkRegistry\s*\[\s*\]\s*=\s*\{")
+FAULT_REGISTRY_ROW_RE = re.compile(r'^\s*\{\s*"([^"]+)"')
+
+
 def load_fault_registry(root):
-    """All string literals in the sweep test — a superset of the site
-    registry, which is exactly what membership needs to check against."""
+    """The sites of the sweep test's kRegistry array, mapped to their line
+    numbers, or None if the test is missing. Only that array is read: the
+    test's other SiteConfigs are not registry rows."""
     path = os.path.join(root, FAULT_REGISTRY_FILE)
     try:
         with open(path, encoding="utf-8") as f:
-            return set(re.findall(r'"([^"\n]+)"', f.read()))
+            lines = f.read().splitlines()
     except OSError:
         return None
+    rows = {}
+    in_registry = False
+    for lineno, line in enumerate(lines, 1):
+        if not in_registry:
+            in_registry = FAULT_REGISTRY_ARRAY_RE.search(line) is not None
+        elif line.strip().startswith("};"):
+            break
+        else:
+            m = FAULT_REGISTRY_ROW_RE.match(line)
+            if m is not None:
+                rows.setdefault(m.group(1), lineno)
+    return rows
 
 
-def make_check_fault_site_registered(registry):
+def make_check_fault_site_registered(registry, named):
+    """The per-file direction; also records every site it sees in `named`
+    for check_dead_fault_registry_rows."""
     def check(relpath, raw, code, findings):
         for lineno, line in enumerate(code, 1):
             if not FAULT_POINT_CODE_RE.search(line):
@@ -356,6 +380,7 @@ def make_check_fault_site_registered(registry):
             if m is None:
                 continue  # macro definition / non-literal site argument
             site = m.group(1)
+            named.add(site)
             if registry is not None and site in registry:
                 continue
             if allowed(raw[lineno - 1], "fault-site-registered"):
@@ -369,6 +394,17 @@ def make_check_fault_site_registered(registry):
                 "in the sweep test's kRegistry so an injected failure is "
                 "forced through it"))
     return check
+
+
+def check_dead_fault_registry_rows(registry, named, findings):
+    """The reverse direction, once all of src/ is read: a kRegistry row
+    that no site in src/ names."""
+    for site, lineno in sorted((registry or {}).items(), key=lambda r: r[1]):
+        if site not in named:
+            findings.append(Finding(
+                FAULT_REGISTRY_FILE, lineno, "fault-site-registered",
+                f'registry row "{site}" names no XQTP_FAULT_POINT or '
+                "fault::Poll site in src/ — delete the dead row"))
 
 
 # --------------------------------------------------------------------------
@@ -454,8 +490,10 @@ RULES = [check_raw_sync, check_no_stdout, check_nodiscard_status,
 
 def lint_tree(root):
     findings = []
+    registry = load_fault_registry(root)
+    named_fault_sites = set()
     rules = RULES + [make_check_fault_site_registered(
-        load_fault_registry(root))]
+        registry, named_fault_sites)]
     src = os.path.join(root, "src")
     for dirpath, _, files in os.walk(src):
         for name in sorted(files):
@@ -468,6 +506,7 @@ def lint_tree(root):
             code = strip_comments_and_strings(raw)
             for rule in rules:
                 rule(relpath, raw, code, findings)
+    check_dead_fault_registry_rows(registry, named_fault_sites, findings)
     return findings
 
 
@@ -539,13 +578,17 @@ SELF_TEST_FIXTURES = [
      "void F() { weak.lock(); }"
      "  // lint:allow(raw-sync, reason=non-std weak_ptr-style lock API)\n",
      set()),
-    # fault-site-registered: the fixture registry below knows one site.
+    # fault-site-registered: the fixture registry below knows two sites;
+    # only one is named in src/. A `rule@line` expectation pins the line.
     ("tests/fault_injection_test.cc",
      "// fixture sweep registry\n"
      "constexpr SiteConfig kRegistry[] = {\n"
      "    {\"exec.registered.site\", exec::PatternAlgo::kNLJoin, 1},\n"
-     "};\n",
-     set()),  # outside src/: never linted itself
+     "    {\"exec.dead.site\", exec::PatternAlgo::kNLJoin, 1},\n"
+     "};\n"
+     "// Not a registry row: its site need not exist in src/.\n"
+     "SiteConfig cfg{\"exec.other.site\", exec::PatternAlgo::kNLJoin, 1};\n",
+     {"fault-site-registered@4"}),  # the dead row, and only it
     ("src/bad/fault_unregistered.cc",
      "#include \"common/fault_injection.h\"\n"
      "Status F() {\n"
@@ -556,7 +599,8 @@ SELF_TEST_FIXTURES = [
     ("src/good/fault_registered.cc",
      "#include \"common/fault_injection.h\"\n"
      "// A comment naming XQTP_FAULT_POINT(\"exec.unregistered.site\") is\n"
-     "// fine: only code counts.\n"
+     "// fine, and one naming XQTP_FAULT_POINT(\"exec.dead.site\") keeps\n"
+     "// no registry row alive: only code counts.\n"
      "Status F() {\n"
      "  XQTP_FAULT_POINT(\"exec.registered.site\");\n"
      "  return fault::Poll(\"exec.registered.site\");\n"
@@ -618,11 +662,15 @@ def self_test():
                 f.write(contents)
         findings = lint_tree(tmp)
         by_file = {}
+        by_line = {}
         for f in findings:
-            by_file.setdefault(f.path.replace(os.sep, "/"), set()).add(f.rule)
+            path = f.path.replace(os.sep, "/")
+            by_file.setdefault(path, set()).add(f.rule)
+            by_line.setdefault(path, set()).add(f"{f.rule}@{f.line}")
         failures = []
         for relpath, _, expect in SELF_TEST_FIXTURES:
-            got = by_file.get(relpath, set())
+            pinned = any("@" in e for e in expect)
+            got = (by_line if pinned else by_file).get(relpath, set())
             missing = expect - got
             extra = got - expect
             if missing:
@@ -638,7 +686,8 @@ def self_test():
             for f in findings:
                 print(f"  (finding: {f})")
             return 1
-        rules_proven = sorted({r for _, _, exp in SELF_TEST_FIXTURES
+        rules_proven = sorted({r.split("@")[0]
+                               for _, _, exp in SELF_TEST_FIXTURES
                                for r in exp})
         print(f"lint.py --self-test OK: rules {rules_proven} each fired on "
               "a seeded violation and stayed quiet on clean fixtures")
