@@ -39,7 +39,7 @@
 #    line is part of the gate's output — the deep seed-matrix sweep under
 #    sanitizers lives in ci/fuzz.sh;
 #  - a bounded smoke run of bench_parallel, bench_plan_props,
-#    bench_governor, bench_compile, bench_plan_cache and bench_batch whose
+#    bench_governor, bench_compile and bench_plan_cache whose
 #    perf-trajectory records (--json) are merged by tools/bench_smoke.py
 #    into BENCH_smoke.json at the repo root, with a WARN-ONLY per-record
 #    timing delta against the committed baseline printed to the log;
@@ -185,8 +185,6 @@ build-ci-release/bench/bench_compile \
   --benchmark_min_time=0.05 --json="$SMOKE_TMP/compile.json"
 build-ci-release/bench/bench_plan_cache \
   --benchmark_min_time=0.05 --json="$SMOKE_TMP/plan_cache.json"
-build-ci-release/bench/bench_batch \
-  --benchmark_min_time=0.05 --json="$SMOKE_TMP/batch.json"
 if git show HEAD:BENCH_smoke.json > "$SMOKE_TMP/baseline.json" 2>/dev/null
 then
   BASELINE=(--baseline "$SMOKE_TMP/baseline.json")
@@ -196,7 +194,7 @@ fi
 python3 tools/bench_smoke.py --out BENCH_smoke.json "${BASELINE[@]}" \
   "$SMOKE_TMP/parallel.json" "$SMOKE_TMP/plan_props.json" \
   "$SMOKE_TMP/governor.json" "$SMOKE_TMP/compile.json" \
-  "$SMOKE_TMP/plan_cache.json" "$SMOKE_TMP/batch.json"
+  "$SMOKE_TMP/plan_cache.json"
 python3 -c "import json; json.load(open('BENCH_smoke.json'))" \
   && echo "BENCH_smoke.json: valid JSON"
 leg_done bench-smoke

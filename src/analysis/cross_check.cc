@@ -173,16 +173,9 @@ Status CrossCheck(const CrossCheckInput& in, const core::VarTable& vars,
   }
   bool has_pattern = PlanHasPattern(*in.optimized);
   {
-    // Batch-vs-row differential legs: the same optimized plan through the
-    // row-at-a-time reference path, and through the batch pipeline with a
-    // tiny batch size so every multi-row stream crosses batch boundaries.
-    // Both must be bit-identical to the default (batch, 1024-row) route
-    // below — this is the oracle leg that guards the columnar evaluator.
-    exec::EvalOptions ropts;
-    ropts.threads = 1;
-    ropts.tuple_exec = exec::TupleExecMode::kRow;
-    routes.push_back({"plan(optimized, NLJoin, row)",
-                      exec::Evaluate(*in.optimized, vars, bindings, ropts)});
+    // Tiny-batch leg: the same optimized plan with a batch size of 2, so
+    // every multi-row stream crosses batch boundaries. It must be
+    // bit-identical to the default (1024-row) routes below.
     exec::EvalOptions bopts;
     bopts.threads = 1;
     bopts.tuple_batch_rows = 2;
@@ -206,15 +199,6 @@ Status CrossCheck(const CrossCheckInput& in, const core::VarTable& vars,
       routes.push_back({std::string("plan(optimized, ") +
                             exec::PatternAlgoName(algo) + ", threads=2)",
                         exec::Evaluate(*in.optimized, vars, bindings, popts)});
-      // Row-mode parallel leg: the morsel driver reached through the
-      // row-path bridge (TupleSeq -> batch -> driver -> TupleSeq).
-      exec::EvalOptions rpopts = popts;
-      rpopts.tuple_exec = exec::TupleExecMode::kRow;
-      routes.push_back({std::string("plan(optimized, ") +
-                            exec::PatternAlgoName(algo) +
-                            ", threads=2, row)",
-                        exec::Evaluate(*in.optimized, vars, bindings,
-                                       rpopts)});
     }
     // Without a TupleTreePattern every algorithm takes the same code
     // path; one evaluation suffices.

@@ -34,12 +34,11 @@ struct ExecStats {
   int64_t peak_memory_bytes = 0;
   /// TupleBatches produced by the columnar evaluator (exec/tuple.h):
   /// one per batch yielded by an operator kernel, including zero-copy
-  /// selection views. Zero under row-at-a-time execution.
+  /// selection views.
   int64_t batches = 0;
-  /// Tuples physically written — rows whose field sequences were copied
-  /// or built, whether into a Tuple (row mode, row bridge) or into fresh
-  /// batch columns. Rows passed along by column sharing do not count;
-  /// the batch/row gap in this counter is the point of the layout.
+  /// Tuples physically written — rows whose field sequences were built
+  /// into fresh batch columns. Rows passed along by column sharing or
+  /// broadcast do not count.
   int64_t tuples_materialized = 0;
   /// Shared / filtered / broadcast columns deep-copied because a
   /// consumer needed flat owned storage (TupleBatch::Flatten — the

@@ -293,6 +293,11 @@ Result<xdm::Sequence> Engine::Execute(const CompiledQuery& q,
     case PlanChoice::kUnoptimized:
       return exec::Evaluate(q.plan(), q.vars(), bindings, opts);
     case PlanChoice::kCoreInterp:
+      if (opts.HasGovernorLimits()) {
+        return Status::InvalidArgument(
+            "the Core interpreter enforces no deadline, cancel token or "
+            "memory budget; run the optimized or unoptimized plan instead");
+      }
       return exec::EvaluateCore(q.rewritten(), q.vars(), bindings);
   }
   return Status::Internal("unknown plan choice");

@@ -159,7 +159,11 @@ class CompiledQuery {
 enum class PlanChoice : uint8_t {
   kOptimized,     ///< the tree-pattern plan (default)
   kUnoptimized,   ///< the P1-style plan — the Figure 4 "old engine"
-  kCoreInterp,    ///< direct interpretation of the rewritten Core
+  /// Direct interpretation of the rewritten Core: the semantics
+  /// reference. It checks no governor, so Execute refuses it with
+  /// InvalidArgument when EvalOptions sets a deadline, a cancel token or
+  /// a memory budget, rather than silently dropping the limit.
+  kCoreInterp,
 };
 
 class Engine {

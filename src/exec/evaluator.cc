@@ -31,16 +31,6 @@ int64_t ApproxBytes(const Sequence& s) {
   return static_cast<int64_t>(s.size() * sizeof(Item));
 }
 
-/// Approximate materialization cost of a tuple: its fields vector plus
-/// every field's sequence.
-int64_t ApproxBytes(const Tuple& t) {
-  int64_t bytes =
-      static_cast<int64_t>(t.field_count() *
-                           (sizeof(Symbol) + sizeof(Sequence)));
-  for (const auto& [sym, seq] : t.fields()) bytes += ApproxBytes(seq);
-  return bytes;
-}
-
 /// Downstream consumer of a streamed tuple-plan pipeline. Producers call
 /// it once per non-empty TupleBatch, in row order; an error Status stops
 /// the stream.
@@ -77,12 +67,11 @@ class Evaluator {
 
  private:
   /// Evaluates an item plan. `tuple` is the current tuple context for
-  /// dependent plans (IN#field / IN as tuple) — a RowView over either a
-  /// materialized Tuple (row mode; `const Tuple*` call sites convert
-  /// implicitly) or one row of a TupleBatch (batch kernels); `item` is
-  /// the current item for MapFromItem dependents (IN as item). When the
-  /// optimizer stamped property claims on the operator, debug builds
-  /// assert them against the concrete output sequence.
+  /// dependent plans (IN#field / IN as tuple) — a RowView over one row of
+  /// a TupleBatch; `item` is the current item for MapFromItem dependents
+  /// (IN as item). When the optimizer stamped property claims on the
+  /// operator, debug builds assert them against the concrete output
+  /// sequence.
   Result<Sequence> EvalItem(const Op& op, RowView tuple, const Item* item) {
     if (!opts_.check_inferred_props || !op.props.Any()) {
       return EvalItemInner(op, tuple, item);
@@ -212,9 +201,6 @@ class Evaluator {
         return xdm::DistinctDocOrder(std::move(in));
       }
       case OpKind::kMapToItem: {
-        if (opts_.tuple_exec == TupleExecMode::kRow) {
-          return MapToItemRow(op, tuple);
-        }
         Sequence out;
         ScopedMemoryCharge mem;
         const Op& dep = *op.dep;
@@ -356,12 +342,11 @@ class Evaluator {
   }
 
   // ------------------------------------------------------------------
-  // Columnar batch pipeline (TupleExecMode::kBatch, the default).
+  // Columnar batch pipeline.
 
   /// Yields one batch downstream: counts it, gives the governor its
-  /// per-BATCH poll (row-mode loops polled per row via the operator
-  /// stride), and charges the batch's bytes for the duration of the
-  /// downstream processing. Empty batches are dropped here so kernels
+  /// per-BATCH poll, and charges the batch's bytes for the duration of
+  /// the downstream processing. Empty batches are dropped here so kernels
   /// never see them.
   Status Emit(const BatchSink& sink, TupleBatch&& b) {
     if (b.rows() == 0) return Status::OK();
@@ -373,10 +358,10 @@ class Evaluator {
   }
 
   /// Evaluates a tuple plan as a stream of TupleBatches pushed into
-  /// `sink` — no intermediate TupleSeq is ever materialized. `ambient`
-  /// is the enclosing tuple context for plans rooted at IN (rule (a)
-  /// rewrites); inside a batch kernel it is a view of the outer batch's
-  /// current row.
+  /// `sink` — no whole intermediate tuple sequence is materialized.
+  /// `ambient` is the enclosing tuple context for plans rooted at IN
+  /// (rule (a) rewrites); inside a batch kernel it is a view of the outer
+  /// batch's current row.
   Status EvalTupleBatches(const Op& op, RowView ambient,
                           const BatchSink& sink) {
     switch (op.kind) {
@@ -445,8 +430,7 @@ class Evaluator {
         if (par_ != nullptr) {
           // The wide-input morselization decision needs the total row
           // count, so the pattern is a pipeline breaker when a parallel
-          // context exists — exactly like row mode, which materialized
-          // its whole input too. Shared columns make the Append cheap.
+          // context exists. Shared columns make the Append cheap.
           TupleBatch all;
           XQTP_RETURN_NOT_OK(EvalTupleBatches(
               *op.inputs[0], ambient, [&](TupleBatch&& b) -> Status {
@@ -497,126 +481,6 @@ class Evaluator {
     }
     if (builder.rows() == 0) return Status::OK();
     return Emit(sink, builder.Finish());
-  }
-
-  // ------------------------------------------------------------------
-  // Row-at-a-time reference path (TupleExecMode::kRow). Kept verbatim as
-  // the differential baseline for the cross-check oracle and bench_batch;
-  // every whole-TupleSeq materialization below is intentional.
-
-  Result<Sequence> MapToItemRow(const Op& op, RowView tuple) {
-    // Recover the native Tuple (row mode never builds batches, so the
-    // view is Tuple-backed or invalid — Materialize is a safety net).
-    Tuple scratch;
-    const Tuple* ambient = nullptr;
-    if (tuple.valid()) {
-      ambient = tuple.AsTuple();
-      if (ambient == nullptr) {
-        scratch = tuple.Materialize();
-        ambient = &scratch;
-      }
-    }
-    // lint:allow(tupleseq-materialization, reason=kRow reference path)
-    XQTP_ASSIGN_OR_RETURN(TupleSeq tuples,
-                          EvalTuplesRow(*op.inputs[0], ambient));
-    Sequence out;
-    ScopedMemoryCharge mem;
-    for (const Tuple& t : tuples) {
-      XQTP_ASSIGN_OR_RETURN(Sequence part, EvalItem(*op.dep, &t, nullptr));
-      XQTP_RETURN_NOT_OK(mem.Grow(ApproxBytes(part)));
-      out.insert(out.end(), part.begin(), part.end());
-    }
-    return out;
-  }
-
-  /// Evaluates a tuple plan by materializing every intermediate tuple
-  /// sequence. `ambient` is the enclosing tuple for plans rooted at IN.
-  // lint:allow(tupleseq-materialization, reason=kRow reference path)
-  Result<TupleSeq> EvalTuplesRow(const Op& op, const Tuple* ambient) {
-    switch (op.kind) {
-      case OpKind::kInputTuple: {
-        if (ambient == nullptr) {
-          return Status::Internal("IN (tuple) used outside a tuple context");
-        }
-        // lint:allow(tupleseq-materialization, reason=kRow reference path)
-        return TupleSeq{*ambient};
-      }
-      case OpKind::kMapFromItem: {
-        XQTP_ASSIGN_OR_RETURN(Sequence items,
-                              EvalItem(*op.inputs[0], ambient, nullptr));
-        // lint:allow(tupleseq-materialization, reason=kRow reference path)
-        TupleSeq out;
-        out.reserve(items.size());
-        ScopedMemoryCharge mem;
-        for (const Item& it : items) {
-          Tuple t;
-          XQTP_ASSIGN_OR_RETURN(Sequence value,
-                                EvalItem(*op.dep, ambient, &it));
-          t.Set(op.field, std::move(value));
-          XQTP_RETURN_NOT_OK(mem.Grow(ApproxBytes(t)));
-          CountTuplesMaterialized(1);
-          out.push_back(std::move(t));
-        }
-        return out;
-      }
-      case OpKind::kSelect: {
-        // lint:allow(tupleseq-materialization, reason=kRow reference path)
-        XQTP_ASSIGN_OR_RETURN(TupleSeq in, EvalTuplesRow(*op.inputs[0], ambient));
-        // lint:allow(tupleseq-materialization, reason=kRow reference path)
-        TupleSeq out;
-        ScopedMemoryCharge mem;
-        for (Tuple& t : in) {
-          XQTP_ASSIGN_OR_RETURN(Sequence pred, EvalItem(*op.dep, &t, nullptr));
-          XQTP_ASSIGN_OR_RETURN(bool keep, xdm::EffectiveBooleanValue(pred));
-          if (!keep) continue;
-          XQTP_RETURN_NOT_OK(mem.Grow(ApproxBytes(t)));
-          out.push_back(std::move(t));
-        }
-        return out;
-      }
-      case OpKind::kTupleTreePattern: {
-        // lint:allow(tupleseq-materialization, reason=kRow reference path)
-        XQTP_ASSIGN_OR_RETURN(TupleSeq in, EvalTuplesRow(*op.inputs[0], ambient));
-        // Wide tuple inputs morselize at the tuple level; the common
-        // optimized plan (one tuple holding the document root) instead
-        // morselizes inside EvalPattern via the root fan-out strategy.
-        if (par_ != nullptr &&
-            in.size() >= static_cast<size_t>(par_->min_fanout)) {
-          // The morsel driver is batch-native now; bridge in and out.
-          TupleBatch inb = TupleBatch::FromTuples(in);
-          XQTP_ASSIGN_OR_RETURN(
-              TupleBatch outb,
-              EvalPatternTuplesParallel(op.tp, inb, opts_.algo, *par_));
-          return outb.ToTuples();
-        }
-        // lint:allow(tupleseq-materialization, reason=kRow reference path)
-        TupleSeq out;
-        ScopedMemoryCharge mem;
-        for (const Tuple& t : in) {
-          const Sequence* ctx = t.Get(op.tp.input_field);
-          if (ctx == nullptr) {
-            return Status::Internal(
-                "TupleTreePattern input tuple lacks the context field");
-          }
-          XQTP_ASSIGN_OR_RETURN(
-              std::vector<BindingRow> rows,
-              EvalPattern(op.tp, *ctx, opts_.algo, par_.get()));
-          XQTP_RETURN_NOT_OK(mem.Grow(
-              static_cast<int64_t>(rows.size() * sizeof(BindingRow))));
-          for (const BindingRow& row : rows) {
-            Tuple nt = t;
-            for (const auto& [sym, node] : row.fields) {
-              nt.Set(sym, Sequence{Item(node)});
-            }
-            CountTuplesMaterialized(1);
-            out.push_back(std::move(nt));
-          }
-        }
-        return out;
-      }
-      default:
-        return Status::Internal("item plan evaluated in tuple context");
-    }
   }
 
   const core::VarTable& vars_;

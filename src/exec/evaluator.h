@@ -1,9 +1,8 @@
-// Evaluation of algebra plans. Tuple operators execute batch-at-a-time by
-// default — a pull pipeline of columnar TupleBatches (exec/tuple.h)
-// streaming between pipeline-able operators — with a row-at-a-time
-// TupleSeq reference path behind TupleExecMode::kRow. TupleTreePattern
-// dispatches to the configured physical algorithm (NLJoin / Staircase /
-// Twig, or the cost model's per-evaluation choice).
+// Evaluation of algebra plans. Tuple operators execute batch-at-a-time —
+// a pipeline of columnar TupleBatches (exec/tuple.h) streaming between
+// pipeline-able operators. TupleTreePattern dispatches to the configured
+// physical algorithm (NLJoin / Staircase / Twig, or the cost model's
+// per-evaluation choice).
 #ifndef XQTP_EXEC_EVALUATOR_H_
 #define XQTP_EXEC_EVALUATOR_H_
 
@@ -22,19 +21,6 @@
 #include "exec/tuple.h"
 
 namespace xqtp::exec {
-
-/// Physical execution mode for tuple plans.
-enum class TupleExecMode {
-  /// Columnar batch pipeline (default): tuple operators stream
-  /// ~EvalOptions::tuple_batch_rows-row TupleBatches (exec/tuple.h) —
-  /// Select filters via selection vectors, MapToItem reads the field
-  /// column directly, patterns broadcast single-tuple inputs.
-  kBatch,
-  /// Row-at-a-time reference path: every tuple operator materializes a
-  /// full TupleSeq. Kept as the differential baseline (cross-check
-  /// oracle, bench_batch) — results are bit-identical to kBatch.
-  kRow,
-};
 
 struct EvalOptions {
   PatternAlgo algo = PatternAlgo::kNLJoin;
@@ -70,12 +56,9 @@ struct EvalOptions {
   /// Cancel() from any thread makes the evaluation return kCancelled at
   /// the next governor check. Null = not cancellable.
   std::shared_ptr<CancelToken> cancel_token;
-  /// How tuple plans execute (see TupleExecMode). Results are identical
-  /// in both modes; only the ExecStats batch counters differ.
-  TupleExecMode tuple_exec = TupleExecMode::kBatch;
-  /// Target rows per TupleBatch in kBatch mode (minimum 1). Small values
-  /// force multi-batch streams — the cross-check oracle and unit tests
-  /// use them to exercise batch boundaries.
+  /// Target rows per TupleBatch (minimum 1). Results are identical at
+  /// any size. Small values force multi-batch streams — the cross-check
+  /// oracle and unit tests use them to exercise batch boundaries.
   int tuple_batch_rows = 1024;
 
   /// True when any governor limit is set (a QueryGovernor is installed

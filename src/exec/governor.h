@@ -174,11 +174,11 @@ class GovernorTicker {
 /// trips any limit mid-accumulation unwinds back to zero accounted bytes
 /// and the governor can be reused (no partial-result leak in the
 /// accountant). The columnar tuple pipeline charges once per produced
-/// TupleBatch (TupleBatch::ApproxBytes); row-mode loops charge per
-/// materialized tuple/sequence. Charges are batched locally and flushed to the shared
-/// accountant every kFlushBytes (per-part charges in the evaluator's
-/// accumulation loops would otherwise pay an atomic RMW per tuple —
-/// measurable on cheap plans, see bench_governor). The accounting
+/// TupleBatch (TupleBatch::ApproxBytes); item-plan accumulation loops
+/// charge per sequence part. Charges are batched locally and flushed to
+/// the shared accountant every kFlushBytes (per-part charges in the
+/// evaluator's accumulation loops would otherwise pay an atomic RMW per
+/// part — measurable on cheap plans, see bench_governor). The accounting
 /// granularity is therefore kFlushBytes per live scope; budgets are
 /// megabyte-scale, so the undercount is noise. No-op without an
 /// installed governor.

@@ -367,7 +367,7 @@ void PatternBatchBuilder::EnsureBindingColumn(Symbol field, size_t row) {
   if (broadcast_) {
     // A binding that overwrites an input field forces that column off the
     // shared path: materialize it (the copy-on-write "write"), keeping
-    // the input value as the per-row default exactly like Tuple::Set.
+    // the input value as the per-row default for rows it does not bind.
     for (size_t c = 0; c < in_.column_count(); ++c) {
       if (in_.columns()[c].column->field == field) {
         col.src = static_cast<int>(c);

@@ -139,12 +139,11 @@ bool TryEvalPatternParallel(const pattern::TreePattern& tp,
                             Result<std::vector<BindingRow>>* out);
 
 /// Builds a TupleTreePattern's output batch from binding rows, with
-/// Tuple::Set overwrite semantics per row: the schema is the input
-/// batch's columns in order (a binding field naming an input column
-/// replaces its value), followed by the pattern's new binding fields in
-/// first-seen order. Rows added before a binding field first appears
-/// read it as the empty sequence — indistinguishable from the row-mode
-/// Tuple that simply lacks the field.
+/// overwrite semantics per row: the schema is the input batch's columns
+/// in order (a binding field naming an input column replaces its value),
+/// followed by the pattern's new binding fields in first-seen order. Rows
+/// added before a binding field first appears read it as the empty
+/// sequence — indistinguishable from a row that lacks the field.
 ///
 /// When the input batch has exactly one logical row (the dominant
 /// optimized plan: one tuple carrying the document root), input columns

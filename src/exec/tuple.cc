@@ -6,51 +6,6 @@
 
 namespace xqtp::exec {
 
-void Tuple::Set(Symbol field, xdm::Sequence value) {
-  for (auto& [f, v] : fields_) {
-    if (f == field) {
-      v = std::move(value);
-      return;
-    }
-  }
-  fields_.emplace_back(field, std::move(value));
-}
-
-const xdm::Sequence* Tuple::Get(Symbol field) const {
-  for (const auto& [f, v] : fields_) {
-    if (f == field) return &v;
-  }
-  return nullptr;
-}
-
-TupleBatch TupleBatch::FromTuples(const TupleSeq& tuples) {
-  TupleBatch batch(tuples.size());
-  if (tuples.empty()) return batch;
-  // The schema is the union of fields across rows, in first-seen order;
-  // a row missing a field contributes the empty sequence (Tuple::Get of
-  // an absent field and an empty field are both "()" to every consumer).
-  std::vector<Symbol> schema;
-  for (const Tuple& t : tuples) {
-    for (const auto& [sym, seq] : t.fields()) {
-      bool known = false;
-      for (Symbol s : schema) known = known || s == sym;
-      if (!known) schema.push_back(sym);
-    }
-  }
-  for (Symbol sym : schema) {
-    TupleColumn col;
-    col.field = sym;
-    col.values.reserve(tuples.size());
-    for (const Tuple& t : tuples) {
-      const xdm::Sequence* v = t.Get(sym);
-      col.values.push_back(v != nullptr ? *v : xdm::Sequence{});
-    }
-    batch.AddOwnedColumn(std::move(col));
-  }
-  CountTuplesMaterialized(static_cast<int64_t>(tuples.size()));
-  return batch;
-}
-
 const TupleBatch::BoundColumn* TupleBatch::Find(Symbol field) const {
   for (const BoundColumn& c : columns_) {
     if (c.column->field == field) return &c;
@@ -86,21 +41,6 @@ TupleBatch TupleBatch::SelectRows(const std::vector<uint32_t>& keep) const {
   sel->reserve(keep.size());
   for (uint32_t logical : keep) sel->push_back(physical(logical));
   out.sel_ = std::move(sel);
-  return out;
-}
-
-Tuple TupleBatch::MaterializeRow(size_t i) const {
-  Tuple t;
-  for (const BoundColumn& c : columns_) t.Set(c.column->field, Value(c, i));
-  CountTuplesMaterialized(1);
-  return t;
-}
-
-TupleSeq TupleBatch::ToTuples() const {
-  TupleSeq out;
-  const size_t n = rows();
-  out.reserve(n);
-  for (size_t i = 0; i < n; ++i) out.push_back(MaterializeRow(i));
   return out;
 }
 
@@ -183,29 +123,8 @@ int64_t TupleBatch::ApproxBytes() const {
 }
 
 TupleBatch RowView::ToBatch() const {
-  if (batch_ != nullptr) {
-    return batch_->SelectRows({static_cast<uint32_t>(row_)});
-  }
-  TupleBatch b(tuple_ != nullptr ? 1 : 0);
-  if (tuple_ != nullptr) {
-    for (const auto& [sym, seq] : tuple_->fields()) {
-      TupleColumn col;
-      col.field = sym;
-      col.values.push_back(seq);
-      b.AddOwnedColumn(std::move(col));
-    }
-    CountTuplesMaterialized(1);
-  }
-  return b;
-}
-
-Tuple RowView::Materialize() const {
-  if (tuple_ != nullptr) {
-    CountTuplesMaterialized(1);
-    return *tuple_;
-  }
-  if (batch_ != nullptr) return batch_->MaterializeRow(row_);
-  return Tuple{};
+  if (batch_ == nullptr) return TupleBatch();
+  return batch_->SelectRows({static_cast<uint32_t>(row_)});
 }
 
 }  // namespace xqtp::exec

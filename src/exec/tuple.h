@@ -1,20 +1,12 @@
-// Tuples flowing through the tuple algebra, in two physical shapes:
-//
-//  - Tuple / TupleSeq: one row as an ordered field -> sequence map. Plans
-//    manipulate a handful of fields, so a small vector wins over a hash
-//    map. This is the row-at-a-time representation, kept as the
-//    differential reference (exec::TupleExecMode::kRow) and as the bridge
-//    type for code that needs one materialized row.
-//
-//  - TupleBatch: ~1024 rows in structure-of-arrays layout — one
-//    TupleColumn (a vector of sequences) per field, columns shared
-//    copy-on-write across operators via shared_ptr<const TupleColumn>,
-//    plus a selection vector so Select filters WITHOUT copying a single
-//    sequence and a per-column broadcast flag so a pattern that expands
-//    one input tuple into thousands of binding rows replicates the input
-//    fields by reference, not by value. The batch evaluator
-//    (exec/evaluator.cc) streams these between pipeline-able operators
-//    instead of materializing whole TupleSeq intermediates.
+// Tuples flowing through the tuple algebra, as TupleBatches: ~1024 rows
+// in structure-of-arrays layout — one TupleColumn (a vector of sequences)
+// per field, columns shared copy-on-write across operators via
+// shared_ptr<const TupleColumn>, plus a selection vector so Select
+// filters WITHOUT copying a single sequence and a per-column broadcast
+// flag so a pattern that expands one input tuple into thousands of
+// binding rows replicates the input fields by reference, not by value.
+// The evaluator (exec/evaluator.cc) streams these between pipeline-able
+// operators; a RowView names one row of a batch.
 //
 // Thread-safety: a TupleBatch is immutable through the shared columns
 // (shared_ptr<const ...>), so any number of threads may read one batch —
@@ -33,31 +25,6 @@
 #include "xdm/item.h"
 
 namespace xqtp::exec {
-
-/// One algebra tuple (row representation).
-class Tuple {
- public:
-  Tuple() = default;
-
-  /// Sets (or overwrites) a field. The incoming sequence is moved into
-  /// place on both the insert and the overwrite path — Set never copies.
-  void Set(Symbol field, xdm::Sequence value);
-
-  /// Returns the field's value, or nullptr if absent.
-  const xdm::Sequence* Get(Symbol field) const;
-
-  bool Has(Symbol field) const { return Get(field) != nullptr; }
-  size_t field_count() const { return fields_.size(); }
-
-  const std::vector<std::pair<Symbol, xdm::Sequence>>& fields() const {
-    return fields_;
-  }
-
- private:
-  std::vector<std::pair<Symbol, xdm::Sequence>> fields_;
-};
-
-using TupleSeq = std::vector<Tuple>;
 
 /// One column of a TupleBatch: a field symbol plus one sequence per
 /// physical row. Immutable once wrapped in a TupleColumnPtr; batches
@@ -98,10 +65,6 @@ class TupleBatch {
   /// zero fields is legal — kInputTuple over an empty ambient tuple).
   explicit TupleBatch(size_t physical_rows) : physical_rows_(physical_rows) {}
 
-  /// Bridges a materialized row sequence into columnar layout (counts
-  /// ExecStats::tuples_materialized once per row).
-  static TupleBatch FromTuples(const TupleSeq& tuples);
-
   /// Logical row count (selection applied).
   size_t rows() const { return sel_ ? sel_->size() : physical_rows_; }
   size_t physical_rows() const { return physical_rows_; }
@@ -114,9 +77,8 @@ class TupleBatch {
     return sel_ ? (*sel_)[i] : static_cast<uint32_t>(i);
   }
 
-  /// The column bound to `field`, or nullptr. Resolve once per batch —
-  /// this is the per-batch symbol lookup that replaces the per-row
-  /// Tuple::Get scan.
+  /// The column bound to `field`, or nullptr. Resolve once per batch,
+  /// not once per row.
   const BoundColumn* Find(Symbol field) const;
 
   /// The sequence `column` holds for logical row `i`.
@@ -142,12 +104,6 @@ class TupleBatch {
   /// zero-copy Select. The result's selection composes with this batch's.
   [[nodiscard]]
   TupleBatch SelectRows(const std::vector<uint32_t>& keep) const;
-
-  /// Materializes one logical row as a Tuple — the row bridge for code
-  /// that needs a real Tuple (counts ExecStats::tuples_materialized).
-  Tuple MaterializeRow(size_t i) const;
-  /// Materializes every logical row (bridge out of the batch world).
-  TupleSeq ToTuples() const;
 
   /// Rewrites the batch to identity selection with fully owned, non-
   /// broadcast columns, gathering through the selection vector. Each
@@ -177,46 +133,27 @@ class TupleBatch {
   std::shared_ptr<const std::vector<uint32_t>> sel_;
 };
 
-/// Read-only view of one logical tuple: either a materialized Tuple or
-/// one row of a TupleBatch. This is what dependent item plans see as IN —
-/// EvalItem call sites written against `const Tuple*` keep working
-/// through the implicit conversion; batch kernels pass (batch, row)
-/// without materializing anything.
+/// Read-only view of one logical row of a TupleBatch, or of no row at
+/// all (default-constructed). This is what dependent item plans see as
+/// IN — batch kernels pass (batch, row) without materializing anything.
 class RowView {
  public:
   RowView() = default;
-  // NOLINTNEXTLINE(google-explicit-constructor): the row bridge is
-  // intentionally implicit so `const Tuple*` call sites compile unchanged.
-  RowView(const Tuple* tuple) : tuple_(tuple) {}
   RowView(const TupleBatch* batch, size_t row) : batch_(batch), row_(row) {}
 
-  /// False when there is no tuple context at all (the old nullptr).
-  bool valid() const { return tuple_ != nullptr || batch_ != nullptr; }
+  /// False when there is no tuple context at all.
+  bool valid() const { return batch_ != nullptr; }
 
   /// The field's sequence, or nullptr if absent.
   const xdm::Sequence* Get(Symbol field) const {
-    if (tuple_ != nullptr) return tuple_->Get(field);
-    if (batch_ != nullptr) return batch_->Get(row_, field);
-    return nullptr;
+    return batch_ != nullptr ? batch_->Get(row_, field) : nullptr;
   }
 
-  /// Materializes the viewed row as a Tuple (the bridge for row-mode
-  /// code; counts ExecStats::tuples_materialized when it copies).
-  Tuple Materialize() const;
-
-  /// The wrapped Tuple, or nullptr when the view is batch-backed (or
-  /// invalid). Row-mode code uses this to recover its native shape
-  /// without a copy.
-  const Tuple* AsTuple() const { return tuple_; }
-
-  /// A one-row TupleBatch viewing this row. Batch-backed rows share the
-  /// batch's columns (zero copy — a selection of one); Tuple-backed rows
-  /// build owned single-value columns (counts one tuples_materialized).
-  /// An invalid view yields the empty batch.
+  /// A one-row TupleBatch sharing the viewed batch's columns (zero copy —
+  /// a selection of one). An invalid view yields the empty batch.
   TupleBatch ToBatch() const;
 
  private:
-  const Tuple* tuple_ = nullptr;
   const TupleBatch* batch_ = nullptr;
   size_t row_ = 0;
 };

@@ -1,7 +1,8 @@
 // Query resource governance (exec/governor.h): deadlines, cooperative
 // cancellation, and memory budgets must interrupt a running query at the
 // next check — at 1 thread and under the morsel-parallel driver — leave
-// the engine reusable afterward, and record their telemetry in ExecStats.
+// the engine reusable afterward, and record their telemetry in ExecStats;
+// the Core interpreter, which checks none of them, refuses them.
 // The recursion-depth bounds (XML parser, normalizer, rewriter) ride
 // along: adversarial nesting returns kResourceExhausted, never a stack
 // overflow.
@@ -198,6 +199,61 @@ TEST_F(GovernorTest, CancelledParallelRunLeavesPoolReusable) {
   ASSERT_TRUE(cq2.ok());
   auto after = engine_.Execute(*cq2, globals_, Opts(PatternAlgo::kStaircase, 4));
   ASSERT_TRUE(after.ok()) << after.status().ToString();
+}
+
+// No PlanChoice may drop a limit silently. The plan evaluators return
+// each limit's status; the Core interpreter polls no governor, so
+// Execute refuses every limit there with InvalidArgument.
+TEST_F(GovernorTest, EveryPlanChoiceEnforcesOrRefusesEachLimit) {
+  auto cq = engine_.Compile("$input//item//name");
+  ASSERT_TRUE(cq.ok()) << cq.status().ToString();
+  struct Limit {
+    const char* name;
+    StatusCode code;
+    void (*set)(EvalOptions*);
+  };
+  const Limit limits[] = {
+      {"expired deadline", StatusCode::kDeadlineExceeded,
+       [](EvalOptions* o) {
+         o->deadline = steady_clock::now() - milliseconds(1);
+       }},
+      {"cancelled token", StatusCode::kCancelled,
+       [](EvalOptions* o) {
+         o->cancel_token = std::make_shared<CancelToken>();
+         o->cancel_token->Cancel();
+       }},
+      {"64-byte budget", StatusCode::kResourceExhausted,
+       [](EvalOptions* o) { o->memory_budget_bytes = 64; }},
+  };
+  const struct {
+    const char* name;
+    engine::PlanChoice choice;
+  } plans[] = {{"optimized", engine::PlanChoice::kOptimized},
+               {"unoptimized", engine::PlanChoice::kUnoptimized},
+               {"core-interp", engine::PlanChoice::kCoreInterp}};
+  for (const auto& plan : plans) {
+    // Unlimited, every choice answers.
+    auto free_run =
+        engine_.Execute(*cq, globals_, Opts(PatternAlgo::kNLJoin, 1),
+                        plan.choice);
+    ASSERT_TRUE(free_run.ok()) << plan.name << ": "
+                               << free_run.status().ToString();
+    ASSERT_FALSE(free_run->empty()) << plan.name;
+    for (const Limit& limit : limits) {
+      EvalOptions opts = Opts(PatternAlgo::kNLJoin, 1);
+      limit.set(&opts);
+      auto res = engine_.Execute(*cq, globals_, opts, plan.choice);
+      ASSERT_FALSE(res.ok()) << plan.name << " under " << limit.name
+                             << " returned " << res->size() << " items";
+      const StatusCode want =
+          plan.choice == engine::PlanChoice::kCoreInterp
+              ? StatusCode::kInvalidArgument
+              : limit.code;
+      EXPECT_EQ(res.status().code(), want)
+          << plan.name << " under " << limit.name << ": "
+          << res.status().ToString();
+    }
+  }
 }
 
 TEST_F(GovernorTest, CompileTimeDeadline) {

@@ -1,30 +1,13 @@
-// Smaller units: tuples, the shared function library, the DOT exporter,
-// and deep/recursive document stress for the pattern algorithms.
+// Smaller units: the shared function library, the DOT exporter, and
+// deep/recursive document stress for the pattern algorithms.
 #include <gtest/gtest.h>
 
 #include "algebra/dot.h"
 #include "engine/engine.h"
 #include "exec/fn_lib.h"
-#include "exec/tuple.h"
 
 namespace xqtp {
 namespace {
-
-TEST(TupleTest, SetGetOverwrite) {
-  StringInterner in;
-  exec::Tuple t;
-  Symbol a = in.Intern("a"), b = in.Intern("b");
-  EXPECT_EQ(t.Get(a), nullptr);
-  t.Set(a, {xdm::Item(static_cast<int64_t>(1))});
-  t.Set(b, {xdm::Item(static_cast<int64_t>(2))});
-  ASSERT_NE(t.Get(a), nullptr);
-  EXPECT_EQ((*t.Get(a))[0].integer(), 1);
-  EXPECT_EQ(t.field_count(), 2u);
-  // Overwrite keeps one entry.
-  t.Set(a, {xdm::Item(static_cast<int64_t>(9))});
-  EXPECT_EQ(t.field_count(), 2u);
-  EXPECT_EQ((*t.Get(a))[0].integer(), 9);
-}
 
 TEST(FnLibTest, StringFunctions) {
   using core::CoreFn;

@@ -47,41 +47,32 @@ class ParallelEvalTest : public ::testing::Test {
   const xml::Document* doc_;
 };
 
-// Acceptance matrix: all three algorithms x {row, batch} execution modes
-// x {1, 2, 8} threads x the XMark query corpus, bit-identical to the
-// sequential row-mode result. The mode dimension pins the columnar batch
-// evaluator (and its morsel driver entry) to the row-at-a-time reference,
-// including a tiny-batch leg so multi-row streams cross batch boundaries.
+// Acceptance matrix: all three algorithms x {1, 2, 8} threads x the
+// XMark query corpus, bit-identical to the Core interpreter — the
+// semantics reference, which shares no plan, pattern algorithm or morsel
+// driver with the evaluator under test — plus a tiny-batch leg so
+// multi-row streams cross batch boundaries.
 TEST_F(ParallelEvalTest, BitIdenticalAcrossThreadsAndAlgorithms) {
   engine::Engine::GlobalMap globals{{"input", {xdm::Item(doc_->root())}}};
   for (const workload::XmarkQuery& q : workload::XmarkQueryCorpus()) {
     auto cq = engine_.Compile(q.text);
     ASSERT_TRUE(cq.ok()) << q.id << ": " << cq.status().ToString();
+    auto ref = engine_.Execute(*cq, globals, EvalOptions{},
+                               engine::PlanChoice::kCoreInterp);
+    ASSERT_TRUE(ref.ok()) << q.id << " core-interp: "
+                          << ref.status().ToString();
     for (PatternAlgo algo : kAllAlgos) {
-      EvalOptions ref_opts = ParallelOpts(algo, 1);
-      ref_opts.tuple_exec = TupleExecMode::kRow;
-      auto ref = engine_.Execute(*cq, globals, ref_opts);
-      ASSERT_TRUE(ref.ok())
-          << q.id << " [" << PatternAlgoName(algo) << "] sequential: "
-          << ref.status().ToString();
-      for (TupleExecMode mode : {TupleExecMode::kRow, TupleExecMode::kBatch}) {
-        const char* mode_name = mode == TupleExecMode::kRow ? "row" : "batch";
-        for (int threads : {1, 2, 8}) {
-          if (mode == TupleExecMode::kRow && threads == 1) continue;  // ref
-          EvalOptions opts = ParallelOpts(algo, threads);
-          opts.tuple_exec = mode;
-          auto res = engine_.Execute(*cq, globals, opts);
-          ASSERT_TRUE(res.ok())
-              << q.id << " [" << PatternAlgoName(algo) << " " << mode_name
-              << " t" << threads << "]: " << res.status().ToString();
-          ASSERT_EQ(res->size(), ref->size())
-              << q.id << " [" << PatternAlgoName(algo) << " " << mode_name
-              << " t" << threads << "]";
-          for (size_t i = 0; i < res->size(); ++i) {
-            ASSERT_TRUE((*res)[i] == (*ref)[i])
-                << q.id << " [" << PatternAlgoName(algo) << " " << mode_name
-                << " t" << threads << "] item " << i;
-          }
+      for (int threads : {1, 2, 8}) {
+        auto res = engine_.Execute(*cq, globals, ParallelOpts(algo, threads));
+        ASSERT_TRUE(res.ok())
+            << q.id << " [" << PatternAlgoName(algo) << " t" << threads
+            << "]: " << res.status().ToString();
+        ASSERT_EQ(res->size(), ref->size())
+            << q.id << " [" << PatternAlgoName(algo) << " t" << threads << "]";
+        for (size_t i = 0; i < res->size(); ++i) {
+          ASSERT_TRUE((*res)[i] == (*ref)[i])
+              << q.id << " [" << PatternAlgoName(algo) << " t" << threads
+              << "] item " << i;
         }
       }
       // Tiny-batch leg: forces batch boundaries inside every multi-row

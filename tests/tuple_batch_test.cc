@@ -1,8 +1,9 @@
 // Columnar TupleBatch unit tests: selection-vector edge cases (empty
 // batch, all-filtered, composed selections), copy-on-write column
 // sharing (including concurrent readers over aliased columns — the TSan
-// leg runs this binary), the row-view bridge, and the engine-level
-// row-vs-batch differential with its ExecStats counters.
+// leg runs this binary), the row view, and the engine-level check of the
+// batch pipeline against the Core interpreter with its ExecStats
+// counters.
 #include <gtest/gtest.h>
 
 #include <string>
@@ -48,14 +49,9 @@ TEST(TupleBatchTest, EmptyBatch) {
   EXPECT_EQ(b.rows(), 0u);
   EXPECT_TRUE(b.empty());
   EXPECT_EQ(b.Find(Sym(1)), nullptr);
-  EXPECT_TRUE(b.ToTuples().empty());
   b.Flatten();  // no-op, no crash
   EXPECT_EQ(b.rows(), 0u);
-
-  // FromTuples of no rows is the empty batch with no columns.
-  TupleBatch from = TupleBatch::FromTuples({});
-  EXPECT_EQ(from.rows(), 0u);
-  EXPECT_EQ(from.column_count(), 0u);
+  EXPECT_EQ(b.column_count(), 0u);
 }
 
 TEST(TupleBatchTest, ZeroFieldRowsAreLegal) {
@@ -63,10 +59,8 @@ TEST(TupleBatchTest, ZeroFieldRowsAreLegal) {
   // columns (the row exists; every field reads as absent).
   TupleBatch b(1);
   EXPECT_EQ(b.rows(), 1u);
+  EXPECT_EQ(b.column_count(), 0u);
   EXPECT_EQ(b.Get(0, Sym(7)), nullptr);
-  TupleSeq rows = b.ToTuples();
-  ASSERT_EQ(rows.size(), 1u);
-  EXPECT_EQ(rows[0].field_count(), 0u);
 }
 
 TEST(TupleBatchTest, SelectRowsIsZeroCopyAndComposes) {
@@ -100,7 +94,6 @@ TEST(TupleBatchTest, AllFilteredSelection) {
   EXPECT_EQ(none.rows(), 0u);
   EXPECT_TRUE(none.empty());
   EXPECT_EQ(none.physical_rows(), 5u);
-  EXPECT_TRUE(none.ToTuples().empty());
   // Appending an all-filtered batch contributes nothing.
   TupleBatch out = IntBatch(Sym(1), 2);
   out.Append(std::move(none));
@@ -166,47 +159,12 @@ TEST(TupleBatchTest, AppendMovesUniqueAndCopiesShared) {
   EXPECT_EQ(IntAt(base, 1, Sym(1)), 1);  // survivor unaffected
 }
 
-TEST(TupleBatchTest, FromTuplesToTuplesRoundTrip) {
-  ScopedExecStats scope;
-  TupleSeq rows;
-  for (int64_t i = 0; i < 3; ++i) {
-    Tuple t;
-    t.Set(Sym(1), Sequence{Item(i)});
-    if (i == 1) t.Set(Sym(2), Sequence{Item(i * 10)});
-    rows.push_back(std::move(t));
-  }
-  TupleBatch b = TupleBatch::FromTuples(rows);
-  EXPECT_EQ(b.rows(), 3u);
-  EXPECT_EQ(b.column_count(), 2u);  // union schema, first-seen order
-  EXPECT_EQ(scope.stats().tuples_materialized, 3);
-  // A row missing a field reads it as the empty sequence.
-  const Sequence* absent = b.Get(0, Sym(2));
-  ASSERT_NE(absent, nullptr);
-  EXPECT_TRUE(absent->empty());
-  EXPECT_EQ(IntAt(b, 1, Sym(2)), 10);
-
-  TupleSeq back = b.ToTuples();
-  ASSERT_EQ(back.size(), 3u);
-  EXPECT_EQ((*back[1].Get(Sym(1)))[0].integer(), 1);
-  EXPECT_EQ((*back[1].Get(Sym(2)))[0].integer(), 10);
-}
-
-TEST(RowViewTest, BridgesTupleAndBatchRows) {
-  Tuple t;
-  t.Set(Sym(1), Sequence{Item(static_cast<int64_t>(5))});
-  RowView from_tuple(&t);
-  EXPECT_TRUE(from_tuple.valid());
-  EXPECT_EQ(from_tuple.AsTuple(), &t);
-  ASSERT_NE(from_tuple.Get(Sym(1)), nullptr);
-  EXPECT_EQ((*from_tuple.Get(Sym(1)))[0].integer(), 5);
-
+TEST(RowViewTest, ViewsOneBatchRow) {
   TupleBatch b = IntBatch(Sym(1), 4);
   RowView from_batch(&b, 2);
   EXPECT_TRUE(from_batch.valid());
-  EXPECT_EQ(from_batch.AsTuple(), nullptr);
   EXPECT_EQ((*from_batch.Get(Sym(1)))[0].integer(), 2);
-  Tuple mat = from_batch.Materialize();
-  EXPECT_EQ((*mat.Get(Sym(1)))[0].integer(), 2);
+  EXPECT_EQ(from_batch.Get(Sym(9)), nullptr);
 
   // ToBatch on a batch-backed row shares the column (selection of one).
   TupleBatch one = from_batch.ToBatch();
@@ -255,12 +213,11 @@ TEST(TupleBatchTest, ConcurrentReadersOverSharedColumns) {
   EXPECT_EQ(IntAt(base, kRows - 1, Sym(1)), static_cast<int64_t>(kRows) - 1);
 }
 
-// Engine-level differential: row and batch modes are bit-identical on
-// the XMark corpus, batch boundaries included (tiny tuple_batch_rows),
-// and the ExecStats counters tell the two modes apart — batches only
-// count under kBatch, and the batch path materializes far fewer tuples
-// than the row path on select-heavy pipelines.
-class TupleExecModeTest : public ::testing::Test {
+// Engine-level differential: the batch pipeline is bit-identical to the
+// Core interpreter on the XMark corpus at every batch size, batch
+// boundaries included (tiny tuple_batch_rows), and its ExecStats
+// counters show the batches it yields.
+class BatchPipelineTest : public ::testing::Test {
  protected:
   void SetUp() override {
     workload::XmarkParams p;
@@ -283,24 +240,19 @@ class TupleExecModeTest : public ::testing::Test {
   engine::Engine::GlobalMap globals_;
 };
 
-TEST_F(TupleExecModeTest, RowAndBatchBitIdenticalOnXmarkCorpus) {
+TEST_F(BatchPipelineTest, BitIdenticalToCoreInterpOnXmarkCorpus) {
   for (const workload::XmarkQuery& q : workload::XmarkQueryCorpus()) {
     auto cq = engine_.Compile(q.text);
     ASSERT_TRUE(cq.ok()) << q.id << ": " << cq.status().ToString();
-    EvalOptions row;
-    row.threads = 1;
-    row.tuple_exec = TupleExecMode::kRow;
-    ExecStats row_stats;
-    auto ref = Run(*cq, row, &row_stats);
+    auto ref = engine_.Execute(*cq, globals_, EvalOptions{},
+                               engine::PlanChoice::kCoreInterp);
     ASSERT_TRUE(ref.ok()) << q.id << ": " << ref.status().ToString();
-    EXPECT_EQ(row_stats.batches, 0) << q.id << ": row mode counted batches";
 
     for (int batch_rows : {1024, 3, 1}) {
       EvalOptions batch;
       batch.threads = 1;
       batch.tuple_batch_rows = batch_rows;
-      ExecStats batch_stats;
-      auto res = Run(*cq, batch, &batch_stats);
+      auto res = engine_.Execute(*cq, globals_, batch);
       ASSERT_TRUE(res.ok())
           << q.id << " batch_rows=" << batch_rows << ": "
           << res.status().ToString();
@@ -314,27 +266,19 @@ TEST_F(TupleExecModeTest, RowAndBatchBitIdenticalOnXmarkCorpus) {
   }
 }
 
-TEST_F(TupleExecModeTest, BatchModeCountsBatchesAndMaterializesFewerTuples) {
-  // A pattern pipeline with real fan-out: the row path copies the input
-  // tuple once per binding row; the batch path broadcasts it.
+TEST_F(BatchPipelineTest, CountsBatchesAndMaterializedTuples) {
+  // A pattern pipeline with real fan-out: the pattern builds one output
+  // batch of binding rows and broadcasts the input tuple's fields.
   auto cq = engine_.Compile("$input//item//name");
   ASSERT_TRUE(cq.ok());
-
-  EvalOptions row;
-  row.threads = 1;
-  row.tuple_exec = TupleExecMode::kRow;
-  ExecStats row_stats;
-  ASSERT_TRUE(Run(*cq, row, &row_stats).ok());
 
   EvalOptions batch;
   batch.threads = 1;
   ExecStats batch_stats;
   ASSERT_TRUE(Run(*cq, batch, &batch_stats).ok());
 
-  EXPECT_EQ(row_stats.batches, 0);
   EXPECT_GT(batch_stats.batches, 0);
-  EXPECT_GT(row_stats.tuples_materialized, 0);
-  EXPECT_LE(batch_stats.tuples_materialized, row_stats.tuples_materialized);
+  EXPECT_GT(batch_stats.tuples_materialized, 0);
   // The counters surface through the human-readable stats line.
   EXPECT_NE(batch_stats.ToString().find("batches="), std::string::npos);
   EXPECT_NE(batch_stats.ToString().find("cow_column_copies="),

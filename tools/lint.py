@@ -39,13 +39,6 @@ discipline:
                     site, so a deleted site cannot leave a dead row behind
                     (the sweep itself only notices where fault points are
                     compiled in).
-  tupleseq-materialization  src/exec/evaluator.cc streams TupleBatches
-                    between tuple operators; naming TupleSeq there means
-                    whole-sequence materialization crept back into the
-                    batch pipeline. Only the row-at-a-time reference path
-                    (TupleExecMode::kRow) may, and it must annotate each
-                    line (same line or the line above) with
-                    lint:allow(tupleseq-materialization, reason=...).
   compiled-query-immutable  CompiledQuery is immutable after Engine::Compile
                     returns — the plan cache shares one instance across
                     threads without a lock, so that immutability IS the
@@ -408,35 +401,6 @@ def check_dead_fault_registry_rows(registry, named, findings):
 
 
 # --------------------------------------------------------------------------
-# rule: tupleseq-materialization
-
-TUPLESEQ_FILE = os.path.join("src", "exec", "evaluator.cc")
-TUPLESEQ_RE = re.compile(r"\bTupleSeq\b")
-
-
-def check_tupleseq_materialization(relpath, raw, code, findings):
-    if relpath.replace(os.sep, "/") != TUPLESEQ_FILE.replace(os.sep, "/"):
-        return
-    for lineno, line in enumerate(code, 1):
-        if not TUPLESEQ_RE.search(line):
-            continue
-        # The row reference path annotates long declarations on the line
-        # above; accept the allow on either line.
-        if allowed(raw[lineno - 1], "tupleseq-materialization"):
-            continue
-        if lineno >= 2 and allowed(raw[lineno - 2],
-                                   "tupleseq-materialization"):
-            continue
-        findings.append(Finding(
-            relpath, lineno, "tupleseq-materialization",
-            "TupleSeq materialization in the evaluator — tuple plans "
-            "stream TupleBatches (exec/tuple.h); whole-sequence "
-            "materialization belongs only to the TupleExecMode::kRow "
-            "reference path, annotated with "
-            "lint:allow(tupleseq-materialization, reason=...)"))
-
-
-# --------------------------------------------------------------------------
 # rule: compiled-query-immutable
 
 # The build path: CompiledQuery's class definition (default member
@@ -482,7 +446,7 @@ def check_compiled_query_immutable(relpath, raw, code, findings):
 
 RULES = [check_raw_sync, check_no_stdout, check_nodiscard_status,
          check_include_guard, check_assert_side_effect, check_allow_reason,
-         check_tupleseq_materialization, check_compiled_query_immutable]
+         check_compiled_query_immutable]
 
 
 # --------------------------------------------------------------------------
@@ -605,23 +569,6 @@ SELF_TEST_FIXTURES = [
      "  XQTP_FAULT_POINT(\"exec.registered.site\");\n"
      "  return fault::Poll(\"exec.registered.site\");\n"
      "}\n",
-     set()),
-    # tupleseq-materialization: scoped to the batch evaluator; allows are
-    # accepted on the offending line or the line above it.
-    ("src/exec/evaluator.cc",
-     "#include \"exec/tuple.h\"\n"
-     "// Naming TupleSeq in a comment is fine: only code counts.\n"
-     "exec::TupleSeq Materialize();\n"
-     "void RowPath() {\n"
-     "  TupleSeq rows;  "
-     "// lint:allow(tupleseq-materialization, reason=kRow reference path)\n"
-     "  // lint:allow(tupleseq-materialization, reason=kRow reference path)\n"
-     "  TupleSeq more;\n"
-     "}\n",
-     {"tupleseq-materialization"}),  # line 3 fires; the allowed lines don't
-    ("src/exec/not_evaluator.cc",
-     "#include \"exec/tuple.h\"\n"
-     "TupleSeq fine_outside_the_evaluator;\n",
      set()),
     # compiled-query-immutable: writes outside the build path fire; the
     # build path itself and read-only access stay quiet.
