@@ -52,7 +52,9 @@ std::string RenderOutcome(const Result<xdm::Sequence>& r,
         out += (n->IsAttribute() ? "@" : "") + interner.NameOf(n->name) +
                "[pre=" + std::to_string(n->pre) + "]";
       } else {
-        out += "text[pre=" + std::to_string(n->pre) + "]\"" + n->text + "\"";
+        out += "text[pre=" + std::to_string(n->pre) + "]\"";
+        out += n->Text();
+        out += "\"";
       }
     } else {
       out += item.StringValue();

@@ -159,12 +159,12 @@ MutNode FromXml(const xml::Node* n, const StringInterner& interner) {
   MutNode m;
   if (n->IsText()) {
     m.is_text = true;
-    m.tag_or_text = n->text;
+    m.tag_or_text = n->Text();
     return m;
   }
   m.tag_or_text = interner.NameOf(n->name);
-  for (const xml::Node* a : n->attributes) {
-    m.attrs.emplace_back(interner.NameOf(a->name), a->text);
+  for (const xml::Node* a : n->Attributes()) {
+    m.attrs.emplace_back(interner.NameOf(a->name), a->Text());
   }
   for (const xml::Node* c = n->first_child; c != nullptr;
        c = c->next_sibling) {

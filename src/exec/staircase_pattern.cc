@@ -102,7 +102,7 @@ class StaircaseEval {
                            axis, test, &gov_);
       case Axis::kAttribute:
         for (const Node* c : ctx) {
-          for (const Node* a : c->attributes) {
+          for (const Node* a : c->Attributes()) {
             if (xdm::MatchesTest(a, axis, test)) out.push_back(a);
           }
         }

@@ -115,7 +115,7 @@ NodeVec ReachableVia(const Document& doc, Axis axis, const NodeTest& test,
         // attributes, which follow their owner in document order.
         NodeVec out;
         for (const Node* c : ctx) {
-          for (const Node* a : c->attributes) {
+          for (const Node* a : c->Attributes()) {
             if (xdm::MatchesTest(a, axis, test)) out.push_back(a);
           }
         }

@@ -292,7 +292,7 @@ void EvalAxisStep(const xml::Node* context, Axis axis, const NodeTest& test,
       CollectDescendants(context, axis, test, out);
       break;
     case Axis::kAttribute:
-      for (const xml::Node* a : context->attributes) {
+      for (const xml::Node* a : context->Attributes()) {
         if (MatchesTest(a, axis, test)) out->push_back(Item(a));
       }
       break;
@@ -325,18 +325,15 @@ void EvalAxisStep(const xml::Node* context, Axis axis, const NodeTest& test,
         if (MatchesTest(s, axis, test)) out->push_back(Item(s));
       }
       break;
-    case Axis::kPrecedingSibling: {
-      // Document order: collect from the first sibling forward.
-      std::vector<const xml::Node*> sibs;
-      for (const xml::Node* s = context->prev_sibling; s != nullptr;
-           s = s->prev_sibling) {
-        if (MatchesTest(s, axis, test)) sibs.push_back(s);
-      }
-      for (auto it = sibs.rbegin(); it != sibs.rend(); ++it) {
-        out->push_back(Item(*it));
+    case Axis::kPrecedingSibling:
+      // Walk from the first sibling up to the context, in document order.
+      // Attributes and the document node have no siblings.
+      if (context->IsAttribute() || context->parent == nullptr) break;
+      for (const xml::Node* s = context->parent->first_child; s != context;
+           s = s->next_sibling) {
+        if (MatchesTest(s, axis, test)) out->push_back(Item(s));
       }
       break;
-    }
   }
 }
 

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <iterator>
 
 namespace xqtp::xml {
 
@@ -38,13 +39,11 @@ const std::vector<const Node*>& Document::AllElements() const {
 
 const std::vector<const Node*>& Document::AllElementsLocked() const {
   if (!all_elements_built_) {
-    // The arena is filled in construction order, which is not necessarily
-    // document order for attributes, so sort by pre once.
+    // The arena is in document order, so a filter keeps it.
+    all_elements_.reserve(element_count_);
     for (const Node& n : arena_) {
       if (n.kind == NodeKind::kElement) all_elements_.push_back(&n);
     }
-    std::sort(all_elements_.begin(), all_elements_.end(),
-              [](const Node* a, const Node* b) { return a->pre < b->pre; });
     all_elements_built_ = true;
   }
   return all_elements_;
@@ -57,11 +56,10 @@ const std::vector<const Node*>& Document::TextNodes() const {
   }
   WriterLock lock(&lazy_mu_);
   if (!text_nodes_built_) {
+    text_nodes_.reserve(text_count_);
     for (const Node& n : arena_) {
       if (n.kind == NodeKind::kText) text_nodes_.push_back(&n);
     }
-    std::sort(text_nodes_.begin(), text_nodes_.end(),
-              [](const Node* a, const Node* b) { return a->pre < b->pre; });
     text_nodes_built_ = true;
   }
   return text_nodes_;
@@ -74,11 +72,10 @@ const std::vector<const Node*>& Document::AllNodes() const {
   }
   WriterLock lock(&lazy_mu_);
   if (!all_nodes_built_) {
+    all_nodes_.reserve(arena_.size() - attrs_.size());
     for (const Node& n : arena_) {
       if (n.kind != NodeKind::kAttribute) all_nodes_.push_back(&n);
     }
-    std::sort(all_nodes_.begin(), all_nodes_.end(),
-              [](const Node* a, const Node* b) { return a->pre < b->pre; });
     all_nodes_built_ = true;
   }
   return all_nodes_;
@@ -130,119 +127,101 @@ const std::vector<const Node*>& Document::AttributesByName(Symbol name) const {
   auto it = attr_index_.find(name);
   if (it != attr_index_.end()) return it->second;
   std::vector<const Node*>& vec = attr_index_[name];
-  for (const Node& n : arena_) {
-    if (n.kind == NodeKind::kAttribute && n.name == name) {
-      vec.push_back(&n);
-    }
-  }
-  std::sort(vec.begin(), vec.end(),
-            [](const Node* a, const Node* b) { return a->pre < b->pre; });
+  auto named = [name](const Node* a) { return a->name == name; };
+  vec.reserve(static_cast<size_t>(
+      std::count_if(attrs_.begin(), attrs_.end(), named)));
+  std::copy_if(attrs_.begin(), attrs_.end(), std::back_inserter(vec), named);
   return vec;
 }
 
 DocumentBuilder::DocumentBuilder(StringInterner* interner)
     : doc_(std::make_unique<Document>(interner)) {
-  Node* root = doc_->NewNode();
-  root->kind = NodeKind::kDocument;
-  root->doc = doc_.get();
+  Node* root = NewNode(NodeKind::kDocument);
   doc_->root_ = root;
-  stack_.push_back(root);
+  stack_.push_back({root, nullptr});
+}
+
+Node* DocumentBuilder::NewNode(NodeKind kind) {
+  Node* n = doc_->NewNode();
+  n->kind = kind;
+  n->pre = next_pre_++;
+  n->doc = doc_.get();
+  if (!stack_.empty()) {
+    n->parent = stack_.back().node;
+    n->depth = n->parent->depth + 1;
+  }
+  return n;
 }
 
 void DocumentBuilder::AppendChild(Node* child) {
-  Node* parent = stack_.back();
-  child->parent = parent;
-  child->doc = doc_.get();
-  if (parent->last_child == nullptr) {
-    parent->first_child = parent->last_child = child;
+  OpenNode& open = stack_.back();
+  if (open.last == nullptr) {
+    open.node->first_child = child;
   } else {
-    parent->last_child->next_sibling = child;
-    child->prev_sibling = parent->last_child;
-    parent->last_child = child;
+    open.last->next_sibling = child;
   }
+  open.last = child;
+}
+
+void DocumentBuilder::SetText(Node* n, std::string_view text) {
+  assert(text.size() <= kMaxValueBytes && "value too long for a node");
+  n->begin_ = doc_->text_.size();
+  n->len_ = static_cast<uint32_t>(text.size());
+  doc_->text_.append(text);
 }
 
 void DocumentBuilder::StartElement(std::string_view tag) {
-  Node* n = doc_->NewNode();
-  n->kind = NodeKind::kElement;
+  Node* n = NewNode(NodeKind::kElement);
   n->name = doc_->interner()->Intern(tag);
   AppendChild(n);
-  stack_.push_back(n);
+  stack_.push_back({n, nullptr});
+  ++doc_->element_count_;
 }
 
 void DocumentBuilder::Attribute(std::string_view name, std::string_view value) {
   assert(stack_.size() > 1 && "Attribute outside an element");
-  Node* owner = stack_.back();
-  Node* n = doc_->NewNode();
-  n->kind = NodeKind::kAttribute;
+  assert(stack_.back().last == nullptr &&
+         "Attribute after the element's first child");
+  Node* owner = stack_.back().node;
+  Node* n = NewNode(NodeKind::kAttribute);
   n->name = doc_->interner()->Intern(name);
-  n->text = std::string(value);
-  n->parent = owner;
-  n->doc = doc_.get();
-  owner->attributes.push_back(n);
+  SetText(n, value);
+  // Attributes are leaves: give them their postorder rank right away,
+  // before any child of the element, so the region containment test
+  // never classifies an attribute as an ancestor.
+  n->post = next_post_++;
+  const auto slot = static_cast<size_t>(n->name);
+  if (slot >= attr_owner_.size()) attr_owner_.resize(slot + 1, -1);
+  attr_owner_[slot] = owner->pre;
+  if (owner->len_ == 0) owner->begin_ = doc_->attrs_.size();
+  ++owner->len_;
+  doc_->attrs_.push_back(n);
 }
 
 void DocumentBuilder::Text(std::string_view text) {
-  Node* n = doc_->NewNode();
-  n->kind = NodeKind::kText;
-  n->text = std::string(text);
+  Node* n = NewNode(NodeKind::kText);
+  SetText(n, text);
+  n->post = next_post_++;
   AppendChild(n);
+  ++doc_->text_count_;
 }
 
 void DocumentBuilder::EndElement() {
   assert(stack_.size() > 1 && "EndElement without matching StartElement");
+  stack_.back().node->post = next_post_++;
   stack_.pop_back();
 }
 
-namespace {
-
-// Iterative pre/post numbering; recursion would overflow on deep documents.
-void AssignNumbers(Node* root) {
-  int32_t pre = 0;
-  int32_t post = 0;
-  struct Frame {
-    Node* node;
-    bool entered;
-  };
-  std::vector<Frame> stack;
-  stack.push_back({root, false});
-  while (!stack.empty()) {
-    Frame& f = stack.back();
-    if (!f.entered) {
-      f.entered = true;
-      Node* n = f.node;
-      n->pre = pre++;
-      n->depth = n->parent == nullptr ? 0 : n->parent->depth + 1;
-      // Attributes sit between the element and its first child in
-      // document order.
-      for (Node* a : n->attributes) {
-        a->pre = pre++;
-        // Attributes are leaves: give them their postorder rank right away,
-        // before any child of the element, so the region containment test
-        // never classifies an attribute as an ancestor.
-        a->post = post++;
-        a->depth = n->depth + 1;
-      }
-      // Push children in reverse so the leftmost is processed first.
-      std::vector<Node*> kids;
-      for (Node* c = n->first_child; c != nullptr; c = c->next_sibling) {
-        kids.push_back(c);
-      }
-      for (auto it = kids.rbegin(); it != kids.rend(); ++it) {
-        stack.push_back({*it, false});
-      }
-    } else {
-      f.node->post = post++;
-      stack.pop_back();
-    }
-  }
+bool DocumentBuilder::HasAttribute(std::string_view name) const {
+  const Symbol sym = doc_->interner()->Lookup(name);
+  return sym != kInvalidSymbol &&
+         static_cast<size_t>(sym) < attr_owner_.size() &&
+         attr_owner_[static_cast<size_t>(sym)] == stack_.back().node->pre;
 }
-
-}  // namespace
 
 std::unique_ptr<Document> DocumentBuilder::Finish() {
   assert(stack_.size() == 1 && "unbalanced builder");
-  AssignNumbers(doc_->root_);
+  doc_->root_->post = next_post_++;
   return std::move(doc_);
 }
 

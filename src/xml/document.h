@@ -2,8 +2,11 @@
 #ifndef XQTP_XML_DOCUMENT_H_
 #define XQTP_XML_DOCUMENT_H_
 
+#include <cstdint>
 #include <deque>
+#include <limits>
 #include <memory>
+#include <string>
 #include <string_view>
 #include <unordered_map>
 #include <vector>
@@ -23,7 +26,13 @@ struct DocumentStats {
   int max_depth = 1;        ///< deepest element level
 };
 
-/// An XML document. Owns its nodes (stable addresses via deque arena).
+/// Longest text or attribute value a document can hold: a node records its
+/// value's length in 32 bits.
+inline constexpr size_t kMaxValueBytes = std::numeric_limits<uint32_t>::max();
+
+/// An XML document. Owns its nodes (stable addresses via deque arena), in
+/// document order, plus one buffer of all character data and one array of
+/// all attribute nodes that the nodes slice into.
 /// Build one with DocumentBuilder or xml::Parse.
 class Document {
  public:
@@ -32,7 +41,6 @@ class Document {
   Document& operator=(const Document&) = delete;
 
   const Node* root() const { return root_; }
-  Node* mutable_root() { return root_; }
   StringInterner* interner() const { return interner_; }
 
   /// Dense id used for cross-document ordering.
@@ -64,6 +72,7 @@ class Document {
 
  private:
   friend class DocumentBuilder;
+  friend struct Node;
 
   Node* NewNode() {
     arena_.emplace_back();
@@ -77,7 +86,15 @@ class Document {
       REQUIRES(lazy_mu_);
 
   StringInterner* interner_;
+  /// Every node, in document order (pre == index).
   std::deque<Node> arena_;
+  /// Text node contents and attribute values, node after node.
+  std::string text_;
+  /// Every attribute node, in document order; an element's attributes
+  /// are contiguous.
+  std::vector<const Node*> attrs_;
+  size_t element_count_ = 0;
+  size_t text_count_ = 0;
   Node* root_ = nullptr;
   int32_t id_ = 0;
 
@@ -109,25 +126,49 @@ class Document {
 ///   b.StartElement("site"); b.Attribute("id", "1"); b.Text("hi");
 ///   b.EndElement();
 ///   std::unique_ptr<Document> doc = b.Finish();
-/// Finish() assigns pre/post/depth numbers in one traversal.
+/// Each node is numbered as it is added: its pre rank and depth when it is
+/// created, its post rank when it closes (attributes and text nodes close
+/// at once). An element's attributes must come before its first child,
+/// as they do in XML syntax.
 class DocumentBuilder {
  public:
   explicit DocumentBuilder(StringInterner* interner);
 
   void StartElement(std::string_view tag);
+  /// `value` is at most kMaxValueBytes long.
   void Attribute(std::string_view name, std::string_view value);
+  /// `text` is at most kMaxValueBytes long.
   void Text(std::string_view text);
   void EndElement();
+
+  /// True iff the innermost open element already has an attribute `name`.
+  bool HasAttribute(std::string_view name) const;
 
   /// Completes the document; the builder must be balanced (all elements
   /// closed). Invalidates the builder.
   std::unique_ptr<Document> Finish();
 
  private:
+  /// An open element (or the document node) and its last child so far.
+  struct OpenNode {
+    Node* node;
+    Node* last;
+  };
+
+  /// A new node of `kind` under the innermost open node, with its pre rank
+  /// and depth.
+  Node* NewNode(NodeKind kind);
   void AppendChild(Node* child);
+  void SetText(Node* n, std::string_view text);
 
   std::unique_ptr<Document> doc_;
-  std::vector<Node*> stack_;
+  std::vector<OpenNode> stack_;
+  int32_t next_pre_ = 0;
+  int32_t next_post_ = 0;
+  /// Indexed by attribute name: the pre rank of the last element given an
+  /// attribute of that name, so HasAttribute costs O(1) however many
+  /// attributes an element has.
+  std::vector<int32_t> attr_owner_;
 };
 
 }  // namespace xqtp::xml

@@ -7,12 +7,8 @@ namespace xqtp::xml {
 namespace {
 
 void CollectText(const Node* n, std::string* out) {
-  if (n->IsText()) {
-    out->append(n->text);
-    return;
-  }
-  if (n->IsAttribute()) {
-    out->append(n->text);
+  if (n->IsText() || n->IsAttribute()) {
+    out->append(n->Text());
     return;
   }
   for (const Node* c = n->first_child; c != nullptr; c = c->next_sibling) {
@@ -21,6 +17,16 @@ void CollectText(const Node* n, std::string* out) {
 }
 
 }  // namespace
+
+std::string_view Node::Text() const {
+  if (!IsText() && !IsAttribute()) return {};
+  return std::string_view(doc->text_.data() + begin_, len_);
+}
+
+std::span<const Node* const> Node::Attributes() const {
+  if (!IsElement()) return {};
+  return std::span<const Node* const>(doc->attrs_).subspan(begin_, len_);
+}
 
 std::string Node::StringValue() const {
   std::string out;

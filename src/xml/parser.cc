@@ -2,6 +2,7 @@
 
 #include <cctype>
 #include <string>
+#include <string_view>
 
 #include "common/fault_injection.h"
 
@@ -58,6 +59,57 @@ bool IsNameChar(char c) {
          c == '-' || c == '.';
 }
 
+/// The code point of a character reference body, "#" followed by decimal
+/// digits or "#x" followed by hex digits; 0 when the body is empty or
+/// ill-formed, or names no XML character: U+0000, a surrogate, or a code
+/// point beyond U+10FFFF.
+char32_t CharRef(std::string_view ent) {
+  std::string_view digits = ent.substr(1);
+  char32_t base = 10;
+  if (!digits.empty() && digits[0] == 'x') {
+    base = 16;
+    digits.remove_prefix(1);
+  }
+  if (digits.empty()) return 0;
+  char32_t code = 0;
+  for (char c : digits) {
+    char32_t d = 0;
+    if (c >= '0' && c <= '9') {
+      d = static_cast<char32_t>(c - '0');
+    } else if (base == 16 && c >= 'a' && c <= 'f') {
+      d = static_cast<char32_t>(c - 'a' + 10);
+    } else if (base == 16 && c >= 'A' && c <= 'F') {
+      d = static_cast<char32_t>(c - 'A' + 10);
+    } else {
+      return 0;
+    }
+    code = code * base + d;
+    if (code > 0x10FFFF) return 0;  // also stops the product overflowing
+  }
+  if (code >= 0xD800 && code <= 0xDFFF) return 0;
+  return code;
+}
+
+/// Appends the UTF-8 encoding of code point `c` (at most U+10FFFF).
+void AppendUtf8(char32_t c, std::string* out) {
+  auto byte = [out](char32_t b) { out->push_back(static_cast<char>(b)); };
+  if (c < 0x80) {
+    byte(c);
+    return;
+  }
+  if (c < 0x800) {
+    byte(0xC0 | (c >> 6));
+  } else if (c < 0x10000) {
+    byte(0xE0 | (c >> 12));
+    byte(0x80 | ((c >> 6) & 0x3F));
+  } else {
+    byte(0xF0 | (c >> 18));
+    byte(0x80 | ((c >> 12) & 0x3F));
+    byte(0x80 | ((c >> 6) & 0x3F));
+  }
+  byte(0x80 | (c & 0x3F));
+}
+
 class Parser {
  public:
   Parser(std::string_view input, StringInterner* interner)
@@ -66,7 +118,7 @@ class Parser {
   Result<std::unique_ptr<Document>> Run() {
     XQTP_RETURN_NOT_OK(ParseProlog());
     XQTP_RETURN_NOT_OK(ParseElement());
-    SkipMisc();
+    XQTP_RETURN_NOT_OK(SkipMisc());
     if (!cur_.AtEnd()) return Err("trailing content after root element");
     return builder_.Finish();
   }
@@ -77,6 +129,15 @@ class Parser {
                                    std::to_string(cur_.line()) + ": " + msg);
   }
 
+  /// A node stores its value's length in 32 bits (xml/node.h).
+  Status CheckValueSize(const std::string& value) {
+    if (value.size() <= kMaxValueBytes) return Status::OK();
+    return Status::ResourceExhausted(
+        "XML text or attribute value of " + std::to_string(value.size()) +
+        " bytes at line " + std::to_string(cur_.line()) +
+        " exceeds the limit of " + std::to_string(kMaxValueBytes));
+  }
+
   void SkipWhitespace() {
     while (!cur_.AtEnd() &&
            std::isspace(static_cast<unsigned char>(cur_.Peek()))) {
@@ -85,24 +146,24 @@ class Parser {
   }
 
   /// Skips whitespace, comments, and PIs between top-level constructs.
-  void SkipMisc() {
+  Status SkipMisc() {
     for (;;) {
       SkipWhitespace();
       if (cur_.StartsWith("<!--")) {
-        cur_.SkipPast("-->");
+        if (!cur_.SkipPast("-->")) return Err("unterminated comment");
       } else if (cur_.StartsWith("<?")) {
-        cur_.SkipPast("?>");
+        if (!cur_.SkipPast("?>")) return Err("unterminated PI");
       } else {
-        return;
+        return Status::OK();
       }
     }
   }
 
   Status ParseProlog() {
-    SkipMisc();
+    XQTP_RETURN_NOT_OK(SkipMisc());
     if (cur_.StartsWith("<!DOCTYPE")) {
       if (!cur_.SkipPast(">")) return Err("unterminated DOCTYPE");
-      SkipMisc();
+      return SkipMisc();
     }
     return Status::OK();
   }
@@ -141,24 +202,9 @@ class Parser {
     } else if (ent == "apos") {
       out->push_back('\'');
     } else if (!ent.empty() && ent[0] == '#') {
-      int code = 0;
-      if (ent.size() > 1 && (ent[1] == 'x' || ent[1] == 'X')) {
-        code = std::stoi(ent.substr(2), nullptr, 16);
-      } else {
-        code = std::stoi(ent.substr(1));
-      }
-      if (code < 0x80) {
-        out->push_back(static_cast<char>(code));
-      } else {
-        // Minimal UTF-8 encoding for BMP code points.
-        if (code < 0x800) {
-          out->push_back(static_cast<char>(0xC0 | (code >> 6)));
-        } else {
-          out->push_back(static_cast<char>(0xE0 | (code >> 12)));
-          out->push_back(static_cast<char>(0x80 | ((code >> 6) & 0x3F)));
-        }
-        out->push_back(static_cast<char>(0x80 | (code & 0x3F)));
-      }
+      char32_t code = CharRef(ent);
+      if (code == 0) return Err("invalid character reference &" + ent + ";");
+      AppendUtf8(code, out);
     } else {
       return Err("unknown entity &" + ent + ";");
     }
@@ -172,6 +218,10 @@ class Parser {
       char c = cur_.Peek();
       if (c == '>' || c == '/') return Status::OK();
       XQTP_ASSIGN_OR_RETURN(std::string name, ParseName());
+      // XML's "Unique Att Spec" well-formedness constraint.
+      if (builder_.HasAttribute(name)) {
+        return Err("duplicate attribute " + name);
+      }
       SkipWhitespace();
       if (cur_.AtEnd() || cur_.Peek() != '=') return Err("expected '='");
       cur_.Advance();
@@ -192,28 +242,28 @@ class Parser {
       }
       if (cur_.AtEnd()) return Err("unterminated attribute value");
       cur_.Advance();  // closing quote
+      XQTP_RETURN_NOT_OK(CheckValueSize(value));
       builder_.Attribute(name, value);
     }
   }
 
   Status ParseContent() {
     std::string text;
-    auto flush = [&] {
+    auto flush = [&]() -> Status {
       if (!text.empty()) {
+        XQTP_RETURN_NOT_OK(CheckValueSize(text));
         builder_.Text(text);
         text.clear();
       }
+      return Status::OK();
     };
     for (;;) {
       if (cur_.AtEnd()) return Err("unterminated element content");
       char c = cur_.Peek();
       if (c == '<') {
-        if (cur_.StartsWith("</")) {
-          flush();
-          return Status::OK();
-        }
+        if (cur_.StartsWith("</")) return flush();
         if (cur_.StartsWith("<!--")) {
-          flush();
+          XQTP_RETURN_NOT_OK(flush());
           if (!cur_.SkipPast("-->")) return Err("unterminated comment");
           continue;
         }
@@ -228,11 +278,11 @@ class Parser {
           continue;
         }
         if (cur_.StartsWith("<?")) {
-          flush();
+          XQTP_RETURN_NOT_OK(flush());
           if (!cur_.SkipPast("?>")) return Err("unterminated PI");
           continue;
         }
-        flush();
+        XQTP_RETURN_NOT_OK(flush());
         XQTP_RETURN_NOT_OK(ParseElement());
       } else if (c == '&') {
         XQTP_RETURN_NOT_OK(AppendEntity(&text));

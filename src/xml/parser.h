@@ -1,7 +1,8 @@
 // Hand-written, non-validating XML parser for the fragment needed by the
 // workloads: elements, attributes, character data, entity references for
-// &lt; &gt; &amp; &quot; &apos;, comments and processing instructions
-// (skipped). No DTDs, namespaces are kept as part of the name.
+// &lt; &gt; &amp; &quot; &apos;, numeric character references, comments
+// and processing instructions (skipped). No DTDs, namespaces are kept as
+// part of the name.
 #ifndef XQTP_XML_PARSER_H_
 #define XQTP_XML_PARSER_H_
 

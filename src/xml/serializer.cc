@@ -4,7 +4,7 @@
 
 namespace xqtp::xml {
 
-std::string EscapeText(const std::string& text) {
+std::string EscapeText(std::string_view text) {
   std::string out;
   out.reserve(text.size());
   for (char c : text) {
@@ -38,19 +38,19 @@ void SerializeTo(const Node* n, std::string* out) {
       }
       break;
     case NodeKind::kText:
-      *out += EscapeText(n->text);
+      *out += EscapeText(n->Text());
       break;
     case NodeKind::kAttribute:
       *out += n->doc->interner()->NameOf(n->name);
       *out += "=\"";
-      *out += EscapeText(n->text);
+      *out += EscapeText(n->Text());
       *out += '"';
       break;
     case NodeKind::kElement: {
       const std::string& tag = n->doc->interner()->NameOf(n->name);
       *out += '<';
       *out += tag;
-      for (const Node* a : n->attributes) {
+      for (const Node* a : n->Attributes()) {
         *out += ' ';
         SerializeTo(a, out);
       }

@@ -3,6 +3,7 @@
 #define XQTP_XML_SERIALIZER_H_
 
 #include <string>
+#include <string_view>
 
 #include "xml/node.h"
 
@@ -13,7 +14,7 @@ namespace xqtp::xml {
 std::string Serialize(const Node* node);
 
 /// Escapes &, <, >, " for inclusion in XML text or attribute values.
-std::string EscapeText(const std::string& text);
+std::string EscapeText(std::string_view text);
 
 }  // namespace xqtp::xml
 

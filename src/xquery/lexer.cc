@@ -1,6 +1,9 @@
 #include "xquery/lexer.h"
 
 #include <cctype>
+#include <charconv>
+#include <string>
+#include <system_error>
 
 namespace xqtp::xquery {
 
@@ -201,13 +204,15 @@ Result<std::vector<Token>> Lex(std::string_view in) {
       }
       Token t;
       t.line = line;
-      std::string num(in.substr(start, i - start));
-      if (is_decimal) {
-        t.kind = TokenKind::kDecimal;
-        t.decimal = std::stod(num);
-      } else {
-        t.kind = TokenKind::kInteger;
-        t.integer = std::stoll(num);
+      t.kind = is_decimal ? TokenKind::kDecimal : TokenKind::kInteger;
+      const char* first = in.data() + start;
+      const char* last = in.data() + i;
+      const std::errc ec = is_decimal
+                               ? std::from_chars(first, last, t.decimal).ec
+                               : std::from_chars(first, last, t.integer).ec;
+      if (ec != std::errc()) {
+        return err("numeric literal out of range: " +
+                   std::string(first, last));
       }
       out.push_back(std::move(t));
       continue;

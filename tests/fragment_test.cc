@@ -155,6 +155,23 @@ TEST_F(FragmentTest, UpwardAndSidewaysAxes) {
             (std::vector<std::string>{"apple", "pear"}));
 }
 
+TEST_F(FragmentTest, PrecedingSiblingOfTextAndAttributeContexts) {
+  auto doc = engine_.LoadDocument(
+      "m", "<p id=\"k\">a<b>1</b>c<i>2</i>e</p>");
+  ASSERT_TRUE(doc.ok()) << doc.status().ToString();
+  doc_ = doc.value();
+  // Text-node contexts a, c, e: their preceding siblings, in document order.
+  EXPECT_EQ(Eval("$d/p/text()/preceding-sibling::*"),
+            (std::vector<std::string>{"1", "2"}));
+  EXPECT_EQ(Eval("$d/p/text()/preceding-sibling::text()"),
+            (std::vector<std::string>{"a", "c"}));
+  EXPECT_EQ(Eval("$d/p/i/preceding-sibling::node()"),
+            (std::vector<std::string>{"a", "1", "c"}));
+  // An attribute has no siblings.
+  EXPECT_EQ(Eval("$d/p/@id/preceding-sibling::node()"),
+            (std::vector<std::string>{}));
+}
+
 TEST_F(FragmentTest, UpwardAxesStayOutOfPatterns) {
   auto cq = engine_.Compile("$d//qty/ancestor::item/name");
   ASSERT_TRUE(cq.ok());

@@ -87,7 +87,7 @@ TEST_F(ScanRegionsTest, DescendantOrSelfAddsMatchingContexts) {
   auto res = xml::Parse("<r><e k=\"1\"><f/></e></r>", &in);
   ASSERT_TRUE(res.ok());
   const xml::Node* e = res.value()->root()->first_child->first_child;
-  const xml::Node* k = e->attributes[0];
+  const xml::Node* k = e->Attributes()[0];
   const xml::Node* f = e->first_child;
   EXPECT_EQ(Scan(res.value()->AllNodes(), {e, k}, Axis::kDescendantOrSelf,
                  NodeTest::AnyNode()),

@@ -70,7 +70,7 @@ TEST_P(PatternEvalTest, PathWithPredicate) {
   // c nodes with a d child: id=1, id=4, id=9.
   ASSERT_EQ(rows.size(), 3u);
   for (const BindingRow& r : rows) {
-    EXPECT_FALSE(r.fields[0].second->attributes.empty());
+    EXPECT_FALSE(r.fields[0].second->Attributes().empty());
   }
 }
 
@@ -96,8 +96,8 @@ TEST_P(PatternEvalTest, AttributeExtraction) {
                           NodeTest::Name(interner_.Intern("id")), out_));
   auto rows = Eval(tp, RootCtx());
   ASSERT_EQ(rows.size(), 4u);
-  EXPECT_EQ(rows[0].fields[0].second->text, "1");
-  EXPECT_EQ(rows[3].fields[0].second->text, "9");
+  EXPECT_EQ(rows[0].fields[0].second->Text(), "1");
+  EXPECT_EQ(rows[3].fields[0].second->Text(), "9");
 }
 
 TEST_P(PatternEvalTest, DescendantDescendantDedupes) {
@@ -183,8 +183,8 @@ TEST_P(PatternEvalTest, RootAttributeStep) {
       dot_, Axis::kAttribute, NodeTest::Name(interner_.Intern("id")), out_);
   auto rows = Eval(tp, ctx);
   ASSERT_EQ(rows.size(), 4u);  // ids 1, 4, 6, 9
-  EXPECT_EQ(rows[0].fields[0].second->text, "1");
-  EXPECT_EQ(rows[3].fields[0].second->text, "9");
+  EXPECT_EQ(rows[0].fields[0].second->Text(), "1");
+  EXPECT_EQ(rows[3].fields[0].second->Text(), "9");
 }
 
 TEST_P(PatternEvalTest, AncestorRelatedContextsDuplicateSiblings) {
@@ -253,9 +253,9 @@ TEST_P(PatternEvalTest, AttributeWildcardSteps) {
     auto rows = EvalPattern(path, ctx, GetParam());
     ASSERT_TRUE(rows.ok()) << rows.status().ToString();
     ASSERT_EQ(rows->size(), 3u);
-    EXPECT_EQ((*rows)[0].fields[0].second->text, "1");
-    EXPECT_EQ((*rows)[1].fields[0].second->text, "2");
-    EXPECT_EQ((*rows)[2].fields[0].second->text, "3");
+    EXPECT_EQ((*rows)[0].fields[0].second->Text(), "1");
+    EXPECT_EQ((*rows)[1].fields[0].second->Text(), "2");
+    EXPECT_EQ((*rows)[2].fields[0].second->Text(), "3");
 
     // descendant::*[attribute::*]: r, both a's with attributes, and b.
     TreePattern pred = MakeSingleStep(in2.Intern("dot"), Axis::kDescendant,
@@ -280,13 +280,13 @@ TEST_P(PatternEvalTest, DescendantOrSelfOverAnElementAndItsAttribute) {
   auto res = xml::Parse("<r><e k=\"1\"><f/></e></r>", &in2);
   ASSERT_TRUE(res.ok());
   const xml::Node* e = res.value()->root()->first_child->first_child;
-  xdm::Sequence ctx{xdm::Item(e), xdm::Item(e->attributes[0])};
+  xdm::Sequence ctx{xdm::Item(e), xdm::Item(e->Attributes()[0])};
   TreePattern tp = MakeSingleStep(in2.Intern("dot"), Axis::kDescendantOrSelf,
                                   NodeTest::AnyNode(), in2.Intern("out"));
   auto rows = EvalPattern(tp, ctx, GetParam());
   ASSERT_TRUE(rows.ok()) << rows.status().ToString();
   ASSERT_EQ(rows->size(), 3u);  // e, its attribute k, then f
-  EXPECT_EQ((*rows)[1].fields[0].second, e->attributes[0]);
+  EXPECT_EQ((*rows)[1].fields[0].second, e->Attributes()[0]);
 }
 
 INSTANTIATE_TEST_SUITE_P(AllAlgorithms, PatternEvalTest,
@@ -330,9 +330,9 @@ TEST(PatternBindings, PaperSection41Example) {
     // One tuple per (c, d) binding: (c1, d2), (c1, d3).
     ASSERT_EQ(rows->size(), 2u) << PatternAlgoName(algo);
     EXPECT_EQ((*rows)[0].fields.size(), 2u);
-    EXPECT_EQ((*rows)[0].fields[0].second->attributes[0]->text, "1");
-    EXPECT_EQ((*rows)[0].fields[1].second->attributes[0]->text, "2");
-    EXPECT_EQ((*rows)[1].fields[1].second->attributes[0]->text, "3");
+    EXPECT_EQ((*rows)[0].fields[0].second->Attributes()[0]->Text(), "1");
+    EXPECT_EQ((*rows)[0].fields[1].second->Attributes()[0]->Text(), "2");
+    EXPECT_EQ((*rows)[1].fields[1].second->Attributes()[0]->Text(), "3");
   }
 }
 

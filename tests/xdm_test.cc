@@ -103,7 +103,7 @@ TEST_F(XdmTest, AxisSteps) {
   EvalAxisStep(b2, Axis::kAttribute, NodeTest::Name(interner_.Lookup("id")),
                &out);
   ASSERT_EQ(out.size(), 1u);
-  EXPECT_EQ(out[0].node()->text, "7");
+  EXPECT_EQ(out[0].node()->Text(), "7");
 
   out.clear();
   EvalAxisStep(b2, Axis::kParent, NodeTest::AnyName(), &out);

@@ -33,6 +33,26 @@ TEST(XmlRobustness, MalformedInputsAreErrors) {
       "<a/><b/>",
       "<a/>trailing",
       "<1tag/>",
+      // Character references that are empty, ill-formed or name no XML
+      // character.
+      "<a>&#;</a>",
+      "<a>&#x;</a>",
+      "<a>&#xZZ;</a>",
+      "<a>&#99999999999;</a>",
+      "<a>&#-5;</a>",
+      "<a>&#+65;</a>",
+      "<a>&#65abc;</a>",
+      "<a>&#0;</a>",
+      "<a>&#xD800;</a>",
+      "<a>&#x110000;</a>",
+      "<a x=\"&#0;\"/>",
+      // Unique Att Spec.
+      "<a x=\"1\" x=\"2\"/>",
+      // Unterminated comments and PIs outside the root element.
+      "<?xml",
+      "<!-- never closed",
+      "<a/><!--",
+      "<a/><?pi",
   };
   for (const char* in : inputs) {
     StringInterner interner;
@@ -60,7 +80,7 @@ TEST(XmlRobustness, TruncationsOfValidDocumentNeverCrash) {
 
 TEST(XmlRobustness, MutationsNeverCrash) {
   const std::string doc =
-      "<a x=\"1\"><b>text &lt;here&gt;</b><c><d/></c></a>";
+      "<a x=\"1\"><b>text &lt;here&gt;&#65;</b><c><d/></c></a>";
   std::mt19937 rng(7);
   for (int trial = 0; trial < 500; ++trial) {
     std::string mutated = doc;
@@ -125,7 +145,7 @@ TEST(XmlRoundTrip, EscapingSurvives) {
       &interner);
   ASSERT_TRUE(res.ok());
   const Node* a = res.value()->root()->first_child;
-  EXPECT_EQ(a->attributes[0]->text, "<&\">");
+  EXPECT_EQ(a->Attributes()[0]->Text(), "<&\">");
   EXPECT_EQ(a->StringValue(), "body <tag> & more");
   // Round-trip.
   std::string text = Serialize(res.value()->root());

@@ -1,11 +1,140 @@
 #include <gtest/gtest.h>
 
+#include <random>
+#include <set>
+#include <unordered_map>
+#include <vector>
+
+#include "workload/member_gen.h"
+#include "workload/xmark_gen.h"
 #include "xml/document.h"
 #include "xml/parser.h"
 #include "xml/serializer.h"
 
 namespace xqtp::xml {
 namespace {
+
+/// Numbers `n`'s subtree the way the region encoding defines it: a node,
+/// then its attributes, then its children in preorder; attributes take
+/// their postorder rank before any child of their element.
+void Renumber(const Node* n, int32_t* pre, int32_t* post,
+              std::unordered_map<const Node*, std::pair<int32_t, int32_t>>*
+                  ranks,
+              std::vector<const Node*>* all) {
+  all->push_back(n);
+  const int32_t my_pre = (*pre)++;
+  for (const Node* a : n->Attributes()) {
+    all->push_back(a);
+    (*ranks)[a] = {(*pre)++, (*post)++};
+  }
+  for (const Node* c = n->first_child; c != nullptr; c = c->next_sibling) {
+    Renumber(c, pre, post, ranks, all);
+  }
+  (*ranks)[n] = {my_pre, (*post)++};
+}
+
+void ExpectRising(const std::vector<const Node*>& nodes, const char* what) {
+  for (size_t i = 1; i < nodes.size(); ++i) {
+    ASSERT_LT(nodes[i - 1]->pre, nodes[i]->pre) << what << " at " << i;
+  }
+}
+
+/// Checks the numbers DocumentBuilder assigned as it added each node
+/// against ones recomputed from the finished tree.
+void ExpectBuildTimeNumbering(const Document& doc) {
+  std::unordered_map<const Node*, std::pair<int32_t, int32_t>> ranks;
+  std::vector<const Node*> all;
+  int32_t pre = 0;
+  int32_t post = 0;
+  Renumber(doc.root(), &pre, &post, &ranks, &all);
+  ASSERT_EQ(all.size(), doc.node_count());
+
+  ExpectRising(doc.AllNodes(), "AllNodes");
+  ExpectRising(doc.AllElements(), "AllElements");
+  ExpectRising(doc.TextNodes(), "TextNodes");
+  std::set<Symbol> attr_names;
+  for (const Node* n : all) {
+    if (n->IsAttribute()) attr_names.insert(n->name);
+  }
+  for (Symbol name : attr_names) {
+    ExpectRising(doc.AttributesByName(name), "AttributesByName");
+  }
+
+  EXPECT_EQ(doc.root()->depth, 0);
+  for (const Node* n : all) {
+    EXPECT_EQ(n->pre, ranks[n].first);
+    EXPECT_EQ(n->post, ranks[n].second);
+    if (n->parent != nullptr) {
+      EXPECT_EQ(n->depth, n->parent->depth + 1);
+    }
+    for (const Node* a : n->Attributes()) {
+      for (const Node* c = n->first_child; c != nullptr;
+           c = c->next_sibling) {
+        EXPECT_LT(a->post, c->post);
+      }
+    }
+  }
+
+  std::mt19937 rng(11);
+  for (int i = 0; i < 5000; ++i) {
+    const Node* a = all[rng() % all.size()];
+    const Node* d = all[rng() % all.size()];
+    bool on_chain = false;
+    for (const Node* p = d->parent; p != nullptr; p = p->parent) {
+      on_chain = on_chain || p == a;
+    }
+    EXPECT_EQ(a->IsAncestorOf(*d), on_chain) << a->pre << " " << d->pre;
+  }
+}
+
+TEST(DocumentBuilder, NumbersNodesAsTheyAreAdded) {
+  {
+    StringInterner interner;
+    workload::XmarkParams p;
+    p.factor = 0.05;
+    auto doc = workload::GenerateXmark(p, &interner);
+    ExpectBuildTimeNumbering(*doc);
+  }
+  {
+    StringInterner interner;
+    workload::MemberParams p;
+    p.node_count = 5000;
+    p.max_depth = 5;
+    p.plant_twigs = 20;
+    auto doc = workload::GenerateMember(p, &interner);
+    ExpectBuildTimeNumbering(*doc);
+  }
+  {
+    StringInterner interner;
+    auto res = Parse(
+        "<r a=\"1\" b=\"2\">x<s c=\"3\">y<t/>z</s>w"
+        "<u d=\"4\" e=\"5\"><v f=\"6\">q</v></u>tail</r>",
+        &interner);
+    ASSERT_TRUE(res.ok()) << res.status().ToString();
+    ExpectBuildTimeNumbering(**res);
+  }
+}
+
+TEST(DocumentBuilder, TextAndAttributeAccessors) {
+  StringInterner interner;
+  auto res = Parse("<r a=\"1\" b=\"two\">x<s c=\"3\"/>y</r>", &interner);
+  ASSERT_TRUE(res.ok()) << res.status().ToString();
+  const Node* r = res.value()->root()->first_child;
+  ASSERT_EQ(r->Attributes().size(), 2u);
+  EXPECT_EQ(r->Attributes()[0]->Text(), "1");
+  EXPECT_EQ(r->Attributes()[1]->Text(), "two");
+  EXPECT_EQ(r->Attributes()[1]->parent, r);
+  EXPECT_TRUE(r->Text().empty());
+  const Node* x = r->first_child;
+  EXPECT_EQ(x->Text(), "x");
+  EXPECT_TRUE(x->Attributes().empty());
+  const Node* s = x->next_sibling;
+  ASSERT_EQ(s->Attributes().size(), 1u);
+  EXPECT_EQ(s->Attributes()[0]->Text(), "3");
+  EXPECT_TRUE(s->Attributes()[0]->Attributes().empty());
+  EXPECT_EQ(s->next_sibling->Text(), "y");
+  EXPECT_TRUE(res.value()->root()->Attributes().empty());
+}
 
 TEST(DocumentBuilder, BuildsStructure) {
   StringInterner interner;
@@ -28,7 +157,7 @@ TEST(DocumentBuilder, BuildsStructure) {
   const Node* cn = bn->next_sibling;
   EXPECT_EQ(interner.NameOf(bn->name), "b");
   EXPECT_EQ(interner.NameOf(cn->name), "c");
-  EXPECT_EQ(cn->prev_sibling, bn);
+  EXPECT_EQ(bn->next_sibling, cn);
   EXPECT_EQ(bn->parent, a);
 }
 
@@ -76,7 +205,7 @@ TEST(DocumentBuilder, AttributeEncodingIsNotAncestorOfChildren) {
   auto doc = b.Finish();
 
   const Node* a = doc->root()->first_child;
-  const Node* attr = a->attributes[0];
+  const Node* attr = a->Attributes()[0];
   const Node* bn = a->first_child;
   EXPECT_TRUE(a->IsAncestorOf(*attr));
   EXPECT_FALSE(attr->IsAncestorOf(*bn));
@@ -90,8 +219,8 @@ TEST(Parser, ParsesElementsAttributesText) {
   const Document& doc = **res;
   const Node* a = doc.root()->first_child;
   EXPECT_EQ(interner.NameOf(a->name), "a");
-  ASSERT_EQ(a->attributes.size(), 1u);
-  EXPECT_EQ(a->attributes[0]->text, "1");
+  ASSERT_EQ(a->Attributes().size(), 1u);
+  EXPECT_EQ(a->Attributes()[0]->Text(), "1");
   const Node* b = a->first_child;
   EXPECT_EQ(b->StringValue(), "hi & bye");
 }
@@ -109,9 +238,12 @@ TEST(Parser, SkipsCommentsPIsDoctype) {
 
 TEST(Parser, CdataAndNumericEntities) {
   StringInterner interner;
-  auto res = Parse("<a><![CDATA[<raw>]]>&#65;</a>", &interner);
+  auto res = Parse("<a><![CDATA[<raw>]]>&#65;&#x20AC;&#x1F600;</a>",
+                   &interner);
   ASSERT_TRUE(res.ok()) << res.status().ToString();
-  EXPECT_EQ(res.value()->root()->first_child->StringValue(), "<raw>A");
+  // U+20AC is three UTF-8 bytes, U+1F600 four.
+  EXPECT_EQ(res.value()->root()->first_child->StringValue(),
+            "<raw>A\xE2\x82\xAC\xF0\x9F\x98\x80");
 }
 
 TEST(Parser, RejectsMismatchedTags) {
@@ -119,6 +251,17 @@ TEST(Parser, RejectsMismatchedTags) {
   auto res = Parse("<a><b></a></b>", &interner);
   EXPECT_FALSE(res.ok());
   EXPECT_EQ(res.status().code(), StatusCode::kInvalidArgument);
+}
+
+TEST(Parser, AttributeNamesAreUniquePerElement) {
+  StringInterner interner;
+  auto ok = Parse("<a x=\"1\" y=\"2\"><b x=\"3\"/><c y=\"4\" x=\"5\"/></a>",
+                  &interner);
+  ASSERT_TRUE(ok.ok()) << ok.status().ToString();
+  // Names already interned by the document above.
+  auto dup = Parse("<a x=\"1\"><b y=\"2\" x=\"3\" y=\"4\"/></a>", &interner);
+  ASSERT_FALSE(dup.ok());
+  EXPECT_EQ(dup.status().code(), StatusCode::kInvalidArgument);
 }
 
 TEST(Parser, RejectsTrailingContent) {

@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "xquery/parser.h"
 
 namespace xqtp::xquery {
@@ -140,6 +142,17 @@ TEST_F(ParserTest, Errors) {
   EXPECT_FALSE(ParseQuery("$d/a)", &interner_).ok());
   EXPECT_FALSE(ParseQuery("let $x = 3 return $x", &interner_).ok());
   EXPECT_FALSE(ParseQuery("", &interner_).ok());
+  // Numeric literals out of the int64 / double range are lexer errors.
+  const std::string out_of_range[] = {
+      "99999999999999999999999",
+      "1" + std::string(400, '0') + ".5",
+      "0." + std::string(400, '0') + "1",
+  };
+  for (const std::string& q : out_of_range) {
+    auto res = ParseQuery(q, &interner_);
+    ASSERT_FALSE(res.ok()) << q;
+    EXPECT_EQ(res.status().code(), StatusCode::kInvalidArgument) << q;
+  }
 }
 
 }  // namespace

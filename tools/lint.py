@@ -46,6 +46,12 @@ discipline:
                     (src/engine/engine.{h,cc}) may assign its members;
                     everywhere else, assigning to them or const_cast-ing
                     a CompiledQuery is a data race waiting to happen.
+  no-throwing-conversion  no std::sto{i,l,ll,ul,ull,f,d,ld} in src/: they
+                    throw on malformed or out-of-range input, and the
+                    library reports errors through Status and catches
+                    nothing, so one such call on outside input (XML text,
+                    query text) kills the server. Parse by hand or with
+                    std::from_chars and return the error.
 
 A finding prints as `path:line: [rule] message` and the process exits 1.
 A line may opt out with a trailing `lint:allow(<rule>, reason=<why>)`
@@ -444,9 +450,27 @@ def check_compiled_query_immutable(relpath, raw, code, findings):
                     "no-lock sharing contract"))
 
 
+# --------------------------------------------------------------------------
+# rule: no-throwing-conversion
+
+THROWING_CONVERSION_RE = re.compile(
+    r"\bstd::sto(?:i|l|ll|ul|ull|f|d|ld)\s*\(")
+
+
+def check_no_throwing_conversion(relpath, raw, code, findings):
+    for lineno, line in enumerate(code, 1):
+        m = THROWING_CONVERSION_RE.search(line)
+        if m and not allowed(raw[lineno - 1], "no-throwing-conversion"):
+            findings.append(Finding(
+                relpath, lineno, "no-throwing-conversion",
+                f"{m.group(0).rstrip('( ')} throws on malformed or "
+                "out-of-range input and nothing in src/ catches it — parse "
+                "with std::from_chars (or by hand) and return a Status"))
+
+
 RULES = [check_raw_sync, check_no_stdout, check_nodiscard_status,
          check_include_guard, check_assert_side_effect, check_allow_reason,
-         check_compiled_query_immutable]
+         check_compiled_query_immutable, check_no_throwing_conversion]
 
 
 # --------------------------------------------------------------------------
@@ -589,6 +613,23 @@ SELF_TEST_FIXTURES = [
      "  q->fingerprint_ = 1;\n"
      "  q->memory_bytes_ = 2;\n"
      "}\n",
+     set()),
+    # no-throwing-conversion: every std::sto* call fires; from_chars,
+    # look-alike names and mentions in comments or strings stay quiet.
+    ("src/bad/throwing_conversion.cc",
+     "#include <string>\n"
+     "int F(const std::string& s) { return std::stoi(s, nullptr, 16); }\n"
+     "double G(const std::string& s) { return std::stod(s); }\n"
+     "long long H(const std::string& s) { return std::stoll (s); }\n",
+     {"no-throwing-conversion"}),
+    ("src/good/from_chars.cc",
+     "#include <charconv>\n"
+     "// Not std::stoi(s): it throws. \"std::stod(\" in a string is fine.\n"
+     "const char* kWhy = \"std::stod(x) throws\";\n"
+     "bool F(const char* b, const char* e, long long* v) {\n"
+     "  return std::from_chars(b, e, *v).ec == std::errc();\n"
+     "}\n"
+     "void G() { my::stoi(1); std::store(2); restoi(3); }\n",
      set()),
     ("src/good/cache_reader.cc",
      "#include \"engine/engine.h\"\n"
