@@ -3,13 +3,13 @@
 // on (deadline + memory budget + cancel token, none of which trip, so
 // the strided polls pay full checks: one relaxed atomic load, one
 // steady_clock read, one comparison, every 32nd operator boundary and
-// every 1024th pattern-inner-loop iteration). The "variant" field keys
-// the two configurations in the --json perf trajectory; DESIGN.md
-// documents the measured delta (target: < 2%).
+// every 1024th pattern-inner-loop iteration). DESIGN.md documents the
+// measured delta (target: < 2%).
 #include <chrono>
 #include <memory>
 
 #include "bench_common.h"
+#include "common/exec_stats.h"
 #include "exec/governor.h"
 
 namespace xqtp::bench {
@@ -51,9 +51,7 @@ void Register() {
                 opts.memory_budget_bytes = int64_t{1} << 40;
                 opts.cancel_token = std::make_shared<exec::CancelToken>();
               }
-              RunQueryBenchmark(state, query, Doc(), opts,
-                                engine::PlanChoice::kOptimized, {},
-                                governed ? "governor-on" : "governor-off");
+              RunQueryBenchmark(state, query, Doc(), opts);
               if (governed) {
                 // One untimed instrumented run: how many full checks the
                 // governed configuration actually pays for (attribution

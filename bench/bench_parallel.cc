@@ -3,8 +3,7 @@
 // through exec/parallel.h, whose root fan-out expands the first step's
 // candidates straight from the per-tag index instead of navigating the
 // whole tree — so the driver wins even before it wins from parallelism,
-// and scales further with cores. Run with --json=<path> to drop the perf
-// trajectory records (ci/check.sh does this for BENCH_smoke.json).
+// and scales further with cores.
 //
 // Thread counts here are *requested* counts; the driver clamps the
 // effective width to the available morsel supply (exec::

@@ -151,17 +151,6 @@ class Compiler {
   }
 
   Result<OpPtr> CompileExpr(const CoreExpr& e, const AccessEnv& env) {
-    XQTP_ASSIGN_OR_RETURN(OpPtr op, CompileExprInner(e, env));
-    // Carry the Core ODF annotation across compilation: the emitted
-    // operator computes exactly this expression's value in the matching
-    // evaluation context, so the cached ordered/dup_free bits seed the
-    // plan-level property analysis (analysis/plan_props.h). Unannotated
-    // trees leave the seed at zero — no information, never wrong.
-    op->odf_seed = e.odf_cache;
-    return op;
-  }
-
-  Result<OpPtr> CompileExprInner(const CoreExpr& e, const AccessEnv& env) {
     switch (e.kind) {
       case CoreKind::kVar:
         return CompileVar(e.var, env);

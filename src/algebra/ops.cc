@@ -33,8 +33,6 @@ OpPtr Clone(const Op& op) {
   c->fn = op.fn;
   c->cmp_op = op.cmp_op;
   c->arith_op = op.arith_op;
-  c->odf_seed = op.odf_seed;
-  c->props = op.props;
   return c;
 }
 

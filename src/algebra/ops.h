@@ -66,24 +66,6 @@ bool IsTuplePlan(OpKind kind);
 struct Op;
 using OpPtr = std::unique_ptr<Op>;
 
-/// Facts the optimizer's property inference proved about an item plan's
-/// output, stamped onto the plan so debug/sanitizer evaluators can assert
-/// them at runtime (exec::EvalOptions::check_inferred_props). Plain data on
-/// purpose: ops.h must not depend on src/analysis. A claim is only stamped
-/// when the analyzer proved the output is nodes-only (ordered/dup_free) or
-/// derived a non-trivial interval, so the checker treats any violation —
-/// including a non-node item under an order claim — as an inference bug.
-struct PropsClaims {
-  bool ordered = false;    ///< output sequence is in document order
-  bool dup_free = false;   ///< output sequence has no duplicate nodes
-  int64_t card_lo = 0;     ///< inferred minimum output length
-  int64_t card_hi = -1;    ///< inferred maximum output length (-1 = ⊤)
-
-  bool Any() const {
-    return ordered || dup_free || card_lo > 0 || card_hi >= 0;
-  }
-};
-
 /// One algebra operator. Active fields depend on `kind`.
 struct Op {
   OpKind kind;
@@ -106,16 +88,6 @@ struct Op {
   core::CoreFn fn = core::CoreFn::kBoolean;     ///< kFnCall
   xdm::CompareOp cmp_op = xdm::CompareOp::kEq;  ///< kCompare
   xdm::ArithOp arith_op = xdm::ArithOp::kAdd;   ///< kArith
-
-  /// Core ODF facts for the expression this operator was compiled from
-  /// (core::PackOdfCache bits), stamped by algebra::Compile. Seeds the
-  /// plan-property analyzer (analysis/plan_props.*) with order knowledge
-  /// the tuple algebra cannot re-derive locally. Zero = no information.
-  uint8_t odf_seed = 0;
-
-  /// Runtime-checkable facts proved by the property analyzer; stamped by
-  /// the optimizer after the final verification checkpoint.
-  PropsClaims props;
 
   explicit Op(OpKind k) : kind(k) {}
 };

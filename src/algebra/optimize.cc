@@ -5,7 +5,6 @@
 #include <unordered_set>
 
 #include "analysis/equiv_checker.h"
-#include "analysis/plan_props.h"
 #include "analysis/plan_verifier.h"
 #include "common/fault_injection.h"
 #include "exec/governor.h"
@@ -495,9 +494,6 @@ class Optimizer {
           analysis::VerifyScope scope("optimize rule (g)");
           scope.MarkFired();
           ttp.tp.root->position = static_cast<int>(k);
-          // The map now yields the position-filtered sequence — any ODF
-          // seed stamped for the unfiltered value is stale.
-          map.odf_seed = 0;
           OpPtr repl = std::move(n.inputs[0]);
           *op = std::move(repl);
           *changed = true;
@@ -534,12 +530,6 @@ class Optimizer {
       if (pipeline_ok) {
         analysis::VerifyScope scope("optimize clean-up (pipeline re-root)");
         scope.MarkFired();
-        // The spine moves from a per-tuple dependent position to the full
-        // stream: its per-evaluation ODF seeds no longer describe it.
-        for (Op* s = n.dep.get();; s = s->inputs[0].get()) {
-          s->odf_seed = 0;
-          if (s == bottom) break;
-        }
         bottom->inputs[0] = std::move(n.inputs[0]);
         OpPtr repl = std::move(n.dep);
         *op = std::move(repl);
@@ -619,158 +609,6 @@ class FieldCanonicalizer {
   int next_ = 0;
 };
 
-/// Property-justified rewrites, run between structural fixpoints on a
-/// fact map inferred over the whole plan (analysis/plan_props.h):
-///
-///  (p1) Ddo elimination — fs:ddo(Op) -> Op when the input's facts prove
-///       the ddo is the identity (ordered, duplicate-free, and all-nodes
-///       or at most one item). Strictly generalizes rule (f): the facts
-///       prove cases (f)'s syntactic guard cannot see, e.g. descendant
-///       patterns over a singleton context, or chained contexts whose
-///       subtree intervals are provably disjoint.
-///  (p2) annotation pruning — drop a non-extraction-point output
-///       annotation no ancestor reads, when order and multiplicity
-///       changes are unobservable (odd context) or provably absent: the
-///       dropped binding is a fixed-distance child-like ancestor of a
-///       deeper annotated binding (an inferred functional dependency), so
-///       row count is preserved exactly, and a child-like main path over
-///       a singleton per-tuple context keeps the projected row order.
-///
-/// p1 removes operators without allocating, so the fact map (keyed by
-/// operator identity) stays valid across firings; a p2 firing changes the
-/// pattern's row multiset, so the pass stops after it and the driver
-/// re-infers on the next round.
-class PropertyPass {
- public:
-  explicit PropertyPass(const analysis::PlanProps& props) : props_(props) {}
-
-  void Run(OpPtr* plan, bool* changed) {
-    Rewrite(plan, FieldSet{}, /*odd_ctx=*/false, changed);
-  }
-
- private:
-  /// Recursion mirrors Optimizer::Rewrite's liveness / order-sensitivity
-  /// threading exactly.
-  void Rewrite(OpPtr* op, const FieldSet& live, bool odd_ctx, bool* changed) {
-    if (stop_) return;
-    Op& n = **op;
-    switch (n.kind) {
-      case OpKind::kMapToItem: {
-        FieldSet inner = ReadsOf(*n.dep);
-        Rewrite(&n.inputs[0], inner, odd_ctx, changed);
-        Rewrite(&n.dep, FieldSet{}, odd_ctx, changed);
-        break;
-      }
-      case OpKind::kSelect: {
-        FieldSet inner = live;
-        FieldSet pred_reads = ReadsOf(*n.dep);
-        inner.insert(pred_reads.begin(), pred_reads.end());
-        Rewrite(&n.inputs[0], inner, odd_ctx, changed);
-        Rewrite(&n.dep, FieldSet{}, /*odd_ctx=*/true, changed);
-        break;
-      }
-      case OpKind::kTupleTreePattern: {
-        PruneAnnotations(&n, live, odd_ctx, changed);
-        if (stop_) return;
-        FieldSet inner = live;
-        for (Symbol s : n.tp.OutputFields()) inner.erase(s);
-        inner.insert(n.tp.input_field);
-        Rewrite(&n.inputs[0], inner, odd_ctx, changed);
-        break;
-      }
-      case OpKind::kMapFromItem:
-        Rewrite(&n.inputs[0], FieldSet{}, odd_ctx, changed);
-        if (n.dep) Rewrite(&n.dep, FieldSet{}, odd_ctx, changed);
-        break;
-      case OpKind::kDdo:
-        Rewrite(&n.inputs[0], FieldSet{}, /*odd_ctx=*/true, changed);
-        break;
-      case OpKind::kFnCall: {
-        bool arg_insensitive = n.fn == core::CoreFn::kBoolean ||
-                               n.fn == core::CoreFn::kNot ||
-                               n.fn == core::CoreFn::kEmpty ||
-                               n.fn == core::CoreFn::kExists;
-        for (OpPtr& in : n.inputs) {
-          Rewrite(&in, FieldSet{}, arg_insensitive, changed);
-        }
-        break;
-      }
-      case OpKind::kCompare:
-      case OpKind::kAnd:
-      case OpKind::kOr:
-        for (OpPtr& in : n.inputs) {
-          Rewrite(&in, FieldSet{}, /*odd_ctx=*/true, changed);
-        }
-        break;
-      case OpKind::kForEach:
-        Rewrite(&n.inputs[0], FieldSet{}, /*odd_ctx=*/false, changed);
-        if (n.dep) Rewrite(&n.dep, FieldSet{}, odd_ctx, changed);
-        if (n.dep2) Rewrite(&n.dep2, FieldSet{}, /*odd_ctx=*/true, changed);
-        break;
-      default:
-        for (OpPtr& in : n.inputs) {
-          Rewrite(&in, FieldSet{}, /*odd_ctx=*/false, changed);
-        }
-        if (n.dep) Rewrite(&n.dep, FieldSet{}, /*odd_ctx=*/false, changed);
-        if (n.dep2) Rewrite(&n.dep2, FieldSet{}, /*odd_ctx=*/false, changed);
-        break;
-    }
-    if (stop_) return;
-
-    // Rule (p1).
-    if (n.kind == OpKind::kDdo) {
-      const analysis::ItemProps* in = props_.Item(n.inputs[0].get());
-      if (in != nullptr && analysis::ProvenDdoRedundant(*in)) {
-        analysis::VerifyScope scope("optimize property rule (p1: ddo)");
-        scope.MarkFired();
-        OpPtr repl = std::move(n.inputs[0]);
-        *op = std::move(repl);
-        *changed = true;
-      }
-    }
-  }
-
-  /// Rule (p2) at one TupleTreePattern node.
-  void PruneAnnotations(Op* n, const FieldSet& live, bool odd_ctx,
-                        bool* changed) {
-    std::vector<Symbol> outs = n->tp.OutputFields();
-    if (outs.size() < 2) return;
-    const pattern::PatternNode* ep = n->tp.ExtractionPoint();
-    if (ep == nullptr || ep->output == kInvalidSymbol) return;
-    const analysis::TupleProps* tprops = props_.Tuple(n);
-    const analysis::TupleProps* in_props = props_.Tuple(n->inputs[0].get());
-    for (Symbol a : outs) {
-      if (a == ep->output || live.count(a) != 0) continue;
-      bool justified = odd_ctx;
-      if (!justified && tprops != nullptr && in_props != nullptr &&
-          MainPathChildLike(n->tp)) {
-        // FD justification: `a` must be a function of a deeper annotated
-        // binding, and the child-like path over a singleton per-tuple
-        // context keeps the projected rows' order and count.
-        const analysis::FieldProps* cf =
-            in_props->Field(n->tp.input_field);
-        bool singleton_ctx = cf != nullptr && cf->value.card.hi <= 1;
-        bool has_fd = false;
-        for (const auto& fd : tprops->fds) {
-          if (fd.first == a) has_fd = true;
-        }
-        justified = singleton_ctx && has_fd;
-      }
-      if (!justified) continue;
-      analysis::VerifyScope scope(
-          "optimize property rule (p2: annotation prune)");
-      scope.MarkFired();
-      pattern::ClearOutput(&n->tp, a);
-      *changed = true;
-      stop_ = true;  // row multiset changed: facts must be re-inferred
-      return;
-    }
-  }
-
-  const analysis::PlanProps& props_;
-  bool stop_ = false;
-};
-
 }  // namespace
 
 Status Optimize(OpPtr* plan, StringInterner* interner,
@@ -791,15 +629,6 @@ Status Optimize(OpPtr* plan, StringInterner* interner,
     OpPtr before = check_equiv ? Clone(**plan) : nullptr;
     bool changed = false;
     optimizer.RunRound(plan, &changed);
-    // Property-justified rewrites run on structurally-quiescent rounds
-    // (the fact map is keyed by operator identity, so it must be inferred
-    // over the round's final shape); a firing re-enters the loop so the
-    // structural rules can exploit the simplified plan.
-    if (!changed && opts.infer_properties) {
-      analysis::PlanProps props = analysis::InferPlanProps(**plan);
-      PropertyPass pass(props);
-      pass.Run(plan, &changed);
-    }
     // Checkpoint: a violation here is attributed to the rules that fired
     // in this round (the VerifyScope trail).
     if (changed && opts.verify) {
@@ -822,13 +651,6 @@ Status Optimize(OpPtr* plan, StringInterner* interner,
     if (check_equiv) {
       XQTP_RETURN_NOT_OK(opts.equiv->CheckPlan(*before, **plan, *opts.vars));
     }
-  }
-  if (opts.infer_properties) {
-    // Stamp the final plan with runtime-checkable claims: in debug and
-    // sanitizer builds the evaluator asserts every one of them on every
-    // evaluation (exec::EvalOptions::check_inferred_props), so inference
-    // bugs crash tests instead of silently justifying bad rewrites.
-    analysis::AnnotatePlanProps(plan->get());
   }
   return Status::OK();
 }

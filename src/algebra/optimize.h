@@ -48,17 +48,6 @@ struct OptimizeOptions {
   /// plan shapes.
   bool positional_patterns = false;
   int max_rounds = 64;
-  /// Property-justified rewrites (analysis/plan_props.h): after each
-  /// structural fixpoint, infer order/distinctness/cardinality facts over
-  /// the plan and (p1) drop Ddo operators whose input is proven ordered
-  /// and duplicate-free, (p2) prune unread non-extraction-point pattern
-  /// annotations whose removal the facts justify (order-insensitive
-  /// context, or a functional dependency on a deeper binding). Each
-  /// firing passes the same VerifyPlan / translation-validation
-  /// checkpoints as the structural rules, and the final plan is stamped
-  /// with runtime-checkable claims (Op::props) asserted by the evaluator
-  /// in debug builds.
-  bool infer_properties = true;
   /// Run analysis::VerifyPlan after every fixpoint round that changed the
   /// plan (and after field canonicalization); a violation is attributed
   /// to the rules that fired in that round. On by default in Debug

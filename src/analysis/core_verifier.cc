@@ -4,7 +4,6 @@
 #include <unordered_set>
 
 #include "analysis/verify_scope.h"
-#include "core/odf.h"
 
 namespace xqtp::analysis {
 
@@ -23,8 +22,7 @@ Status Violation(const char* invariant, const std::string& detail) {
 
 class CoreVerifier {
  public:
-  CoreVerifier(const VarTable& vars, const CoreVerifyOptions& opts)
-      : vars_(vars), opts_(opts) {}
+  explicit CoreVerifier(const VarTable& vars) : vars_(vars) {}
 
   Status Run(const CoreExpr& e) {
     std::unordered_set<VarId> scope;
@@ -86,31 +84,7 @@ class CoreVerifier {
     return Status::OK();
   }
 
-  Status CheckOdfCache(const CoreExpr& e) {
-    if (!opts_.check_odf_cache || (e.odf_cache & core::kOdfCachePresent) == 0) {
-      return Status::OK();
-    }
-    core::OdfProps fresh = core::ComputeOdf(e, vars_, odf_env_);
-    bool cached_ordered = (e.odf_cache & core::kOdfCacheOrdered) != 0;
-    bool cached_dup_free = (e.odf_cache & core::kOdfCacheDupFree) != 0;
-    if (cached_ordered && !fresh.ordered) {
-      return Violation("odf-cache-soundness",
-                       "cached annotation claims `ordered` but a fresh "
-                       "derivation cannot prove it");
-    }
-    if (cached_dup_free && !fresh.dup_free) {
-      return Violation("odf-cache-soundness",
-                       "cached annotation claims `dup_free` but a fresh "
-                       "derivation cannot prove it");
-    }
-    return Status::OK();
-  }
-
   Status Check(const CoreExpr& e, std::unordered_set<VarId>* scope) {
-    // The ODF re-derivation uses the environment of this node's scope
-    // entry, mirroring AnnotateOdf.
-    XQTP_RETURN_NOT_OK(CheckOdfCache(e));
-
     if (e.where && e.kind != CoreKind::kFor) {
       return Violation("core-arity",
                        "a where clause is only valid on a for expression");
@@ -134,7 +108,6 @@ class CoreVerifier {
         XQTP_RETURN_NOT_OK(CheckArity(e, 2));
         XQTP_RETURN_NOT_OK(Check(*e.children[0], scope));
         XQTP_RETURN_NOT_OK(Bind(e.var, scope));
-        odf_env_[e.var] = core::ComputeOdf(*e.children[0], vars_, odf_env_);
         Status st = Check(*e.children[1], scope);
         scope->erase(e.var);
         return st;
@@ -143,7 +116,6 @@ class CoreVerifier {
         XQTP_RETURN_NOT_OK(CheckArity(e, 2));
         XQTP_RETURN_NOT_OK(Check(*e.children[0], scope));
         XQTP_RETURN_NOT_OK(Bind(e.var, scope));
-        odf_env_[e.var] = core::OdfProps::Singleton();
         if (e.pos_var != core::kNoVar) {
           if (e.pos_var == e.var) {
             return Violation("positional-binder",
@@ -151,7 +123,6 @@ class CoreVerifier {
                                  " as both item and position");
           }
           XQTP_RETURN_NOT_OK(Bind(e.pos_var, scope));
-          odf_env_[e.pos_var] = core::OdfProps::Singleton();
         }
         // The positional variable is visible only here — in the loop's
         // where clause and body, under its own binder.
@@ -188,13 +159,10 @@ class CoreVerifier {
       case CoreKind::kTypeswitch: {
         XQTP_RETURN_NOT_OK(CheckArity(e, 3));
         XQTP_RETURN_NOT_OK(Check(*e.children[0], scope));
-        core::OdfProps it = core::ComputeOdf(*e.children[0], vars_, odf_env_);
         XQTP_RETURN_NOT_OK(Bind(e.case_var, scope));
-        odf_env_[e.case_var] = it;
         XQTP_RETURN_NOT_OK(Check(*e.children[1], scope));
         scope->erase(e.case_var);
         XQTP_RETURN_NOT_OK(Bind(e.default_var, scope));
-        odf_env_[e.default_var] = it;
         XQTP_RETURN_NOT_OK(Check(*e.children[2], scope));
         scope->erase(e.default_var);
         return Status::OK();
@@ -213,16 +181,13 @@ class CoreVerifier {
   }
 
   const VarTable& vars_;
-  const CoreVerifyOptions& opts_;
   std::unordered_set<VarId> bound_anywhere_;
-  core::OdfEnv odf_env_;
 };
 
 }  // namespace
 
-Status VerifyCore(const core::CoreExpr& e, const core::VarTable& vars,
-                  const CoreVerifyOptions& opts) {
-  CoreVerifier verifier(vars, opts);
+Status VerifyCore(const core::CoreExpr& e, const core::VarTable& vars) {
+  CoreVerifier verifier(vars);
   Status st = verifier.Run(e);
   if (st.ok()) VerifyScope::ClearFiredTrail();
   return st;

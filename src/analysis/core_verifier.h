@@ -21,9 +21,6 @@
 //  - [binder-is-global]    a binder never rebinds a query global
 //  - [positional-binder]   `for $x at $p` binds two distinct variables
 //  - [fn-arity]            kFnCall argument counts match CoreFnArity
-//  - [odf-cache-soundness] cached ordered/dup_free annotations
-//                          (CoreExpr::odf_cache) are no stronger than a
-//                          fresh derivation by core::ComputeOdf
 #ifndef XQTP_ANALYSIS_CORE_VERIFIER_H_
 #define XQTP_ANALYSIS_CORE_VERIFIER_H_
 
@@ -32,17 +29,10 @@
 
 namespace xqtp::analysis {
 
-struct CoreVerifyOptions {
-  /// Check cached ODF annotations against a fresh derivation. On; nodes
-  /// without an annotation (odf_cache == 0) are always skipped.
-  bool check_odf_cache = true;
-};
-
 /// Verifies `e` against the invariants above. OK, or Status::Internal
 /// naming the violated invariant, tagged with the active VerifyScope.
 [[nodiscard]]
-Status VerifyCore(const core::CoreExpr& e, const core::VarTable& vars,
-                  const CoreVerifyOptions& opts = {});
+Status VerifyCore(const core::CoreExpr& e, const core::VarTable& vars);
 
 }  // namespace xqtp::analysis
 

@@ -202,7 +202,6 @@ CoreExprPtr Clone(const CoreExpr& e) {
   c->fn = e.fn;
   c->cmp_op = e.cmp_op;
   c->arith_op = e.arith_op;
-  c->odf_cache = e.odf_cache;
   c->children.reserve(e.children.size());
   for (const CoreExprPtr& ch : e.children) c->children.push_back(Clone(*ch));
   if (e.where) c->where = Clone(*e.where);

@@ -123,13 +123,6 @@ struct CoreExpr {
   std::vector<CoreExprPtr> children;
   CoreExprPtr where;           ///< kFor: optional where condition
 
-  /// Cached ODF annotation bits (kOdfCache* in core/odf.h): bit 0 marks
-  /// the annotation present, bits 1/2 cache the derived ordered /
-  /// dup_free properties. Filled by AnnotateOdf after the TPNF' rewrite;
-  /// analysis::VerifyCore re-derives both properties from scratch and
-  /// rejects any cached annotation stronger than the fresh derivation.
-  uint8_t odf_cache = 0;
-
   explicit CoreExpr(CoreKind k) : kind(k) {}
 };
 

@@ -238,58 +238,4 @@ OdfProps ComputeOdf(const CoreExpr& e, const VarTable& vars,
   return Compute(e, vars, &scratch);
 }
 
-uint8_t PackOdfCache(const OdfProps& p) {
-  uint8_t bits = kOdfCachePresent;
-  if (p.ordered) bits |= kOdfCacheOrdered;
-  if (p.dup_free) bits |= kOdfCacheDupFree;
-  return bits;
-}
-
-namespace {
-
-/// Bottom-up annotation walk. Because VarIds are unique, entries for
-/// variables that left scope are unreachable and need not be removed, so
-/// one growing environment serves the whole tree.
-void Annotate(CoreExpr* e, const VarTable& vars, OdfEnv* env) {
-  // The node's own properties are derived under the environment at its
-  // scope entry — before the binders of its children extend it.
-  e->odf_cache = PackOdfCache(ComputeOdf(*e, vars, *env));
-  switch (e->kind) {
-    case CoreKind::kLet: {
-      Annotate(e->children[0].get(), vars, env);
-      (*env)[e->var] = ComputeOdf(*e->children[0], vars, *env);
-      Annotate(e->children[1].get(), vars, env);
-      return;
-    }
-    case CoreKind::kFor: {
-      Annotate(e->children[0].get(), vars, env);
-      (*env)[e->var] = OdfProps::Singleton();
-      if (e->pos_var != kNoVar) (*env)[e->pos_var] = OdfProps::Singleton();
-      if (e->where) Annotate(e->where.get(), vars, env);
-      Annotate(e->children[1].get(), vars, env);
-      return;
-    }
-    case CoreKind::kTypeswitch: {
-      Annotate(e->children[0].get(), vars, env);
-      OdfProps it = ComputeOdf(*e->children[0], vars, *env);
-      (*env)[e->case_var] = it;
-      (*env)[e->default_var] = it;
-      Annotate(e->children[1].get(), vars, env);
-      Annotate(e->children[2].get(), vars, env);
-      return;
-    }
-    default:
-      for (CoreExprPtr& c : e->children) Annotate(c.get(), vars, env);
-      if (e->where) Annotate(e->where.get(), vars, env);
-      return;
-  }
-}
-
-}  // namespace
-
-void AnnotateOdf(CoreExpr* e, const VarTable& vars) {
-  OdfEnv env;
-  Annotate(e, vars, &env);
-}
-
 }  // namespace xqtp::core

@@ -48,34 +48,6 @@ using OdfEnv = std::unordered_map<VarId, OdfProps>;
 OdfProps ComputeOdf(const CoreExpr& e, const VarTable& vars,
                     const OdfEnv& env);
 
-// ---- ODF annotation cache (CoreExpr::odf_cache) ----------------------------
-
-inline constexpr uint8_t kOdfCachePresent = 1;  ///< annotation filled in
-inline constexpr uint8_t kOdfCacheOrdered = 2;  ///< derived `ordered`
-inline constexpr uint8_t kOdfCacheDupFree = 4;  ///< derived `dup_free`
-
-/// Packs the cacheable bits of `p` (with kOdfCachePresent set).
-uint8_t PackOdfCache(const OdfProps& p);
-
-/// Unpack helpers for consumers outside core (the algebra property
-/// analyzer seeds its lattice from these bits across algebra::Compile).
-inline bool OdfCachePresent(uint8_t cache) {
-  return (cache & kOdfCachePresent) != 0;
-}
-inline bool OdfCacheOrdered(uint8_t cache) {
-  return (cache & kOdfCachePresent) != 0 && (cache & kOdfCacheOrdered) != 0;
-}
-inline bool OdfCacheDupFree(uint8_t cache) {
-  return (cache & kOdfCachePresent) != 0 && (cache & kOdfCacheDupFree) != 0;
-}
-
-/// Annotates every node of `e` with its derived ordered/dup_free bits
-/// (CoreExpr::odf_cache), under the binding environment the node sits in.
-/// analysis::VerifyCore later re-derives the properties from scratch and
-/// requires every cached annotation to be no stronger — catching rewrites
-/// that restructure the tree while keeping stale, too-strong annotations.
-void AnnotateOdf(CoreExpr* e, const VarTable& vars);
-
 }  // namespace xqtp::core
 
 #endif  // XQTP_CORE_ODF_H_

@@ -461,11 +461,9 @@ Result<CoreExprPtr> RewriteToTPNF(CoreExprPtr e, VarTable* vars,
     if (!changed) break;
   }
   if (opts.verify) {
-    // Annotate the final tree with its derived ODF properties and verify
-    // once more: from here on any pass that restructures the Core tree
-    // while keeping a stale, too-strong annotation is caught.
-    AnnotateOdf(e.get(), *vars);
-    analysis::VerifyScope scope("core rewrite: final ODF annotation");
+    // Verify the final tree once more: when no rule fired on this input,
+    // this is its only check.
+    analysis::VerifyScope scope("core rewrite: final tree");
     XQTP_RETURN_NOT_OK(analysis::VerifyCore(*e, *vars));
   }
   return e;

@@ -4,9 +4,7 @@
 #include "common/fault_injection.h"
 #include "common/fingerprint.h"
 #include "analysis/core_verifier.h"
-#include "analysis/plan_lint.h"
 #include "analysis/plan_verifier.h"
-#include "core/odf.h"
 #include "core/printer.h"
 
 namespace xqtp::engine {
@@ -57,10 +55,6 @@ int64_t EstimateMemoryUsage(const CompiledQuery& q) {
   bytes += BytesOf(q.rewritten());
   bytes += BytesOf(q.plan());
   bytes += BytesOf(q.optimized());
-  for (const analysis::LintFinding& f : q.lint_findings()) {
-    bytes += static_cast<int64_t>(sizeof(f) + f.rule.capacity() +
-                                  f.detail.capacity());
-  }
   return bytes;
 }
 
@@ -74,12 +68,11 @@ uint64_t PlanShapeBits(const CompileOptions& opts) {
   set(opts.detect_tree_patterns, 1);
   set(opts.positional_patterns, 2);
   set(opts.multi_output_patterns, 3);
-  set(opts.infer_properties, 4);
-  set(opts.rewrite_opts.typeswitch_rules, 5);
-  set(opts.rewrite_opts.flwor_rules, 6);
-  set(opts.rewrite_opts.ddo_removal, 7);
-  set(opts.rewrite_opts.loop_split, 8);
-  set(opts.rewrite_opts.unsound_ddo_strip_for_testing, 9);
+  set(opts.rewrite_opts.typeswitch_rules, 4);
+  set(opts.rewrite_opts.flwor_rules, 5);
+  set(opts.rewrite_opts.ddo_removal, 6);
+  set(opts.rewrite_opts.loop_split, 7);
+  set(opts.rewrite_opts.unsound_ddo_strip_for_testing, 8);
   return bits;
 }
 
@@ -135,8 +128,6 @@ Result<CompiledQuery> Engine::Compile(std::string_view query,
                         xquery::ParseQuery(query, &interner_));
   XQTP_ASSIGN_OR_RETURN(q.normalized_, core::Normalize(*surface, &q.vars_));
   if (options_.verify_plans) {
-    // The normalizer has no cached ODF annotations yet, so only the
-    // structural invariants apply here.
     analysis::VerifyScope scope("normalize");
     scope.MarkFired();
     XQTP_RETURN_NOT_OK(analysis::VerifyCore(*q.normalized_, q.vars_));
@@ -151,10 +142,6 @@ Result<CompiledQuery> Engine::Compile(std::string_view query,
         core::RewriteToTPNF(core::Clone(*q.normalized_), &q.vars_, ropts));
   } else {
     q.rewritten_ = core::Clone(*q.normalized_);
-    // The rewriter annotates ODF as its last step; mirror that here so
-    // algebra::Compile can seed the plan-level property analysis on the
-    // unrewritten pipeline too.
-    core::AnnotateOdf(q.rewritten_.get(), q.vars_);
   }
 
   XQTP_ASSIGN_OR_RETURN(q.plan_,
@@ -180,19 +167,10 @@ Result<CompiledQuery> Engine::Compile(std::string_view query,
   oopts.detect_tree_patterns = opts.detect_tree_patterns;
   oopts.positional_patterns = opts.positional_patterns;
   oopts.multi_output_patterns = opts.multi_output_patterns;
-  oopts.infer_properties = opts.infer_properties;
   oopts.verify = options_.verify_plans;
   oopts.vars = &q.vars_;
   oopts.equiv = equiv_checker();
   XQTP_RETURN_NOT_OK(algebra::Optimize(&q.optimized_, &interner_, oopts));
-  if (options_.verify_plans && opts.infer_properties) {
-    // Diagnostics only: lint findings are retained on the query (and in
-    // the explain output) but never fail compilation.
-    analysis::VerifyScope scope("plan lint");
-    analysis::PlanLintOptions lopts;
-    lopts.interner = &interner_;
-    q.lint_findings_ = analysis::LintPlan(*q.optimized_, lopts);
-  }
   // Final build-path stamps; the query is immutable from here on
   // (lint.py rule compiled-query-immutable).
   q.fingerprint_ = Fingerprint(query, opts);
@@ -326,12 +304,6 @@ std::string Engine::Explain(const CompiledQuery& q) const {
   out += algebra::ToPrettyString(q.plan(), q.vars(), interner_) + "\n";
   out += "\n== optimized plan ==\n";
   out += algebra::ToPrettyString(q.optimized(), q.vars(), interner_) + "\n";
-  if (!q.lint_findings().empty()) {
-    out += "\n== plan lint ==\n";
-    for (const analysis::LintFinding& f : q.lint_findings()) {
-      out += f.rule + ": " + f.detail + "\n";
-    }
-  }
   out += "\n== plan cache ==\n";
   out += "fingerprint: " + FingerprintHex(q.fingerprint()) + "\n";
   PlanCachePeek peek = plan_cache_.Peek(q.fingerprint());

@@ -27,7 +27,6 @@
 #include "algebra/compile.h"
 #include "algebra/optimize.h"
 #include "analysis/equiv_checker.h"
-#include "analysis/plan_lint.h"
 #include "common/status.h"
 #include "common/mutex.h"
 #include "core/normalize.h"
@@ -80,12 +79,6 @@ struct CompileOptions {
   bool multi_output_patterns = false;
   /// Fine-grained rewrite switches (used by the ablation benchmark).
   core::RewriteOptions rewrite_opts;
-  /// Plan-level property inference (analysis/plan_props.h): prove
-  /// order/distinctness/cardinality facts over the optimized plan, use
-  /// them for property-justified rewrites (OptimizeOptions::
-  /// infer_properties), and stamp the surviving facts as runtime-checked
-  /// claims. Off = the optimizer uses only the structural rules (a)-(g).
-  bool infer_properties = true;
   /// Compile-time resource limits: when either is set, Compile installs a
   /// governor for its duration and the rewriter's / optimizer's fixpoint
   /// rounds poll it — an adversarial query cannot pin the compiler any
@@ -124,20 +117,13 @@ class CompiledQuery {
   /// Plan statistics of the optimized plan.
   algebra::PlanStats Stats() const { return algebra::ComputeStats(*optimized_); }
 
-  /// PlanLint diagnostics over the optimized plan (analysis/plan_lint.h).
-  /// Populated when the engine runs with verify_plans (debug default);
-  /// findings never fail compilation.
-  const std::vector<analysis::LintFinding>& lint_findings() const {
-    return lint_findings_;
-  }
-
   /// Canonical fingerprint of (query text, plan-shaping CompileOptions),
   /// stamped at compile (see Engine::Fingerprint). The plan-cache key;
   /// also printed by Explain.
   uint64_t fingerprint() const { return fingerprint_; }
 
   /// Estimated heap footprint of the retained forms (source text, Core
-  /// trees, both plans, lint findings). The byte charge the plan cache's
+  /// trees, both plans). The byte charge the plan cache's
   /// LRU accounting uses; approximate by design (sizeof-based traversal,
   /// like the governor's memory accounting).
   int64_t MemoryUsage() const { return memory_bytes_; }
@@ -150,7 +136,6 @@ class CompiledQuery {
   core::CoreExprPtr rewritten_;
   algebra::OpPtr plan_;
   algebra::OpPtr optimized_;
-  std::vector<analysis::LintFinding> lint_findings_;
   uint64_t fingerprint_ = 0;
   int64_t memory_bytes_ = 0;
 };
@@ -195,7 +180,7 @@ class Engine {
   /// canonicalized query text (whitespace/comment-insensitive — see
   /// common/fingerprint.h) combined with every CompileOptions field that
   /// affects plan shape (rewrite and detection switches, the fine-grained
-  /// rewrite_opts, infer_properties). Compile-time limits (deadline,
+  /// rewrite_opts and its max_rounds). Compile-time limits (deadline,
   /// cancel_token) do not shape the plan and are excluded, so a query
   /// compiled with a deadline still hits the entry cached without one.
   uint64_t Fingerprint(std::string_view query,

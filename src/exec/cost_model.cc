@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <cmath>
 
-#include "analysis/plan_props.h"
-
 namespace xqtp::exec {
 
 namespace {
@@ -26,26 +24,6 @@ double TwigStreams(const Document& doc, const PatternNode& q) {
   for (const PatternNodePtr& p : q.predicates) total += TwigStreams(doc, *p);
   if (q.next) total += TwigStreams(doc, *q.next);
   return total;
-}
-
-/// Rounds a (possibly huge) double estimate into the saturating
-/// cardinality lattice of the plan-property analysis.
-analysis::CardRange AtMostCard(double n) {
-  if (n >= static_cast<double>(analysis::kCardTop)) {
-    return analysis::CardRange::Top();
-  }
-  return analysis::CardRange::AtMost(
-      static_cast<int64_t>(std::ceil(std::max(0.0, n))));
-}
-
-/// Intersects a step's output interval with its test's whole stream:
-/// whatever the navigation does, it cannot emit more matching nodes than
-/// exist in the document.
-analysis::CardRange ClampToStream(analysis::CardRange r, double stream) {
-  analysis::CardRange s = AtMostCard(stream);
-  if (r.hi > s.hi) r.hi = s.hi;
-  if (r.lo > r.hi) r.lo = r.hi;
-  return r;
 }
 
 int PredicateSteps(const PatternNode& q) {
@@ -110,10 +88,11 @@ double EstimateCost(const pattern::TreePattern& tp,
     case PatternAlgo::kNLJoin: {
       double cost = 1;
       double card = k;
-      // Interval arithmetic over the step cardinalities (the same lattice
-      // the plan-property analysis uses): the fan-out product gives the
-      // upper bound, intersected with the step test's whole stream.
-      analysis::CardRange bound = AtMostCard(k);
+      // Upper bound on each step's output: the fan-out product (each
+      // context yields at most ceil(per_ctx) nodes), capped by the step
+      // test's whole stream — whatever the navigation does, it cannot
+      // emit more matching nodes than exist in the document.
+      double bound = k;
       double subtree = window / std::max(1.0, k);
       for (const PatternNode* q = tp.root.get(); q != nullptr;
            q = q->next.get()) {
@@ -131,8 +110,8 @@ double EstimateCost(const pattern::TreePattern& tp,
           per_ctx = stats.avg_fanout;
           produced = card * stats.avg_fanout * sel;
         }
-        bound = ClampToStream(bound.Times(AtMostCard(per_ctx)), stream);
-        produced = std::min(produced, static_cast<double>(bound.hi));
+        bound = std::min(bound * std::ceil(per_ctx), stream);
+        produced = std::min(produced, bound);
         cost += produced * NlProbeCost(stats, *q, subtree / 2);
         card = std::max(1.0, produced);
         subtree /= stats.avg_fanout;
@@ -142,19 +121,15 @@ double EstimateCost(const pattern::TreePattern& tp,
     case PatternAlgo::kStaircase: {
       double cost = 1;
       double card = k;
-      analysis::CardRange bound = AtMostCard(k);
       for (const PatternNode* q = tp.root.get(); q != nullptr;
            q = q->next.get()) {
         double stream_window = StreamSize(doc, *q) * share;
-        bound = ClampToStream(analysis::CardRange::Top(), stream_window);
         cost += stream_window + card * std::log2(StreamSize(doc, *q) + 2);
         // Per-candidate predicate probes: the staircase existence check
         // pays one binary search plus a subtree window scan per predicate
         // step, for every candidate — this is exactly why SCJoin degrades
         // on branchy patterns in the paper's Table 1.
-        double produced =
-            std::max(1.0, std::min(stream_window,
-                                   static_cast<double>(bound.hi)));
+        double produced = std::max(1.0, stream_window);
         for (const PatternNodePtr& p : q->predicates) {
           double pred_steps = 1.0 + PredicateSteps(*p);
           cost += produced * pred_steps *

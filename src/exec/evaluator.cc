@@ -3,15 +3,12 @@
 #include <algorithm>
 #include <functional>
 #include <memory>
-#include <unordered_set>
 
-#include "analysis/plan_props.h"
 #include "common/exec_stats.h"
 #include "common/fault_injection.h"
 #include "exec/fn_lib.h"
 #include "exec/parallel.h"
 #include "xdm/sequence_ops.h"
-#include "xml/document.h"
 
 namespace xqtp::exec {
 
@@ -48,9 +45,9 @@ class Evaluator {
       par_->min_fanout = std::max(1, opts.parallel_min_fanout);
       par_->morsels_per_thread = std::max(1, opts.parallel_morsels_per_thread);
       // The per-query pool is created on the first evaluation that
-      // actually morselizes — small queries never pay the thread spawn —
-      // and at the driver's clamped width, so a fan-out that feeds 3
-      // threads never spawns 8 (the bench_parallel scaling cliff).
+      // actually morselizes — small queries never take a worker — and
+      // at the driver's clamped width, so a fan-out that feeds 3
+      // threads never runs on 8 (the bench_parallel scaling cliff).
       par_->pool = [this](int desired) {
         if (pool_ == nullptr) pool_ = std::make_unique<ThreadPool>(desired);
         return pool_.get();
@@ -69,68 +66,8 @@ class Evaluator {
   /// Evaluates an item plan. `tuple` is the current tuple context for
   /// dependent plans (IN#field / IN as tuple) — a RowView over one row of
   /// a TupleBatch; `item` is the current item for MapFromItem dependents
-  /// (IN as item). When the optimizer stamped property claims on the
-  /// operator, debug builds assert them against the concrete output
-  /// sequence.
+  /// (IN as item).
   Result<Sequence> EvalItem(const Op& op, RowView tuple, const Item* item) {
-    if (!opts_.check_inferred_props || !op.props.Any()) {
-      return EvalItemInner(op, tuple, item);
-    }
-    XQTP_ASSIGN_OR_RETURN(Sequence out, EvalItemInner(op, tuple, item));
-    XQTP_RETURN_NOT_OK(CheckClaims(op.props, out));
-    return out;
-  }
-
-  /// Asserts one operator's stamped claims on one evaluated sequence.
-  static Status CheckClaims(const algebra::PropsClaims& c,
-                            const Sequence& out) {
-    const int64_t n = static_cast<int64_t>(out.size());
-    if (n < c.card_lo || (c.card_hi >= 0 && n > c.card_hi)) {
-      return Status::Internal(
-          "[plan props] violated claim [claim-card]: sequence length " +
-          std::to_string(n) + " outside inferred [" +
-          std::to_string(c.card_lo) + ", " +
-          (c.card_hi >= 0 ? std::to_string(c.card_hi) : "*") + "]");
-    }
-    if (c.ordered || c.dup_free) {
-      // Order claims are only stamped on sequences inferred all-node (or
-      // at most one item), so a non-node under the claim is itself an
-      // inference bug.
-      for (size_t i = 0; i + 1 < out.size(); ++i) {
-        if (!out[i].IsNode() || !out[i + 1].IsNode()) {
-          return Status::Internal(
-              "[plan props] violated claim [claim-nodes]: atomic item in a "
-              "sequence claimed ordered/duplicate-free");
-        }
-        const xml::Node* a = out[i].node();
-        const xml::Node* b = out[i + 1].node();
-        if (c.ordered && xml::DocOrderLess(b, a)) {
-          return Status::Internal(
-              "[plan props] violated claim [claim-ordered]: adjacent items "
-              "out of document order");
-        }
-        if (c.ordered && c.dup_free && a == b) {
-          return Status::Internal(
-              "[plan props] violated claim [claim-dupfree]: adjacent "
-              "duplicate nodes");
-        }
-      }
-      if (c.dup_free && !c.ordered) {
-        std::unordered_set<const xml::Node*> seen;
-        for (const Item& it : out) {
-          if (it.IsNode() && !seen.insert(it.node()).second) {
-            return Status::Internal(
-                "[plan props] violated claim [claim-dupfree]: duplicate "
-                "node");
-          }
-        }
-      }
-    }
-    return Status::OK();
-  }
-
-  Result<Sequence> EvalItemInner(const Op& op, RowView tuple,
-                                 const Item* item) {
     // The operator boundary is the evaluator's cooperative check cadence,
     // strided: a full governor check (cancel + deadline + budget) every
     // 32nd operator evaluation. Unstrided, the check's clock read and
@@ -190,14 +127,9 @@ class Evaluator {
       case OpKind::kDdo: {
         XQTP_ASSIGN_OR_RETURN(Sequence in,
                               EvalItem(*op.inputs[0], tuple, item));
-        // Plans stack a Ddo on every path step. Two escapes, cheapest
-        // first: the optimizer's stamped claims on the INPUT operator
-        // prove the sort is the identity (plan_props inference — skips
-        // even the O(n) probe), else the runtime probe catches inputs
-        // that happen to be sorted (single-output patterns emit such
-        // sequences by construction).
-        if (analysis::ClaimsImplyDdoIdentity(op.inputs[0]->props)) return in;
-        if (xdm::IsDistinctDocOrdered(in)) return in;
+        // DistinctDocOrder's O(n) sortedness probe returns inputs that are
+        // already sorted and distinct (single-output patterns emit such
+        // sequences by construction) without re-sorting.
         return xdm::DistinctDocOrder(std::move(in));
       }
       case OpKind::kMapToItem: {
@@ -206,11 +138,8 @@ class Evaluator {
         const Op& dep = *op.dep;
         // Satellite fast path: a dependent plan that is just IN#field
         // needs no per-row evaluation at all — resolve the field symbol
-        // ONCE per batch and concatenate the column's sequences. (Skipped
-        // when claim checking wants to see the dep's output per row.)
-        const bool field_fast =
-            dep.kind == OpKind::kFieldAccess &&
-            !(opts_.check_inferred_props && dep.props.Any());
+        // ONCE per batch and concatenate the column's sequences.
+        const bool field_fast = dep.kind == OpKind::kFieldAccess;
         XQTP_RETURN_NOT_OK(EvalTupleBatches(
             *op.inputs[0], tuple, [&](TupleBatch&& b) -> Status {
               if (field_fast) {
@@ -380,9 +309,7 @@ class Evaluator {
         // The normalizer's MapFromItem dependents are almost always the
         // identity (IN as item): build the column straight from the
         // input items without a per-item plan walk.
-        const bool identity =
-            dep.kind == OpKind::kInputItem &&
-            !(opts_.check_inferred_props && dep.props.Any());
+        const bool identity = dep.kind == OpKind::kInputItem;
         const size_t target =
             static_cast<size_t>(std::max(1, opts_.tuple_batch_rows));
         for (size_t begin = 0; begin < items.size(); begin += target) {
@@ -487,7 +414,7 @@ class Evaluator {
   const Bindings& bindings_;
   const EvalOptions& opts_;
   /// Stride counter for the operator-boundary governor check (see
-  /// EvalItemInner); coordinating thread only.
+  /// EvalItem); coordinating thread only.
   uint32_t governor_tick_ = 0;
   std::unordered_map<core::VarId, Sequence> scoped_;
   /// Parallel-evaluation parameters (null when opts_.threads resolves

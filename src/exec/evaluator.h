@@ -13,7 +13,6 @@
 #include <unordered_map>
 
 #include "algebra/ops.h"
-#include "analysis/verify_scope.h"
 #include "common/status.h"
 #include "core/ast.h"
 #include "exec/governor.h"
@@ -36,12 +35,6 @@ struct EvalOptions {
   int parallel_min_fanout = 256;
   /// Morsel granularity: the driver targets threads * this many morsels.
   int parallel_morsels_per_thread = 4;
-  /// Assert the optimizer's stamped property claims (algebra::Op::props)
-  /// on every evaluated sequence: cardinality bounds, document order,
-  /// distinctness. A violation surfaces as Status::Internal tagged
-  /// "[plan props]" — an inference bug becomes a failing test, not a
-  /// silently wrong plan. On by default in Debug/sanitizer builds.
-  bool check_inferred_props = analysis::kVerifyByDefault;
   /// Monotonic wall-clock deadline. When set, governor checks compare
   /// steady_clock::now() against it and the evaluation returns
   /// kDeadlineExceeded once it expires (cooperatively — the verdict

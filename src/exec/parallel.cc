@@ -12,10 +12,13 @@
 //     independent, so any partition of the context is sound.
 #include "exec/parallel.h"
 
+#include <pthread.h>
+
 #include <algorithm>
 #include <atomic>
 #include <iterator>
 #include <optional>
+#include <thread>
 #include <utility>
 
 #include "common/fault_injection.h"
@@ -49,21 +52,131 @@ int ThreadPool::ResolveThreads(int threads) {
   return threads < 1 ? 1 : threads;
 }
 
-ThreadPool::ThreadPool(int threads) {
-  int n = ResolveThreads(threads);
-  workers_.reserve(static_cast<size_t>(n - 1));
-  for (int i = 1; i < n; ++i) {
-    workers_.emplace_back([this] { WorkerLoop(); });
+namespace {
+
+/// The process-wide set of parked worker threads that ThreadPools borrow.
+/// A pool's destructor hands its workers back, so a query that
+/// morselizes neither starts nor joins a thread once enough are parked.
+/// The threads must also stay put for memory to: each keeps its malloc
+/// arena, and an arena released by an exiting thread goes to whichever
+/// thread starts next, so workers that came and went per query would
+/// decide at random how many arenas the long-lived serving threads
+/// touch, and so how much memory stays resident.
+class WorkerReservoir {
+ public:
+  static WorkerReservoir& Get() {
+    // Never destroyed: parked workers wait on it until the process exits.
+    static WorkerReservoir* const reservoir = [] {
+      auto* r = new WorkerReservoir;
+      pthread_atfork(&PrepareFork, &AfterForkInParent, &AfterForkInChild);
+      return r;
+    }();
+    return *reservoir;
+  }
+
+  /// Runs `job` on a parked worker, or on a new thread when none is
+  /// parked, then `done` once the worker is parked again (or about to
+  /// exit), so a pool that waits for `done` can be followed by one that
+  /// gets the same worker back.
+  void Launch(std::function<void()> job, std::function<void()> done)
+      EXCLUDES(mu_) {
+    Worker* w = nullptr;
+    {
+      MutexLock lock(&mu_);
+      if (!idle_.empty()) {
+        w = idle_.back();
+        idle_.pop_back();
+      }
+    }
+    if (w == nullptr) {
+      w = new Worker;
+      std::thread([this, w] { Serve(w); }).detach();
+    }
+    MutexLock lock(&w->mu);
+    w->job = std::move(job);
+    w->done = std::move(done);
+    w->wake.NotifyOne();
+  }
+
+ private:
+  struct Worker {
+    Mutex mu;
+    CondVar wake;
+    std::function<void()> job GUARDED_BY(mu);
+    std::function<void()> done GUARDED_BY(mu);
+  };
+
+  /// At most this many workers stay parked; a worker that finishes a job
+  /// when the reservoir is full exits instead.
+  const size_t max_idle_ =
+      static_cast<size_t>(ThreadPool::ResolveThreads(0));
+
+  void Serve(Worker* w) EXCLUDES(mu_) {
+    for (bool parked = true; parked;) {
+      std::function<void()> job;
+      std::function<void()> done;
+      {
+        MutexLock lock(&w->mu);
+        while (!w->job) w->wake.Wait(w->mu);
+        job = std::move(w->job);
+        done = std::move(w->done);
+        w->job = nullptr;
+        w->done = nullptr;
+      }
+      job();
+      {
+        MutexLock lock(&mu_);
+        parked = idle_.size() < max_idle_;
+        if (parked) idle_.push_back(w);
+      }
+      // A Launch may already have handed `w` its next job; it waits in
+      // w->job until this one's `done` has run.
+      done();
+    }
+    delete w;
+  }
+
+  // A forked child has only the forking thread: the parent's parked
+  // workers do not exist there, so the child starts with none.
+  static void PrepareFork() NO_THREAD_SAFETY_ANALYSIS { Get().mu_.Lock(); }
+  static void AfterForkInParent() NO_THREAD_SAFETY_ANALYSIS {
+    Get().mu_.Unlock();
+  }
+  static void AfterForkInChild() NO_THREAD_SAFETY_ANALYSIS {
+    Get().idle_.clear();
+    Get().mu_.Unlock();
+  }
+
+  Mutex mu_;
+  std::vector<Worker*> idle_ GUARDED_BY(mu_);
+};
+
+}  // namespace
+
+ThreadPool::ThreadPool(int threads) noexcept
+    : workers_(ResolveThreads(threads) - 1) {
+  {
+    MutexLock lock(&mu_);
+    running_ = workers_;
+  }
+  for (int i = 0; i < workers_; ++i) {
+    WorkerReservoir::Get().Launch([this] { WorkerLoop(); },
+                                  [this] {
+                                    // The pool may be destroyed as soon
+                                    // as mu_ is released.
+                                    MutexLock lock(&mu_);
+                                    if (--running_ == 0) {
+                                      exit_cv_.NotifyAll();
+                                    }
+                                  });
   }
 }
 
 ThreadPool::~ThreadPool() {
-  {
-    MutexLock lock(&mu_);
-    stop_ = true;
-  }
+  MutexLock lock(&mu_);
+  stop_ = true;
   work_cv_.NotifyAll();
-  for (std::thread& t : workers_) t.join();
+  while (running_ > 0) exit_cv_.Wait(mu_);
 }
 
 void ThreadPool::WorkerLoop() {
@@ -98,7 +211,7 @@ void ThreadPool::WorkerLoop() {
 
 void ThreadPool::Run(int count, const std::function<void(int)>& fn) {
   if (count <= 0) return;
-  if (workers_.empty()) {
+  if (workers_ == 0) {
     for (int i = 0; i < count; ++i) fn(i);
     return;
   }

@@ -23,9 +23,11 @@
 //
 // The pool is per query: a fixed set of threads with a shared atomic
 // morsel cursor — no work stealing, just finer-than-thread morsels for
-// load balance. Workers collect their ExecStats into per-morsel slots
-// that the driver merges into the calling scope on join, so counters stay
-// exact under parallelism. Pattern evaluation never touches the engine's
+// load balance. The threads themselves are not per query: a pool borrows
+// them from a process-wide reservoir of parked workers and hands them
+// back. Workers collect their ExecStats into per-morsel slots that the
+// driver merges into the calling scope on join, so counters stay exact
+// under parallelism. Pattern evaluation never touches the engine's
 // interner (see StringInterner::ExecutionFreeze); lazily-built document
 // indexes are pre-warmed before fan-out so Document::lazy_mu_ is only
 // ever taken on its shared (read) path by workers.
@@ -33,7 +35,6 @@
 #define XQTP_EXEC_PARALLEL_H_
 
 #include <functional>
-#include <thread>
 #include <vector>
 
 #include "common/mutex.h"
@@ -50,21 +51,25 @@ namespace xqtp::exec {
 /// A fixed pool of worker threads executing batches of indexed morsels.
 /// Morsels are claimed from a single atomic cursor (morsel-driven, no
 /// stealing); the thread calling Run participates, so a pool of size N
-/// spawns N-1 workers. Run calls are serialized — a pool may be shared
-/// across threads, but morsel tasks must never invoke Run recursively
-/// (the nested call would wait on the pool it is running on).
+/// borrows N-1 workers: parked threads that outlive the pool (a thread
+/// starts only when none is parked). Run calls are serialized — a pool
+/// may be shared across threads, but morsel tasks must never invoke Run
+/// recursively (the nested call would wait on the pool it is running on).
 class ThreadPool {
  public:
   /// Resolves an EvalOptions::threads value: 0 means one thread per
   /// hardware thread, anything else is taken literally (minimum 1).
   static int ResolveThreads(int threads);
 
-  explicit ThreadPool(int threads);
+  /// noexcept: a worker thread that cannot be started ends the process
+  /// rather than leave started workers running on a pool that was never
+  /// built.
+  explicit ThreadPool(int threads) noexcept;
   ~ThreadPool();
   ThreadPool(const ThreadPool&) = delete;
   ThreadPool& operator=(const ThreadPool&) = delete;
 
-  int threads() const { return static_cast<int>(workers_.size()) + 1; }
+  int threads() const { return workers_ + 1; }
 
   /// Runs fn(0) ... fn(count-1), each exactly once, distributed over the
   /// pool plus the calling thread; returns when all have finished. `fn`
@@ -76,7 +81,7 @@ class ThreadPool {
  private:
   void WorkerLoop();
 
-  std::vector<std::thread> workers_;
+  const int workers_;
   /// Serializes whole Run calls; always taken before mu_ (the
   /// ACQUIRED_BEFORE declaration lets clang check the ordering).
   Mutex run_mu_ ACQUIRED_BEFORE(mu_);
@@ -90,6 +95,10 @@ class ThreadPool {
   int done_ GUARDED_BY(mu_) = 0;
   uint64_t generation_ GUARDED_BY(mu_) = 0;
   bool stop_ GUARDED_BY(mu_) = false;
+  /// Borrowed workers not yet handed back to the reservoir; the
+  /// destructor waits on exit_cv_ until it is zero.
+  int running_ GUARDED_BY(mu_) = 0;
+  CondVar exit_cv_;
 };
 
 /// Per-evaluation parallelism parameters handed down from EvalOptions.

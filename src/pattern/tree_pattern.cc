@@ -37,18 +37,6 @@ bool RenameIn(PatternNode* n, Symbol from, Symbol to) {
   return false;
 }
 
-bool ClearIn(PatternNode* n, Symbol field) {
-  if (n->output == field) {
-    n->output = kInvalidSymbol;
-    return true;
-  }
-  for (PatternNodePtr& p : n->predicates) {
-    if (ClearIn(p.get(), field)) return true;
-  }
-  if (n->next) return ClearIn(n->next.get(), field);
-  return false;
-}
-
 int CountOutputs(const PatternNode& n) {
   int c = n.output != kInvalidSymbol ? 1 : 0;
   for (const PatternNodePtr& p : n.predicates) c += CountOutputs(*p);
@@ -207,10 +195,6 @@ TreePattern MakeSingleStep(Symbol input_field, Axis axis, const NodeTest& test,
 
 bool RenameOutput(TreePattern* tp, Symbol from, Symbol to) {
   return tp->root != nullptr && RenameIn(tp->root.get(), from, to);
-}
-
-bool ClearOutput(TreePattern* tp, Symbol field) {
-  return tp->root != nullptr && ClearIn(tp->root.get(), field);
 }
 
 void AppendPath(TreePattern* tp, TreePattern suffix) {

@@ -97,10 +97,6 @@ TreePattern MakeSingleStep(Symbol input_field, Axis axis, const NodeTest& test,
 /// Returns false if `from` is not an output of the pattern.
 bool RenameOutput(TreePattern* tp, Symbol from, Symbol to);
 
-/// Removes the output annotation equal to `field`; used when merging
-/// patterns makes an intermediate binding unobservable.
-bool ClearOutput(TreePattern* tp, Symbol field);
-
 /// Appends `suffix`'s root chain after this pattern's extraction point
 /// (rewrite rule (d)): pattern/step1{out1} + IN#out1/step2{out2}
 /// = pattern/step1/step2{out2}. The caller must have verified that

@@ -4,9 +4,13 @@
 // cardinality. parallel_min_fanout is forced down so even the small test
 // document actually morselizes.
 #include <gtest/gtest.h>
+#include <sys/wait.h>
+#include <unistd.h>
 
 #include <atomic>
+#include <cstdint>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "engine/engine.h"
@@ -278,6 +282,60 @@ TEST(ThreadPoolTest, RunClaimsEachIndexOnce) {
 TEST(ThreadPoolTest, RunWithZeroCountIsANoOp) {
   ThreadPool pool(2);
   pool.Run(0, [](int) { FAIL() << "fn called for empty batch"; });
+}
+
+// The calling thread's serial number; unlike std::thread::id, never
+// reused by a later thread.
+uint64_t ThreadSerial() {
+  static std::atomic<uint64_t> next{1};
+  thread_local const uint64_t serial = next.fetch_add(1);
+  return serial;
+}
+
+// Runs two morsels on a fresh ThreadPool(2) that wait for each other, so
+// the calling thread and the pool's one worker take one each; returns the
+// worker's serial.
+uint64_t WorkerOfATwoThreadPool() {
+  ThreadPool pool(2);
+  const uint64_t caller = ThreadSerial();
+  std::atomic<int> started{0};
+  std::atomic<uint64_t> worker{0};
+  pool.Run(2, [&](int) {
+    started.fetch_add(1);
+    while (started.load() < 2) std::this_thread::yield();
+    if (ThreadSerial() != caller) worker.store(ThreadSerial());
+  });
+  return worker.load();
+}
+
+// A pool's worker is a parked thread that outlives the pool: the next
+// pool gets the same thread back instead of starting one.
+TEST(ThreadPoolTest, NextPoolReusesTheParkedWorker) {
+  const uint64_t first = WorkerOfATwoThreadPool();
+  ASSERT_NE(first, 0u);
+  EXPECT_EQ(WorkerOfATwoThreadPool(), first);
+}
+
+// A forked child has none of its parent's parked workers (only the
+// forking thread exists there), so its pools start their own.
+TEST(ThreadPoolTest, ForkedChildStartsItsOwnWorkers) {
+#if defined(__SANITIZE_THREAD__)
+  GTEST_SKIP() << "ThreadSanitizer cannot start threads in a child forked "
+                  "from a multi-threaded process";
+#endif
+  ASSERT_NE(WorkerOfATwoThreadPool(), 0u);  // leaves a worker parked
+  const pid_t pid = fork();
+  ASSERT_NE(pid, -1);
+  if (pid == 0) {
+    // Handed a parked worker that does not exist, the pool would wait
+    // for it forever.
+    alarm(10);
+    _exit(WorkerOfATwoThreadPool() != 0 ? 0 : 1);
+  }
+  int status = 0;
+  ASSERT_EQ(waitpid(pid, &status, 0), pid);
+  EXPECT_TRUE(WIFEXITED(status) && WEXITSTATUS(status) == 0)
+      << "child wait status " << status;
 }
 
 // The legacy Engine::Execute(q, globals, algo, plan) overload is

@@ -337,8 +337,8 @@ TEST(PatternBindings, PaperSection41Example) {
 }
 
 // ---- the IsDistinctDocOrdered probe ----------------------------------------
-// The fast path every Ddo evaluation (and the plan-property claim checker)
-// rests on: true must mean a Ddo is the identity.
+// The fast path every Ddo evaluation rests on: true must mean a Ddo is the
+// identity.
 
 class DistinctDocOrderedTest : public ::testing::Test {
  protected:

@@ -75,15 +75,12 @@ TEST_F(PatternTest, PaperGrammarExample) {
   EXPECT_EQ(tp.StepCount(), 4);
 }
 
-TEST_F(PatternTest, RenameAndClearOutput) {
+TEST_F(PatternTest, RenameOutput) {
   TreePattern tp = MakeSingleStep(dot_, Axis::kChild,
                                   NodeTest::Name(name_), out_);
   EXPECT_TRUE(RenameOutput(&tp, out_, out2_));
   EXPECT_EQ(tp.OutputFields()[0], out2_);
   EXPECT_FALSE(RenameOutput(&tp, out_, out2_));  // out_ no longer present
-  EXPECT_TRUE(ClearOutput(&tp, out2_));
-  EXPECT_TRUE(tp.OutputFields().empty());
-  EXPECT_FALSE(tp.SingleOutputAtExtractionPoint());
 }
 
 TEST_F(PatternTest, CloneAndEqual) {

@@ -7,9 +7,11 @@
 
 #include <atomic>
 #include <chrono>
+#include <map>
 #include <memory>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "analysis/verify_scope.h"
@@ -77,20 +79,30 @@ TEST(Fingerprint, DistinctQueriesAndTokenFusionStayDistinct) {
 TEST(Fingerprint, PlanShapingOptionsDiscriminate) {
   Engine e(ServingOptions());
   const char* q = "$input//person[emailaddress]/name";
-  CompileOptions plain;
-  CompileOptions old_engine;
-  old_engine.detect_tree_patterns = false;
-  CompileOptions no_rewrite;
-  no_rewrite.rewrite = false;
-  CompileOptions no_props;
-  no_props.infer_properties = false;
-  CompileOptions no_ddo;
-  no_ddo.rewrite_opts.ddo_removal = false;
-  const uint64_t base = e.Fingerprint(q, plain);
-  EXPECT_NE(e.Fingerprint(q, old_engine), base);
-  EXPECT_NE(e.Fingerprint(q, no_rewrite), base);
-  EXPECT_NE(e.Fingerprint(q, no_props), base);
-  EXPECT_NE(e.Fingerprint(q, no_ddo), base);
+  // One variant per plan-shaping field, each flipped from its default.
+  std::vector<std::pair<std::string, CompileOptions>> variants;
+  auto add = [&variants](const char* field) -> CompileOptions& {
+    return variants.emplace_back(field, CompileOptions{}).second;
+  };
+  add("detect_tree_patterns").detect_tree_patterns = false;
+  add("rewrite").rewrite = false;
+  add("ddo_removal").rewrite_opts.ddo_removal = false;
+  add("positional_patterns").positional_patterns = true;
+  add("multi_output_patterns").multi_output_patterns = true;
+  add("typeswitch_rules").rewrite_opts.typeswitch_rules = false;
+  add("flwor_rules").rewrite_opts.flwor_rules = false;
+  add("loop_split").rewrite_opts.loop_split = false;
+  add("unsound_ddo_strip_for_testing")
+      .rewrite_opts.unsound_ddo_strip_for_testing = true;
+  add("max_rounds").rewrite_opts.max_rounds = 1;
+  // Every key differs from the default's and from every other variant's,
+  // so no two fields share (or lose) their place in the key.
+  std::map<uint64_t, std::string> seen;
+  seen[e.Fingerprint(q, CompileOptions{})] = "default";
+  for (const auto& [name, opts] : variants) {
+    auto [it, fresh] = seen.emplace(e.Fingerprint(q, opts), name);
+    EXPECT_TRUE(fresh) << name << " has the same key as " << it->second;
+  }
 }
 
 TEST(Fingerprint, CompileLimitsDoNotShapeTheKey) {

@@ -8,7 +8,6 @@
 #include "analysis/plan_verifier.h"
 #include "analysis/verify_scope.h"
 #include "core/ast.h"
-#include "core/odf.h"
 #include "engine/engine.h"
 #include "pattern/tree_pattern.h"
 
@@ -299,9 +298,6 @@ TEST_F(CoreVerifierTest, LegalExpressionPasses) {
       x, core::kNoVar, core::MakeStep(d_, Axis::kDescendant, NodeTest::AnyName()),
       nullptr, core::MakeStep(x, Axis::kChild, NodeTest::AnyName()));
   EXPECT_TRUE(analysis::VerifyCore(*e, vars_).ok());
-  // Annotating with freshly derived properties must stay sound.
-  core::AnnotateOdf(e.get(), vars_);
-  EXPECT_TRUE(analysis::VerifyCore(*e, vars_).ok());
 }
 
 TEST_F(CoreVerifierTest, UnboundVariable) {
@@ -368,22 +364,6 @@ TEST_F(CoreVerifierTest, CoreFnArityMismatch) {
   args.push_back(core::MakeVar(d_));
   core::CoreExprPtr e = core::MakeFnCall(core::CoreFn::kNot, std::move(args));
   ExpectViolation(analysis::VerifyCore(*e, vars_), "fn-arity");
-}
-
-TEST_F(CoreVerifierTest, TooStrongOdfAnnotation) {
-  // for $x in $d/descendant::* return $x/child::* — the paper's canonical
-  // non-ordered shape (Q5): bindings are ancestor-related, so the child
-  // steps interleave. A cached `ordered` claim is a rewrite bug.
-  core::VarId x = vars_.Fresh("x");
-  core::CoreExprPtr e = core::MakeFor(
-      x, core::kNoVar, core::MakeStep(d_, Axis::kDescendant, NodeTest::AnyName()),
-      nullptr, core::MakeStep(x, Axis::kChild, NodeTest::AnyName()));
-  ASSERT_FALSE(core::ComputeOdf(*e, vars_, {}).ordered);
-  e->odf_cache = core::kOdfCachePresent | core::kOdfCacheOrdered;
-  ExpectViolation(analysis::VerifyCore(*e, vars_), "odf-cache-soundness");
-  // The same annotation with the claim dropped is fine.
-  e->odf_cache = core::kOdfCachePresent;
-  EXPECT_TRUE(analysis::VerifyCore(*e, vars_).ok());
 }
 
 // ---- engine integration ----------------------------------------------------

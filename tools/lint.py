@@ -420,8 +420,8 @@ COMPILED_QUERY_EXEMPT = {
 # omitted: the name is too generic to key a textual rule on, and a plan_
 # mutation outside the build path would come with one of these anyway.
 COMPILED_QUERY_MEMBER_WRITE_RE = re.compile(
-    r"\b(?:source_|normalized_|rewritten_|optimized_|lint_findings_|"
-    r"fingerprint_|memory_bytes_)\s*(?:=(?!=)|\.\s*(?:push_back|clear|"
+    r"\b(?:source_|normalized_|rewritten_|optimized_|fingerprint_|"
+    r"memory_bytes_)\s*(?:=(?!=)|\.\s*(?:push_back|clear|"
     r"reset|assign|swap|emplace\w*)\s*\()")
 CONST_CAST_COMPILED_QUERY_RE = re.compile(
     r"const_cast\s*<[^>]*\bCompiledQuery\b")
@@ -600,7 +600,7 @@ SELF_TEST_FIXTURES = [
      "#include \"engine/engine.h\"\n"
      "void Patch(engine::CompiledQuery* q) {\n"
      "  q->fingerprint_ = 0;\n"
-     "  q->lint_findings_.clear();\n"
+     "  q->optimized_.reset();\n"
      "}\n"
      "void Cast(const engine::CompiledQuery& q) {\n"
      "  auto* w = const_cast<engine::CompiledQuery*>(&q);\n"
