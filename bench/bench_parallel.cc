@@ -8,8 +8,8 @@
 // Thread counts here are *requested* counts; the driver clamps the
 // effective width to the available morsel supply (exec::
 // ClampParallelThreads), so on this 0.5-factor document t=4 and t=8 run
-// at the clamped width instead of paying pool-spawn cost for threads
-// that would starve — the t>=4 rows must not regress above the t=2 row
+// at the clamped width instead of borrowing parked workers that would
+// starve — the t>=4 rows must not regress above the t=2 row
 // (tests/parallel_eval_test.cc pins the clamp arithmetic).
 #include "bench_common.h"
 

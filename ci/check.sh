@@ -15,8 +15,9 @@
 #     aliasing tests (tuple_batch_test) and the plan-cache
 #     concurrency suite (plan_cache_test: the single-flight stampede and
 #     hit/miss/erase/clear hammer) under ThreadSanitizer:
-#     per-query thread pools, the shared-mutex lazy-index path, and two
-#     parallel queries running concurrently. The leg also forces
+#     RunMorsels lending parked workers to concurrent calls, the
+#     shared-mutex lazy-index path, and two parallel queries running
+#     concurrently. The leg also forces
 #     -DXQTP_FAULT_INJECTION=ON (fault points are otherwise compiled out
 #     under NDEBUG) and runs the robustness tests (governor_test,
 #     fault_injection_test), so cancellation races and mid-morsel
@@ -26,9 +27,10 @@
 #
 # Between the build/test legs:
 #  - the project lint gate (tools/lint.py): raw sync primitives outside
-#    common/mutex.h, stdout printing in library code, Status APIs without
-#    [[nodiscard]], include-guard naming — plus its --self-test, which
-#    proves each rule still fires on a seeded violation;
+#    common/mutex.h, threads started outside exec/parallel.cc, stdout
+#    printing in library code, Status APIs without [[nodiscard]],
+#    include-guard naming — plus its --self-test, which proves each rule
+#    still fires on a seeded violation;
 #  - a clang-tidy pass (.clang-tidy profile, warnings-as-errors) over
 #    src/, skipped with a notice when clang-tidy is not installed;
 #  - a clang -Werror=thread-safety leg compiling the full library, so the
@@ -179,7 +181,8 @@ run_config debug-sanitize build-ci-sanitize labeled \
   -DCMAKE_BUILD_TYPE=Debug -DXQTP_WERROR=ON \
   "-DXQTP_SANITIZE=address;undefined"
 
-# TSan leg: Release (the pool actually spins) with only the threading
+# TSan leg: Release (the calling thread and its borrowed parked workers
+# run morsels at once, as they do when serving) with only the threading
 # and robustness tests — TSan and ASan cannot be combined, so this is its
 # own tree. XQTP_FAULT_INJECTION=ON compiles the fault points into the
 # Release library so the injection sweep races under TSan too.

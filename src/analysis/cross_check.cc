@@ -80,24 +80,6 @@ bool PlanHasPattern(const algebra::Op& op) {
   return algebra::ComputeStats(op).tree_pattern_ops > 0;
 }
 
-/// Parallel-evaluation parameters for the oracle legs: a tiny forced
-/// fan-out so even small witness inputs morselize, exercising the
-/// driver's partitioning and order-preserving merge on every iteration.
-/// The two-thread pool is shared across all checks and intentionally
-/// leaked (it must outlive any static-destruction order).
-const exec::ParallelContext& OracleParallelContext() {
-  static exec::ThreadPool* pool = new exec::ThreadPool(2);
-  static const exec::ParallelContext par = [] {
-    exec::ParallelContext p;
-    p.pool = [](int) { return pool; };
-    p.threads = 2;
-    p.min_fanout = 2;
-    p.morsels_per_thread = 2;
-    return p;
-  }();
-  return par;
-}
-
 }  // namespace
 
 const std::vector<exec::PatternAlgo>& CrossCheckAlgos() {
@@ -114,6 +96,12 @@ Status CrossCheckPattern(const pattern::TreePattern& tp,
                          const StringInterner& interner) {
   auto reference = exec::EvalPattern(tp, context, exec::PatternAlgo::kNLJoin);
   XQTP_RETURN_NOT_OK(reference.status());
+  // The parallel legs' driver settings: a tiny forced fan-out so even
+  // small witness inputs morselize, exercising the driver's partitioning
+  // and order-preserving merge on every iteration.
+  exec::ParallelContext par;
+  par.threads = 2;
+  par.min_fanout = 2;
   for (exec::PatternAlgo algo : CrossCheckAlgos()) {
     // Sequential leg (the reference itself for NLJoin), then a parallel
     // leg driving the same algorithm through the morsel driver — both
@@ -121,8 +109,8 @@ Status CrossCheckPattern(const pattern::TreePattern& tp,
     for (int leg = 0; leg < 2; ++leg) {
       bool parallel = leg == 1;
       if (!parallel && algo == exec::PatternAlgo::kNLJoin) continue;
-      auto rows = exec::EvalPattern(
-          tp, context, algo, parallel ? &OracleParallelContext() : nullptr);
+      auto rows =
+          exec::EvalPattern(tp, context, algo, parallel ? &par : nullptr);
       std::string leg_name =
           std::string(exec::PatternAlgoName(algo)) + (parallel ? "+morsel" : "");
       if (!rows.ok()) {
@@ -195,7 +183,6 @@ Status CrossCheck(const CrossCheckInput& in, const core::VarTable& vars,
       exec::EvalOptions popts = opts;
       popts.threads = 2;
       popts.parallel_min_fanout = 2;
-      popts.parallel_morsels_per_thread = 2;
       routes.push_back({std::string("plan(optimized, ") +
                             exec::PatternAlgoName(algo) + ", threads=2)",
                         exec::Evaluate(*in.optimized, vars, bindings, popts)});

@@ -2,7 +2,7 @@
 
 #include <algorithm>
 #include <functional>
-#include <memory>
+#include <optional>
 
 #include "common/exec_stats.h"
 #include "common/fault_injection.h"
@@ -38,20 +38,11 @@ class Evaluator {
   Evaluator(const core::VarTable& vars, const Bindings& bindings,
             const EvalOptions& opts)
       : vars_(vars), bindings_(bindings), opts_(opts) {
-    int threads = ThreadPool::ResolveThreads(opts.threads);
+    int threads = ResolveThreads(opts.threads);
     if (threads > 1) {
-      par_ = std::make_unique<ParallelContext>();
+      par_.emplace();
       par_->threads = threads;
       par_->min_fanout = std::max(1, opts.parallel_min_fanout);
-      par_->morsels_per_thread = std::max(1, opts.parallel_morsels_per_thread);
-      // The per-query pool is created on the first evaluation that
-      // actually morselizes — small queries never take a worker — and
-      // at the driver's clamped width, so a fan-out that feeds 3
-      // threads never runs on 8 (the bench_parallel scaling cliff).
-      par_->pool = [this](int desired) {
-        if (pool_ == nullptr) pool_ = std::make_unique<ThreadPool>(desired);
-        return pool_.get();
-      };
       // Workers re-install the query's governor per morsel; the caller
       // (Evaluate) has already installed it on this thread.
       par_->governor = CurrentGovernor();
@@ -353,31 +344,11 @@ class Evaluator {
               return Emit(sink, in.SelectRows(keep));
             });
       }
-      case OpKind::kTupleTreePattern: {
-        if (par_ != nullptr) {
-          // The wide-input morselization decision needs the total row
-          // count, so the pattern is a pipeline breaker when a parallel
-          // context exists. Shared columns make the Append cheap.
-          TupleBatch all;
-          XQTP_RETURN_NOT_OK(EvalTupleBatches(
-              *op.inputs[0], ambient, [&](TupleBatch&& b) -> Status {
-                all.Append(std::move(b));
-                return Status::OK();
-              }));
-          if (all.rows() >= static_cast<size_t>(par_->min_fanout)) {
-            XQTP_ASSIGN_OR_RETURN(
-                TupleBatch out,
-                EvalPatternTuplesParallel(op.tp, all, opts_.algo, *par_));
-            return Emit(sink, std::move(out));
-          }
-          return EvalPatternBatch(op, all, sink);
-        }
-        // No parallel context: stream batch-in, batch-out.
+      case OpKind::kTupleTreePattern:
         return EvalTupleBatches(
             *op.inputs[0], ambient, [&](TupleBatch&& in) -> Status {
               return EvalPatternBatch(op, in, sink);
             });
-      }
       default:
         return Status::Internal("item plan evaluated in tuple context");
     }
@@ -401,7 +372,8 @@ class Evaluator {
     for (size_t i = 0; i < in.rows(); ++i) {
       XQTP_ASSIGN_OR_RETURN(
           std::vector<BindingRow> rows,
-          EvalPattern(op.tp, in.Value(*ctx_col, i), opts_.algo, par_.get()));
+          EvalPattern(op.tp, in.Value(*ctx_col, i), opts_.algo,
+                      par_ ? &*par_ : nullptr));
       XQTP_RETURN_NOT_OK(
           mem.Grow(static_cast<int64_t>(rows.size() * sizeof(BindingRow))));
       for (const BindingRow& row : rows) builder.Add(i, row);
@@ -417,10 +389,9 @@ class Evaluator {
   /// EvalItem); coordinating thread only.
   uint32_t governor_tick_ = 0;
   std::unordered_map<core::VarId, Sequence> scoped_;
-  /// Parallel-evaluation parameters (null when opts_.threads resolves
-  /// to 1) and the lazily-created per-query pool behind par_->pool.
-  std::unique_ptr<ParallelContext> par_;
-  std::unique_ptr<ThreadPool> pool_;
+  /// Parallel-evaluation parameters; empty when opts_.threads resolves
+  /// to 1.
+  std::optional<ParallelContext> par_;
 };
 
 }  // namespace

@@ -23,18 +23,16 @@ namespace xqtp::exec {
 
 struct EvalOptions {
   PatternAlgo algo = PatternAlgo::kNLJoin;
-  /// Worker threads for TupleTreePattern evaluation: 0 (default) = one per
-  /// hardware thread, 1 = the sequential path, N = a fixed per-query pool
-  /// of N (exec/parallel.h). The pool is created lazily on the first
-  /// pattern evaluation that actually morselizes. Results are identical at
+  /// Threads per TupleTreePattern evaluation: 0 (default) = one per
+  /// hardware thread, 1 = the sequential path, N = the calling thread plus
+  /// up to N - 1 parked workers, borrowed only while an evaluation runs
+  /// its morsels (exec/parallel.h RunMorsels). Results are identical at
   /// any thread count; only the ExecStats attribution of driver-side index
   /// scans can differ.
   int threads = 0;
-  /// Minimum root fan-out (context nodes, root-step candidates, or input
-  /// tuples) before a pattern evaluation is morselized.
+  /// Minimum root fan-out (context nodes or root-step candidates) before
+  /// a pattern evaluation is morselized.
   int parallel_min_fanout = 256;
-  /// Morsel granularity: the driver targets threads * this many morsels.
-  int parallel_morsels_per_thread = 4;
   /// Monotonic wall-clock deadline. When set, governor checks compare
   /// steady_clock::now() against it and the evaluation returns
   /// kDeadlineExceeded once it expires (cooperatively — the verdict

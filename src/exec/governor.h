@@ -63,7 +63,7 @@ struct GovernorLimits {
 
 /// One query's resource accountant. Shared by the coordinating thread and
 /// every worker morsel; all members are thread-safe. Lives on the
-/// Evaluate frame, strictly outliving the pool workers that poll it.
+/// Evaluate frame, strictly outliving the morsel workers that poll it.
 class QueryGovernor {
  public:
   explicit QueryGovernor(const GovernorLimits& limits) : limits_(limits) {}

@@ -23,6 +23,8 @@
 
 #include "common/fault_injection.h"
 #include "common/interner.h"
+#include "common/mutex.h"
+#include "common/thread_annotations.h"
 #include "exec/exec_stats.h"
 #include "xml/document.h"
 
@@ -44,7 +46,7 @@ int ClampParallelThreads(size_t units, int threads, int min_fanout) {
   return std::max(2, static_cast<int>(per_unit));
 }
 
-int ThreadPool::ResolveThreads(int threads) {
+int ResolveThreads(int threads) {
   if (threads == 0) {
     unsigned hw = std::thread::hardware_concurrency();
     return hw == 0 ? 1 : static_cast<int>(hw);
@@ -54,14 +56,14 @@ int ThreadPool::ResolveThreads(int threads) {
 
 namespace {
 
-/// The process-wide set of parked worker threads that ThreadPools borrow.
-/// A pool's destructor hands its workers back, so a query that
-/// morselizes neither starts nor joins a thread once enough are parked.
-/// The threads must also stay put for memory to: each keeps its malloc
-/// arena, and an arena released by an exiting thread goes to whichever
-/// thread starts next, so workers that came and went per query would
-/// decide at random how many arenas the long-lived serving threads
-/// touch, and so how much memory stays resident.
+/// The process-wide set of parked worker threads that RunMorsels borrows
+/// and hands back, so a query that morselizes neither starts nor joins a
+/// thread once enough are parked. The threads must also stay put for
+/// memory to: each keeps its malloc arena, and an arena released by an
+/// exiting thread goes to whichever thread starts next, so workers that
+/// came and went per query would decide at random how many arenas the
+/// long-lived serving threads touch, and so how much memory stays
+/// resident.
 class WorkerReservoir {
  public:
   static WorkerReservoir& Get() {
@@ -76,7 +78,7 @@ class WorkerReservoir {
 
   /// Runs `job` on a parked worker, or on a new thread when none is
   /// parked, then `done` once the worker is parked again (or about to
-  /// exit), so a pool that waits for `done` can be followed by one that
+  /// exit), so a caller that waits for `done` can be followed by one that
   /// gets the same worker back.
   void Launch(std::function<void()> job, std::function<void()> done)
       EXCLUDES(mu_) {
@@ -108,8 +110,7 @@ class WorkerReservoir {
 
   /// At most this many workers stay parked; a worker that finishes a job
   /// when the reservoir is full exits instead.
-  const size_t max_idle_ =
-      static_cast<size_t>(ThreadPool::ResolveThreads(0));
+  const size_t max_idle_ = static_cast<size_t>(ResolveThreads(0));
 
   void Serve(Worker* w) EXCLUDES(mu_) {
     for (bool parked = true; parked;) {
@@ -153,93 +154,41 @@ class WorkerReservoir {
 
 }  // namespace
 
-ThreadPool::ThreadPool(int threads) noexcept
-    : workers_(ResolveThreads(threads) - 1) {
-  {
-    MutexLock lock(&mu_);
-    running_ = workers_;
-  }
-  for (int i = 0; i < workers_; ++i) {
-    WorkerReservoir::Get().Launch([this] { WorkerLoop(); },
-                                  [this] {
-                                    // The pool may be destroyed as soon
-                                    // as mu_ is released.
-                                    MutexLock lock(&mu_);
-                                    if (--running_ == 0) {
-                                      exit_cv_.NotifyAll();
-                                    }
-                                  });
-  }
-}
-
-ThreadPool::~ThreadPool() {
-  MutexLock lock(&mu_);
-  stop_ = true;
-  work_cv_.NotifyAll();
-  while (running_ > 0) exit_cv_.Wait(mu_);
-}
-
-void ThreadPool::WorkerLoop() {
-  uint64_t seen = 0;
-  for (;;) {
-    const std::function<void(int)>* fn = nullptr;
-    {
-      MutexLock lock(&mu_);
-      // Explicit wait loop (not a predicate lambda): the guarded reads of
-      // stop_/fn_/generation_ stay in this annotated scope, where the
-      // thread-safety analysis can see mu_ is held.
-      while (!stop_ && (fn_ == nullptr || generation_ == seen)) {
-        work_cv_.Wait(mu_);
-      }
-      if (stop_) return;
-      seen = generation_;
-      fn = fn_;
-    }
+void RunMorsels(int width, int count,
+                const std::function<void(int)>& fn) noexcept {
+  struct Run {
+    Mutex mu;
+    CondVar parked;
+    int next GUARDED_BY(mu) = 0;
+    /// Borrowed workers not yet parked again.
+    int running GUARDED_BY(mu) = 0;
+  } run;
+  auto claim = [&run, count, &fn] {
     for (;;) {
       int i;
       {
-        MutexLock lock(&mu_);
-        if (fn_ != fn || generation_ != seen || next_ >= count_) break;
-        i = next_++;
+        MutexLock lock(&run.mu);
+        if (run.next >= count) return;
+        i = run.next++;
       }
-      (*fn)(i);
-      MutexLock lock(&mu_);
-      if (++done_ == count_) done_cv_.NotifyAll();
+      fn(i);
     }
-  }
-}
-
-void ThreadPool::Run(int count, const std::function<void(int)>& fn) {
-  if (count <= 0) return;
-  if (workers_ == 0) {
-    for (int i = 0; i < count; ++i) fn(i);
-    return;
-  }
-  MutexLock run_lock(&run_mu_);
+  };
+  const int helpers = std::min(width, count) - 1;
   {
-    MutexLock lock(&mu_);
-    fn_ = &fn;
-    count_ = count;
-    next_ = 0;
-    done_ = 0;
-    ++generation_;
+    MutexLock lock(&run.mu);
+    run.running = std::max(0, helpers);
   }
-  work_cv_.NotifyAll();
-  // The calling thread claims morsels alongside the workers.
-  for (;;) {
-    int i;
-    {
-      MutexLock lock(&mu_);
-      if (next_ >= count_) break;
-      i = next_++;
-    }
-    fn(i);
-    MutexLock lock(&mu_);
-    if (++done_ == count_) done_cv_.NotifyAll();
+  for (int h = 0; h < helpers; ++h) {
+    WorkerReservoir::Get().Launch(claim, [&run] {
+      // `run` may be gone as soon as mu is released.
+      MutexLock lock(&run.mu);
+      if (--run.running == 0) run.parked.NotifyAll();
+    });
   }
-  MutexLock lock(&mu_);
-  while (done_ != count_) done_cv_.Wait(mu_);
-  fn_ = nullptr;
+  claim();  // the calling thread claims morsels alongside the workers
+  MutexLock lock(&run.mu);
+  while (run.running > 0) run.parked.Wait(run.mu);
 }
 
 namespace {
@@ -255,13 +204,16 @@ struct MorselRange {
   size_t end;
 };
 
+/// The morsels per thread that PlanMorsels targets.
+constexpr int kMorselsPerThread = 4;
+
 /// Cuts `units` work units into contiguous morsels: about
-/// threads * morsels_per_thread of them, never smaller than
+/// threads * kMorselsPerThread of them, never smaller than
 /// min_fanout / 4 units (finer morsels would be all coordination).
-std::vector<MorselRange> PlanMorsels(size_t units, const ParallelContext& par) {
-  int target = std::max(1, par.threads * par.morsels_per_thread);
-  size_t min_units =
-      std::max<size_t>(1, static_cast<size_t>(par.min_fanout) / 4);
+std::vector<MorselRange> PlanMorsels(size_t units, int threads,
+                                     int min_fanout) {
+  int target = std::max(1, threads * kMorselsPerThread);
+  size_t min_units = std::max<size_t>(1, static_cast<size_t>(min_fanout) / 4);
   size_t size = std::max(min_units,
                          (units + static_cast<size_t>(target) - 1) /
                              static_cast<size_t>(target));
@@ -303,6 +255,15 @@ void PrewarmSteps(const Document& doc, const PatternNode& p) {
   if (p.next != nullptr) PrewarmSteps(doc, *p.next);
 }
 
+/// Pre-builds the lazily-constructed per-tag streams and document
+/// statistics that evaluating `tp` will touch, so worker threads only
+/// ever hit the built fast path of Document's lazy getters.
+void PrewarmPatternIndexes(const Document& doc, const TreePattern& tp) {
+  PrewarmSteps(doc, *tp.root);
+  // The cost model reads the lazily-computed document statistics.
+  doc.Stats();
+}
+
 /// Merges the per-morsel worker counters into the calling scope (if any):
 /// the driver reports exactly the work its morsels did.
 void MergeWorkerStats(const std::vector<ExecStats>& slots) {
@@ -313,19 +274,11 @@ void MergeWorkerStats(const std::vector<ExecStats>& slots) {
 
 }  // namespace
 
-void PrewarmPatternIndexes(const xml::Document& doc,
-                           const pattern::TreePattern& tp) {
-  if (tp.root == nullptr) return;
-  PrewarmSteps(doc, *tp.root);
-  // The cost model reads the lazily-computed document statistics.
-  doc.Stats();
-}
-
 bool TryEvalPatternParallel(const pattern::TreePattern& tp,
                             const xdm::Sequence& context, PatternAlgo algo,
                             const ParallelContext& par,
                             Result<std::vector<BindingRow>>* out) {
-  if (par.threads < 2 || !par.pool || tp.root == nullptr) return false;
+  if (par.threads < 2 || tp.root == nullptr) return false;
   // kCostBased must be resolved by the caller (one algorithm across all
   // morsels); an unresolved choice is not morselizable.
   if (algo == PatternAlgo::kCostBased) return false;
@@ -363,6 +316,16 @@ bool TryEvalPatternParallel(const pattern::TreePattern& tp,
     }
     std::sort(ctx.begin(), ctx.end(), xml::DocOrderLess);
     ctx.erase(std::unique(ctx.begin(), ctx.end()), ctx.end());
+    // The candidates lie in the contexts' subtrees, and DocumentBuilder's
+    // numbering gives a node post - pre + depth descendants (attributes
+    // included). Below min_fanout even that bound cannot morselize, so
+    // skip the scan rather than throw its result away.
+    size_t bound = 0;
+    for (const Node* n : ctx) {
+      bound += static_cast<size_t>(n->post - n->pre + n->depth) +
+               (root.axis == Axis::kDescendantOrSelf ? 1 : 0);
+    }
+    if (bound < static_cast<size_t>(par.min_fanout)) return false;
     GovernorTicker gov;
     std::vector<const Node*> candidates = ScanRegions(
         StepStream(*doc, root.axis, root.test), ctx, root.axis, root.test,
@@ -378,15 +341,13 @@ bool TryEvalPatternParallel(const pattern::TreePattern& tp,
     units = std::move(candidates);
   }
 
-  // Clamp the fan-out to what the units can feed before sizing morsels
-  // or the pool: a lazily-created pool is born at the clamped width, so
-  // small-fan-out queries never pay for workers they cannot keep busy.
-  ParallelContext eff = par;
-  eff.threads = ClampParallelThreads(units.size(), par.threads, par.min_fanout);
-  std::vector<MorselRange> morsels = PlanMorsels(units.size(), eff);
+  // Clamp the fan-out to what the units can feed before sizing morsels,
+  // so small-fan-out queries never borrow workers they cannot keep busy.
+  const int width =
+      ClampParallelThreads(units.size(), par.threads, par.min_fanout);
+  std::vector<MorselRange> morsels =
+      PlanMorsels(units.size(), width, par.min_fanout);
   if (morsels.size() < 2) return false;
-  ThreadPool* pool = par.pool(eff.threads);
-  if (pool == nullptr) return false;
 
   // Pre-warm every document the morsels touch, so workers only ever hit
   // the built (shared-lock) path of the lazy getters.
@@ -404,7 +365,7 @@ bool TryEvalPatternParallel(const pattern::TreePattern& tp,
   std::vector<Part> parts(morsels.size());
   std::vector<ExecStats> stats_slots(morsels.size());
   g_parallel_evals.fetch_add(1, std::memory_order_relaxed);
-  pool->Run(static_cast<int>(morsels.size()), [&](int m) {
+  RunMorsels(width, static_cast<int>(morsels.size()), [&](int m) {
     ScopedExecStats scope;  // per-morsel collection slot
     // Each worker morsel re-installs the query's governor: cancellation
     // is observed between morsels (the entry poll) and on the inner-loop
@@ -422,7 +383,7 @@ bool TryEvalPatternParallel(const pattern::TreePattern& tp,
 #endif
     if (!entry.ok()) {
       // A tripped governor's verdict is sticky, so every skipped morsel
-      // reports the same status: the pool drains cleanly without doing
+      // reports the same status: the run drains cleanly without doing
       // the remaining work and no partial result leaks out.
       part.rows = std::move(entry);
       stats_slots[static_cast<size_t>(m)] = scope.stats();
@@ -535,91 +496,6 @@ TupleBatch PatternBatchBuilder::Finish() {
     out.AddOwnedColumn(std::move(col));
   }
   CountTuplesMaterialized(static_cast<int64_t>(rows_));
-  return out;
-}
-
-Result<TupleBatch> EvalPatternTuplesParallel(const pattern::TreePattern& tp,
-                                             const TupleBatch& in,
-                                             PatternAlgo algo,
-                                             const ParallelContext& par) {
-  // Pre-warm every document reachable from the input rows' context field
-  // before fanning out. One Find per batch, not one Get per row.
-  const TupleBatch::BoundColumn* ctx_col = in.Find(tp.input_field);
-  std::vector<const Document*> docs;
-  if (ctx_col != nullptr) {
-    for (size_t i = 0; i < in.rows(); ++i) {
-      for (const xdm::Item& it : in.Value(*ctx_col, i)) {
-        if (!it.IsNode()) continue;
-        if (std::find(docs.begin(), docs.end(), it.node()->doc) ==
-            docs.end()) {
-          docs.push_back(it.node()->doc);
-          PrewarmPatternIndexes(*it.node()->doc, tp);
-        }
-      }
-    }
-  }
-
-  ParallelContext eff = par;
-  eff.threads = ClampParallelThreads(in.rows(), par.threads, par.min_fanout);
-  std::vector<MorselRange> morsels = PlanMorsels(in.rows(), eff);
-  ThreadPool* pool = par.pool ? par.pool(eff.threads) : nullptr;
-  struct Part {
-    Result<TupleBatch> batch = TupleBatch{};
-  };
-  std::vector<Part> parts(morsels.size());
-  std::vector<ExecStats> stats_slots(morsels.size());
-  auto run_morsel = [&](int m) {
-    ScopedExecStats scope;
-    ScopedGovernor governed(par.governor);
-    std::optional<StringInterner::ExecutionFreeze> freeze;
-    if (!docs.empty()) freeze.emplace(*docs.front()->interner());
-    const MorselRange& mr = morsels[static_cast<size_t>(m)];
-    // Workers only READ the shared input batch (immutable columns) and
-    // write into their own builder — no synchronization beyond the pool's.
-    PatternBatchBuilder builder(in);
-    Status err = GovernorPoll();  // observe cancellation between morsels
-#if XQTP_FAULT_INJECTION
-    if (err.ok()) err = fault::Poll("exec.parallel.morsel");
-#endif
-    if (err.ok() && ctx_col == nullptr) {
-      err = Status::Internal(
-          "TupleTreePattern input tuple lacks the context field");
-    }
-    for (size_t i = mr.begin; i < mr.end && err.ok(); ++i) {
-      // par == nullptr: tuple-level workers must not nest into the pool
-      // (ThreadPool::Run is non-reentrant). EvalPattern still counts one
-      // pattern evaluation per row, exactly like the sequential loop.
-      Result<std::vector<BindingRow>> rows =
-          EvalPattern(tp, in.Value(*ctx_col, i), algo, nullptr);
-      if (!rows.ok()) {
-        err = rows.status();
-        break;
-      }
-      for (const BindingRow& row : *rows) builder.Add(i, row);
-    }
-    parts[static_cast<size_t>(m)].batch =
-        err.ok() ? Result<TupleBatch>(builder.Finish())
-                 : Result<TupleBatch>(std::move(err));
-    stats_slots[static_cast<size_t>(m)] = scope.stats();
-  };
-  if (pool != nullptr && morsels.size() >= 2) {
-    g_parallel_evals.fetch_add(1, std::memory_order_relaxed);
-    pool->Run(static_cast<int>(morsels.size()), run_morsel);
-  } else {
-    for (size_t m = 0; m < morsels.size(); ++m) {
-      run_morsel(static_cast<int>(m));
-    }
-  }
-  MergeWorkerStats(stats_slots);
-
-  for (Part& p : parts) {
-    if (!p.batch.ok()) return p.batch.status();
-  }
-  // Concatenate in input-row order. Each morsel's columns are uniquely
-  // owned, so Append moves the sequences; empty morsel batches (no
-  // matches in the range) are skipped inside Append.
-  TupleBatch out;
-  for (Part& p : parts) out.Append(std::move(p.batch).value());
   return out;
 }
 

@@ -21,25 +21,24 @@
 //     predicates + continuation, annotations preserved), and partitions
 //     the candidates into morsels.
 //
-// The pool is per query: a fixed set of threads with a shared atomic
-// morsel cursor — no work stealing, just finer-than-thread morsels for
-// load balance. The threads themselves are not per query: a pool borrows
-// them from a process-wide reservoir of parked workers and hands them
-// back. Workers collect their ExecStats into per-morsel slots that the
-// driver merges into the calling scope on join, so counters stay exact
-// under parallelism. Pattern evaluation never touches the engine's
-// interner (see StringInterner::ExecutionFreeze); lazily-built document
-// indexes are pre-warmed before fan-out so Document::lazy_mu_ is only
-// ever taken on its shared (read) path by workers.
+// RunMorsels is the one way morsels run: the calling thread plus workers
+// borrowed, per morselizing evaluation, from a process-wide reservoir of
+// parked threads, claiming morsel indexes from a shared cursor — no work
+// stealing, just finer-than-thread morsels for load balance.
+// No query owns a thread or a pool. Workers collect their ExecStats into
+// per-morsel slots that the driver merges into the calling scope on join,
+// so counters stay exact under parallelism. Pattern evaluation never
+// touches the engine's interner (see StringInterner::ExecutionFreeze);
+// lazily-built document indexes are pre-warmed before fan-out so
+// Document::lazy_mu_ is only ever taken on its shared (read) path by
+// workers.
 #ifndef XQTP_EXEC_PARALLEL_H_
 #define XQTP_EXEC_PARALLEL_H_
 
 #include <functional>
 #include <vector>
 
-#include "common/mutex.h"
 #include "common/status.h"
-#include "common/thread_annotations.h"
 #include "exec/governor.h"
 #include "exec/pattern_eval.h"
 #include "exec/tuple.h"
@@ -48,90 +47,42 @@
 
 namespace xqtp::exec {
 
-/// A fixed pool of worker threads executing batches of indexed morsels.
-/// Morsels are claimed from a single atomic cursor (morsel-driven, no
-/// stealing); the thread calling Run participates, so a pool of size N
-/// borrows N-1 workers: parked threads that outlive the pool (a thread
-/// starts only when none is parked). Run calls are serialized — a pool
-/// may be shared across threads, but morsel tasks must never invoke Run
-/// recursively (the nested call would wait on the pool it is running on).
-class ThreadPool {
- public:
-  /// Resolves an EvalOptions::threads value: 0 means one thread per
-  /// hardware thread, anything else is taken literally (minimum 1).
-  static int ResolveThreads(int threads);
+/// Resolves an EvalOptions::threads value: 0 means one thread per
+/// hardware thread, anything else is taken literally (minimum 1).
+int ResolveThreads(int threads);
 
-  /// noexcept: a worker thread that cannot be started ends the process
-  /// rather than leave started workers running on a pool that was never
-  /// built.
-  explicit ThreadPool(int threads) noexcept;
-  ~ThreadPool();
-  ThreadPool(const ThreadPool&) = delete;
-  ThreadPool& operator=(const ThreadPool&) = delete;
-
-  int threads() const { return workers_ + 1; }
-
-  /// Runs fn(0) ... fn(count-1), each exactly once, distributed over the
-  /// pool plus the calling thread; returns when all have finished. `fn`
-  /// must not throw and must not call Run on this pool (the EXCLUDES
-  /// turns a same-thread re-entry into a compile-time diagnostic).
-  void Run(int count, const std::function<void(int)>& fn)
-      EXCLUDES(run_mu_, mu_);
-
- private:
-  void WorkerLoop();
-
-  const int workers_;
-  /// Serializes whole Run calls; always taken before mu_ (the
-  /// ACQUIRED_BEFORE declaration lets clang check the ordering).
-  Mutex run_mu_ ACQUIRED_BEFORE(mu_);
-
-  Mutex mu_;  ///< guards the batch state below
-  CondVar work_cv_;
-  CondVar done_cv_;
-  const std::function<void(int)>* fn_ GUARDED_BY(mu_) = nullptr;
-  int count_ GUARDED_BY(mu_) = 0;
-  int next_ GUARDED_BY(mu_) = 0;
-  int done_ GUARDED_BY(mu_) = 0;
-  uint64_t generation_ GUARDED_BY(mu_) = 0;
-  bool stop_ GUARDED_BY(mu_) = false;
-  /// Borrowed workers not yet handed back to the reservoir; the
-  /// destructor waits on exit_cv_ until it is zero.
-  int running_ GUARDED_BY(mu_) = 0;
-  CondVar exit_cv_;
-};
+/// Runs fn(0) ... fn(count-1), each exactly once, on the calling thread
+/// plus up to width - 1 workers borrowed from the process-wide reservoir
+/// of parked threads (a thread starts only when none is parked). Indexes
+/// are claimed from one mutex-guarded cursor. Returns once every index
+/// has run and every borrowed worker is parked again, so nothing `fn`
+/// refers to is touched after the return. `fn` must not throw. noexcept:
+/// a worker that cannot be started ends the process rather than leave
+/// launched workers running on this call's stack state.
+void RunMorsels(int width, int count,
+                const std::function<void(int)>& fn) noexcept;
 
 /// Per-evaluation parallelism parameters handed down from EvalOptions.
-/// `pool` is a lazy accessor so the (per-query) pool is only created once
-/// a pattern actually morselizes. It receives the driver's *effective*
-/// thread count (see ClampParallelThreads) so the first morselizing
-/// evaluation sizes the pool to the work actually available instead of
-/// the requested maximum — spawning workers that would only contend on
-/// the morsel cursor is exactly the scaling cliff bench_parallel
-/// recorded at 4 and 8 threads on ~1000-unit fan-outs.
 struct ParallelContext {
-  std::function<ThreadPool*(int threads)> pool;
   /// The query's governor, or nullptr when no limits are set. Workers
   /// install it (exec/governor.h ScopedGovernor) for the duration of each
   /// morsel, observe cancellation between morsels, and share its sticky
   /// verdict — the governor itself is thread-safe.
   QueryGovernor* governor = nullptr;
-  /// Resolved pool size (>= 2; a context is only built for parallel runs).
+  /// Resolved thread count (>= 2; a context is only built for parallel
+  /// runs). The driver runs at most ClampParallelThreads of it.
   int threads = 2;
   /// Minimum root fan-out (context nodes or root-step candidates) before
   /// the driver morselizes; below it the sequential path runs.
   int min_fanout = 256;
-  /// Morsel granularity: the driver targets threads * morsels_per_thread
-  /// morsels, never smaller than min_fanout / 4 units each.
-  int morsels_per_thread = 4;
 };
 
 /// Effective worker count for `units` parallel work units: one thread
 /// per `min_fanout` units, clamped to [2, threads]. The floor of 2
 /// preserves the min_fanout gate's decision that parallelism is
 /// worthwhile at all; the per-unit scaling stops an 8-thread request
-/// from oversubscribing a fan-out that only feeds 2-3 threads (pool
-/// spawn + morsel-cursor contention made 8 threads *slower* than 2 on
+/// from oversubscribing a fan-out that only feeds 2-3 threads (thread
+/// start-up + morsel-cursor contention made 8 threads *slower* than 2 on
 /// the XMark //item//location bench before this clamp).
 int ClampParallelThreads(size_t units, int threads, int min_fanout);
 
@@ -171,8 +122,7 @@ class PatternBatchBuilder {
 
   /// Assembles the batch (counts rows() materialized tuples; the
   /// ExecStats batch count is taken where the batch is YIELDED between
-  /// operators, so internal morsel batches don't inflate it). The
-  /// builder is consumed.
+  /// operators). The builder is consumed.
   TupleBatch Finish();
 
  private:
@@ -195,31 +145,12 @@ class PatternBatchBuilder {
   size_t rows_ = 0;
 };
 
-/// Morsel-parallel evaluation of one TupleTreePattern operator over a
-/// materialized input batch: logical row ranges become morsels, each row
-/// is evaluated with the sequential algorithm into a PatternBatchBuilder,
-/// and the per-morsel batches are concatenated in input-row order
-/// (exactly the sequential loop's order — TupleBatch::Append moves the
-/// uniquely-owned morsel columns). The caller has checked
-/// in.rows() >= par.min_fanout.
-[[nodiscard]]
-Result<TupleBatch> EvalPatternTuplesParallel(const pattern::TreePattern& tp,
-                                             const TupleBatch& in,
-                                             PatternAlgo algo,
-                                             const ParallelContext& par);
-
-/// Number of pattern evaluations that actually fanned out to a worker
-/// pool since process start (either morselization strategy, context- or
-/// tuple-level). Process-wide, monotonic, thread-safe. Exposed so tests
-/// can assert that a given execution path did — or, for the sequential
-/// legacy Engine::Execute contract, did not — parallelize.
+/// Number of pattern evaluations that actually fanned out into morsels
+/// since process start (context partitioning or root fan-out).
+/// Process-wide, monotonic, thread-safe. Exposed so tests can assert
+/// that a given execution path did — or, for the sequential legacy
+/// Engine::Execute contract, did not — parallelize.
 int64_t ParallelEvaluationCountForTesting();
-
-/// Pre-builds the lazily-constructed per-tag streams and document
-/// statistics that evaluating `tp` will touch, so worker threads only
-/// ever hit the built fast path of Document's lazy getters.
-void PrewarmPatternIndexes(const xml::Document& doc,
-                           const pattern::TreePattern& tp);
 
 }  // namespace xqtp::exec
 

@@ -76,9 +76,10 @@ TEST(ConcurrencyTest, ParallelExecutionOverColdIndexes) {
   EXPECT_EQ(failures.load(), 0);
 }
 
-// Two morsel-parallel queries executing concurrently: each Execute spins
-// up its own per-query pool (threads = 2), so four workers total hammer
-// the same document's indexes while both drivers merge morsel runs.
+// Two morsel-parallel queries executing concurrently: each Execute
+// borrows a parked worker per morselizing evaluation (threads = 2), so
+// four threads in all hammer the same document's indexes while both
+// drivers merge morsel runs.
 TEST(ConcurrencyTest, TwoMorselParallelQueriesConcurrently) {
   engine::Engine e;
   workload::MemberParams p;

@@ -12,6 +12,7 @@
 #include "analysis/qgen.h"
 #include "analysis/witness.h"
 #include "engine/engine.h"
+#include "exec/parallel.h"
 #include "xml/parser.h"
 
 namespace xqtp {
@@ -95,11 +96,38 @@ TEST(CrossCheck, AllAlgorithmsAgreeOnWitnessCorpus) {
       &tp, pattern::MakeSingleStep(kInvalidSymbol, Axis::kChild,
                                    NodeTest::Name(interner.Intern("b")),
                                    kInvalidSymbol));
+  // Both parallel routes must reach the morsel driver, or the oracle
+  // would quietly check the sequential path twice.
+  int64_t before = exec::ParallelEvaluationCountForTesting();
   for (const analysis::WitnessDoc& w : corpus.docs()) {
     Status s = analysis::CrossCheckPattern(
         tp, {xdm::Item(w.doc->root())}, interner);
     EXPECT_TRUE(s.ok()) << w.name << ": " << s.ToString();
   }
+  EXPECT_GT(exec::ParallelEvaluationCountForTesting(), before)
+      << "no +morsel leg of CrossCheckPattern reached the morsel driver";
+
+  // The same pattern as a query, through CrossCheck's plan routes.
+  engine::Engine eng;
+  auto q = eng.Compile("$input//a[b]");
+  ASSERT_TRUE(q.ok()) << q.status().ToString();
+  analysis::WitnessCorpus plan_corpus(eng.interner());
+  before = exec::ParallelEvaluationCountForTesting();
+  for (const analysis::WitnessDoc& w : plan_corpus.docs()) {
+    exec::Bindings bindings;
+    for (core::VarId v = 0; v < static_cast<core::VarId>(q->vars().size());
+         ++v) {
+      if (q->vars().IsGlobal(v)) bindings[v] = {xdm::Item(w.doc->root())};
+    }
+    analysis::CrossCheckInput in;
+    in.reference = &q->rewritten();
+    in.unoptimized = &q->plan();
+    in.optimized = &q->optimized();
+    Status s = analysis::CrossCheck(in, q->vars(), bindings);
+    EXPECT_TRUE(s.ok()) << w.name << ": " << s.ToString();
+  }
+  EXPECT_GT(exec::ParallelEvaluationCountForTesting(), before)
+      << "no threads=2 route of CrossCheck reached the morsel driver";
 }
 
 TEST(EquivChecker, AcceptsSoundPipeline) {

@@ -48,8 +48,8 @@ constexpr SiteConfig kRegistry[] = {
     {"exec.pattern.nl", exec::PatternAlgo::kNLJoin, 1},
     {"exec.pattern.staircase", exec::PatternAlgo::kStaircase, 1},
     {"exec.pattern.twig", exec::PatternAlgo::kTwig, 1},
-    // Morsel-parallel driver: a worker hits the fault mid-query and the
-    // pool must still drain.
+    // Morsel-parallel driver: a worker hits the fault mid-query and its
+    // RunMorsels call must still drain.
     {"exec.parallel.morsel", exec::PatternAlgo::kNLJoin, 4},
 };
 

@@ -116,8 +116,8 @@ TEST_F(GovernorTest, PreCancelledTokenTripsWithinBoundedChecks) {
 
 // The cancellation race: a separate thread cancels mid-query, for every
 // pattern algorithm at 1, 2, and 8 threads. The query must return
-// kCancelled (the heavy query cannot finish first), the worker pool must
-// drain cleanly, and the engine must run a normal query afterward.
+// kCancelled (the heavy query cannot finish first), the borrowed workers
+// must drain cleanly, and the engine must run a normal query afterward.
 TEST_F(GovernorTest, CrossThreadCancelMidQuery) {
   auto cq = engine_.Compile(kHeavyQuery);
   ASSERT_TRUE(cq.ok());

@@ -7,6 +7,7 @@
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstdint>
 #include <string>
@@ -14,6 +15,7 @@
 #include <vector>
 
 #include "engine/engine.h"
+#include "exec/exec_stats.h"
 #include "exec/parallel.h"
 #include "exec/pattern_eval.h"
 #include "workload/xmark_gen.h"
@@ -35,7 +37,6 @@ EvalOptions ParallelOpts(PatternAlgo algo, int threads) {
   // Small enough that the XMark corpus queries morselize on a 0.03-factor
   // document; small morsels exercise the merge on many runs.
   opts.parallel_min_fanout = 4;
-  opts.parallel_morsels_per_thread = 4;
   return opts;
 }
 
@@ -202,6 +203,60 @@ TEST_F(ParallelEvalTest, SingleMorselFallsBackToSequential) {
   }
 }
 
+// A dependent plan evaluates its pattern once per outer row, each time
+// over one small context. When the contexts' subtrees hold fewer nodes
+// than parallel_min_fanout, no root-step scan can reach the threshold, so
+// the driver must not scan at all: threads=2 does exactly the index work
+// of threads=1. The document has fewer than 256 nodes, so this holds for
+// every context at the default parallel_min_fanout.
+TEST(ParallelProbeTest, SmallSubtreesSkipTheRootFanOutScan) {
+  std::string xml = "<site><open_auctions>";
+  for (int i = 0; i < 20; ++i) {
+    xml += "<open_auction><initial>5</initial><bidder><increase>" +
+           std::to_string(i) + "</increase></bidder><current>" +
+           std::to_string(5 + i) + "</current></open_auction>";
+  }
+  xml += "</open_auctions></site>";
+  engine::Engine e;
+  auto doc = e.LoadDocument("auctions", xml);
+  ASSERT_TRUE(doc.ok()) << doc.status().ToString();
+  engine::Engine::GlobalMap globals{{"input", {xdm::Item((*doc)->root())}}};
+  // Per-row child steps (XQ3), and per-row descendant and
+  // descendant-or-self steps under a function call.
+  for (const char* query :
+       {"for $a in $input/site/open_auctions/open_auction "
+        "where $a/current > $a/initial + $a/initial return $a/current",
+        "for $a in $input//open_auction "
+        "where fn:count($a//increase) > 0 return $a/initial",
+        "for $a in $input//open_auction "
+        "return fn:count($a/descendant-or-self::node())"}) {
+    auto cq = e.Compile(query);
+    ASSERT_TRUE(cq.ok()) << query << ": " << cq.status().ToString();
+    for (PatternAlgo algo : kAllAlgos) {
+      ExecStats stats[2];
+      xdm::Sequence results[2];
+      for (int t = 0; t < 2; ++t) {
+        EvalOptions opts;
+        opts.algo = algo;
+        opts.threads = t + 1;
+        ScopedExecStats scope;
+        auto res = e.Execute(*cq, globals, opts);
+        ASSERT_TRUE(res.ok()) << query << ": " << res.status().ToString();
+        results[t] = *res;
+        stats[t] = scope.stats();
+      }
+      const std::string what =
+          std::string(query) + " [" + PatternAlgoName(algo) + "]";
+      ASSERT_GE(stats[0].pattern_evals, 20) << what << ": not per row";
+      EXPECT_EQ(results[1], results[0]) << what;
+      EXPECT_EQ(stats[1].index_skips, stats[0].index_skips) << what;
+      EXPECT_EQ(stats[1].index_entries_scanned,
+                stats[0].index_entries_scanned)
+          << what;
+    }
+  }
+}
+
 // Regression: root fan-out re-roots the pattern with a self axis, a shape
 // the optimizer never builds. A later descendant-or-self step must still
 // match the context node itself under the self-rooted instance (a
@@ -219,7 +274,6 @@ TEST(ParallelRerootTest, SelfRootedStreamKeepsContextMatches) {
     ASSERT_EQ(ref->size(), 4u) << PatternAlgoName(algo);  // b, b, d, a
     EvalOptions opts = ParallelOpts(algo, 2);
     opts.parallel_min_fanout = 2;
-    opts.parallel_morsels_per_thread = 2;
     auto res = e.Execute(*cq, globals, opts);
     ASSERT_TRUE(res.ok()) << PatternAlgoName(algo);
     ASSERT_EQ(res->size(), ref->size()) << PatternAlgoName(algo);
@@ -232,8 +286,8 @@ TEST(ParallelRerootTest, SelfRootedStreamKeepsContextMatches) {
 
 // Regression for the BENCH_smoke.json scaling cliff ($input//item//location
 // NLJoin: 528µs @2t → 618µs @4t → 717µs @8t before the clamp): the driver
-// must size pool and morsels by the work actually available — one thread
-// per min_fanout units — instead of the requested maximum, so an
+// must size its width and morsels by the work actually available — one
+// thread per min_fanout units — instead of the requested maximum, so an
 // 8-thread request over a ~1000-candidate fan-out runs ~3 threads wide.
 TEST(ThreadClampTest, EffectiveThreadsTrackAvailableMorsels) {
   // The bench shape: 1020 //item candidates, default min_fanout 256.
@@ -255,33 +309,29 @@ TEST(ThreadClampTest, EffectiveThreadsTrackAvailableMorsels) {
   EXPECT_EQ(ClampParallelThreads(1020, 8, 0), 8);
 }
 
-// ThreadPool plumbing: ResolveThreads maps the EvalOptions encoding to an
-// actual worker count.
-TEST(ThreadPoolTest, ResolveThreads) {
-  EXPECT_GE(ThreadPool::ResolveThreads(0), 1);  // auto: hardware threads
-  EXPECT_EQ(ThreadPool::ResolveThreads(1), 1);
-  EXPECT_EQ(ThreadPool::ResolveThreads(2), 2);
-  EXPECT_EQ(ThreadPool::ResolveThreads(8), 8);
+// ResolveThreads maps the EvalOptions encoding to an actual thread count.
+TEST(RunMorselsTest, ResolveThreads) {
+  EXPECT_GE(ResolveThreads(0), 1);  // auto: hardware threads
+  EXPECT_EQ(ResolveThreads(1), 1);
+  EXPECT_EQ(ResolveThreads(2), 2);
+  EXPECT_EQ(ResolveThreads(8), 8);
 }
 
-// The pool's batch protocol: every index claimed exactly once, across
-// repeated batches (generation counter resets next_ correctly).
-TEST(ThreadPoolTest, RunClaimsEachIndexOnce) {
-  ThreadPool pool(4);
+// Every index is claimed exactly once, call after call.
+TEST(RunMorselsTest, RunClaimsEachIndexOnce) {
   for (int round = 0; round < 3; ++round) {
     std::vector<std::atomic<int>> hits(97);
     for (auto& h : hits) h.store(0);
-    pool.Run(static_cast<int>(hits.size()),
-             [&hits](int i) { hits[static_cast<size_t>(i)].fetch_add(1); });
+    RunMorsels(4, static_cast<int>(hits.size()),
+               [&hits](int i) { hits[static_cast<size_t>(i)].fetch_add(1); });
     for (size_t i = 0; i < hits.size(); ++i) {
       EXPECT_EQ(hits[i].load(), 1) << "round " << round << " index " << i;
     }
   }
 }
 
-TEST(ThreadPoolTest, RunWithZeroCountIsANoOp) {
-  ThreadPool pool(2);
-  pool.Run(0, [](int) { FAIL() << "fn called for empty batch"; });
+TEST(RunMorselsTest, RunWithZeroCountIsANoOp) {
+  RunMorsels(2, 0, [](int) { FAIL() << "fn called for empty batch"; });
 }
 
 // The calling thread's serial number; unlike std::thread::id, never
@@ -292,15 +342,16 @@ uint64_t ThreadSerial() {
   return serial;
 }
 
-// Runs two morsels on a fresh ThreadPool(2) that wait for each other, so
-// the calling thread and the pool's one worker take one each; returns the
+// Makes one width-2 RunMorsels call whose two morsels wait for each
+// other, so the calling thread and one borrowed worker take one each.
+// Counts each index's runs into `hits` (when given) and returns the
 // worker's serial.
-uint64_t WorkerOfATwoThreadPool() {
-  ThreadPool pool(2);
+uint64_t WorkerOfAWidthTwoCall(std::atomic<int>* hits = nullptr) {
   const uint64_t caller = ThreadSerial();
   std::atomic<int> started{0};
   std::atomic<uint64_t> worker{0};
-  pool.Run(2, [&](int) {
+  RunMorsels(2, 2, [&](int i) {
+    if (hits != nullptr) hits[i].fetch_add(1);
     started.fetch_add(1);
     while (started.load() < 2) std::this_thread::yield();
     if (ThreadSerial() != caller) worker.store(ThreadSerial());
@@ -308,29 +359,64 @@ uint64_t WorkerOfATwoThreadPool() {
   return worker.load();
 }
 
-// A pool's worker is a parked thread that outlives the pool: the next
-// pool gets the same thread back instead of starting one.
-TEST(ThreadPoolTest, NextPoolReusesTheParkedWorker) {
-  const uint64_t first = WorkerOfATwoThreadPool();
+// A borrowed worker is a parked thread that outlives the call: the next
+// call gets the same thread back instead of starting one.
+TEST(RunMorselsTest, NextCallReusesTheParkedWorker) {
+  const uint64_t first = WorkerOfAWidthTwoCall();
   ASSERT_NE(first, 0u);
-  EXPECT_EQ(WorkerOfATwoThreadPool(), first);
+  EXPECT_EQ(WorkerOfAWidthTwoCall(), first);
+}
+
+// Two threads make 500 width-2 calls each at once, as two clients'
+// queries do. Every index runs exactly once, and the calls share the
+// parked workers: no more distinct worker threads ever run a morsel than
+// the reservoir keeps parked, so no call starts a thread of its own.
+TEST(RunMorselsTest, ConcurrentCallsShareTheParkedWorkers) {
+  if (ResolveThreads(0) < 2) {
+    GTEST_SKIP() << "one parked worker cannot serve two concurrent calls";
+  }
+  constexpr int kCalls = 500;
+  std::vector<uint64_t> workers[2];
+  std::atomic<int> hits[2][kCalls][2] = {};
+  std::thread clients[2];
+  for (int c = 0; c < 2; ++c) {
+    clients[c] = std::thread([&, c] {
+      for (int k = 0; k < kCalls; ++k) {
+        workers[c].push_back(WorkerOfAWidthTwoCall(hits[c][k]));
+      }
+    });
+  }
+  for (std::thread& t : clients) t.join();
+  std::vector<uint64_t> distinct;
+  for (int c = 0; c < 2; ++c) {
+    for (int k = 0; k < kCalls; ++k) {
+      EXPECT_EQ(hits[c][k][0].load(), 1) << "client " << c << " call " << k;
+      EXPECT_EQ(hits[c][k][1].load(), 1) << "client " << c << " call " << k;
+      ASSERT_NE(workers[c][static_cast<size_t>(k)], 0u);
+    }
+    distinct.insert(distinct.end(), workers[c].begin(), workers[c].end());
+  }
+  std::sort(distinct.begin(), distinct.end());
+  distinct.erase(std::unique(distinct.begin(), distinct.end()),
+                 distinct.end());
+  EXPECT_LE(distinct.size(), static_cast<size_t>(ResolveThreads(0)));
 }
 
 // A forked child has none of its parent's parked workers (only the
-// forking thread exists there), so its pools start their own.
-TEST(ThreadPoolTest, ForkedChildStartsItsOwnWorkers) {
+// forking thread exists there), so its calls start their own.
+TEST(RunMorselsTest, ForkedChildStartsItsOwnWorkers) {
 #if defined(__SANITIZE_THREAD__)
   GTEST_SKIP() << "ThreadSanitizer cannot start threads in a child forked "
                   "from a multi-threaded process";
 #endif
-  ASSERT_NE(WorkerOfATwoThreadPool(), 0u);  // leaves a worker parked
+  ASSERT_NE(WorkerOfAWidthTwoCall(), 0u);  // leaves a worker parked
   const pid_t pid = fork();
   ASSERT_NE(pid, -1);
   if (pid == 0) {
-    // Handed a parked worker that does not exist, the pool would wait
+    // Handed a parked worker that does not exist, the call would wait
     // for it forever.
     alarm(10);
-    _exit(WorkerOfATwoThreadPool() != 0 ? 0 : 1);
+    _exit(WorkerOfAWidthTwoCall() != 0 ? 0 : 1);
   }
   int status = 0;
   ASSERT_EQ(waitpid(pid, &status, 0), pid);
@@ -343,7 +429,7 @@ TEST(ThreadPoolTest, ForkedChildStartsItsOwnWorkers) {
 // ExecStats must stay deterministic, so it must never route through the
 // morsel-parallel driver — even on a query wide enough to morselize.
 // ParallelEvaluationCountForTesting() increments each time a pattern is
-// actually handed to a thread pool; the EvalOptions overload with
+// actually split into morsels; the EvalOptions overload with
 // threads=2 proves the same query DOES parallelize when asked to, so a
 // regression in the counter itself cannot make this test pass vacuously.
 TEST_F(ParallelEvalTest, LegacyExecuteOverloadNeverParallelizes) {
@@ -357,8 +443,8 @@ TEST_F(ParallelEvalTest, LegacyExecuteOverloadNeverParallelizes) {
   EXPECT_EQ(ParallelEvaluationCountForTesting(), before)
       << "legacy Execute overload routed through the parallel driver";
 
-  // min_fanout=4 (ParallelOpts) keeps the single root tuple below the
-  // tuple-morselization threshold, so the pattern parallelizes via the
+  // min_fanout=4 (ParallelOpts) keeps the single root context below the
+  // context-partitioning threshold, so the pattern parallelizes via the
   // root fan-out strategy — the path real single-document queries take.
   auto parallel =
       engine_.Execute(*cq, globals, ParallelOpts(PatternAlgo::kNLJoin, 2));

@@ -52,6 +52,14 @@ discipline:
                     nothing, so one such call on outside input (XML text,
                     query text) kills the server. Parse by hand or with
                     std::from_chars and return the error.
+  no-raw-thread     src/exec/parallel.cc is the ONLY file allowed to start a
+                    thread (std::thread other than ::hardware_concurrency,
+                    std::jthread, std::async, pthread_create). Every
+                    intra-query thread is then a parked worker that
+                    RunMorsels borrows from the reservoir, so no query
+                    starts or joins a thread of its own, and the malloc
+                    arenas the serving threads touch stay put
+                    (EXPERIMENTS.md E15).
 
 A finding prints as `path:line: [rule] message` and the process exits 1.
 A line may opt out with a trailing `lint:allow(<rule>, reason=<why>)`
@@ -468,9 +476,39 @@ def check_no_throwing_conversion(relpath, raw, code, findings):
                 "with std::from_chars (or by hand) and return a Status"))
 
 
+# --------------------------------------------------------------------------
+# rule: no-raw-thread
+
+RAW_THREAD_EXEMPT = os.path.join("src", "exec", "parallel.cc")
+
+RAW_THREAD_TOKENS = [
+    (re.compile(r"\bstd::thread\b(?!\s*::\s*hardware_concurrency\b)"),
+     "std::thread"),
+    (re.compile(r"\bstd::jthread\b"), "std::jthread"),
+    (re.compile(r"\bstd::async\b"), "std::async"),
+    (re.compile(r"\bpthread_create\b"), "pthread_create"),
+]
+
+
+def check_no_raw_thread(relpath, raw, code, findings):
+    if relpath.replace(os.sep, "/") == RAW_THREAD_EXEMPT.replace(os.sep, "/"):
+        return
+    for lineno, line in enumerate(code, 1):
+        for pat, what in RAW_THREAD_TOKENS:
+            if pat.search(line) and not allowed(raw[lineno - 1],
+                                                "no-raw-thread"):
+                findings.append(Finding(
+                    relpath, lineno, "no-raw-thread",
+                    f"{what} outside src/exec/parallel.cc — run parallel "
+                    "work through exec::RunMorsels, whose workers are the "
+                    "reservoir's parked threads"))
+                break
+
+
 RULES = [check_raw_sync, check_no_stdout, check_nodiscard_status,
          check_include_guard, check_assert_side_effect, check_allow_reason,
-         check_compiled_query_immutable, check_no_throwing_conversion]
+         check_compiled_query_immutable, check_no_throwing_conversion,
+         check_no_raw_thread]
 
 
 # --------------------------------------------------------------------------
@@ -630,6 +668,28 @@ SELF_TEST_FIXTURES = [
      "  return std::from_chars(b, e, *v).ec == std::errc();\n"
      "}\n"
      "void G() { my::stoi(1); std::store(2); restoi(3); }\n",
+     set()),
+    # no-raw-thread: starting a thread anywhere but the reservoir's file
+    # fires; asking for the hardware thread count, this_thread calls and
+    # mentions in comments or strings stay quiet.
+    ("src/bad/raw_thread.cc",
+     "#include <future>\n#include <pthread.h>\n#include <thread>\n"
+     "void F() { std::thread t([] {}); t.join(); }\n"
+     "void G() { std::jthread t([] {}); }\n"
+     "void H() { auto f = std::async([] { return 1; }); }\n"
+     "void I(pthread_t* t) { pthread_create(t, nullptr, Run, nullptr); }\n",
+     {"no-raw-thread"}),
+    ("src/good/thread_count.cc",
+     "#include <thread>\n"
+     "// Not std::thread t(F): RunMorsels lends a parked worker instead.\n"
+     "const char* kWhy = \"std::async(f) would start a thread\";\n"
+     "unsigned F() { return std::thread::hardware_concurrency(); }\n"
+     "void G() { std::this_thread::yield(); }\n",
+     set()),
+    ("src/exec/parallel.cc",
+     "#include <thread>\n"
+     "// The reservoir's own file: the one place a worker thread starts.\n"
+     "void Start() { std::thread([] {}).detach(); }\n",
      set()),
     ("src/good/cache_reader.cc",
      "#include \"engine/engine.h\"\n"
