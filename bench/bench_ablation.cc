@@ -15,34 +15,34 @@ struct Config {
 
 std::vector<Config> Configs() {
   std::vector<Config> configs;
-  configs.push_back({"full", {}});
+  configs.push_back({"full", PaperPlans()});
   {
-    engine::CompileOptions o;
+    engine::CompileOptions o = PaperPlans();
     o.rewrite_opts.typeswitch_rules = false;
     configs.push_back({"no-typeswitch-rules", o});
   }
   {
-    engine::CompileOptions o;
+    engine::CompileOptions o = PaperPlans();
     o.rewrite_opts.flwor_rules = false;
     configs.push_back({"no-flwor-rules", o});
   }
   {
-    engine::CompileOptions o;
+    engine::CompileOptions o = PaperPlans();
     o.rewrite_opts.ddo_removal = false;
     configs.push_back({"no-ddo-removal", o});
   }
   {
-    engine::CompileOptions o;
+    engine::CompileOptions o = PaperPlans();
     o.rewrite_opts.loop_split = false;
     configs.push_back({"no-loop-split", o});
   }
   {
-    engine::CompileOptions o;
+    engine::CompileOptions o = PaperPlans();
     o.rewrite = false;
     configs.push_back({"no-rewrites", o});
   }
   {
-    engine::CompileOptions o;
+    engine::CompileOptions o = PaperPlans();
     o.detect_tree_patterns = false;
     configs.push_back({"no-detection", o});
   }

@@ -53,6 +53,15 @@ inline const xml::Document& XmarkDoc(const std::string& name, double factor) {
   return *d;
 }
 
+/// The paper's plans: rule (g) off, so positional predicates stay
+/// outside patterns as in the paper's Q3/Q4 plans. The paper
+/// reproductions compile with these rather than the engine's default.
+inline engine::CompileOptions PaperPlans() {
+  engine::CompileOptions copts;
+  copts.positional_patterns = false;
+  return copts;
+}
+
 /// Compiles once, executes per iteration, reports result cardinality.
 inline void RunQueryBenchmark(benchmark::State& state, const std::string& q,
                               const xml::Document& doc,

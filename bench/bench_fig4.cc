@@ -38,7 +38,7 @@ void Register() {
     benchmark::RegisterBenchmark(
         (std::string("Fig4/OldEngine/") + scale.label).c_str(),
         [sp](benchmark::State& state) {
-          engine::CompileOptions copts;
+          engine::CompileOptions copts = PaperPlans();
           copts.rewrite = false;
           copts.detect_tree_patterns = false;
           RunQueryBenchmark(state, kFlworQuery,
@@ -59,7 +59,8 @@ void Register() {
             RunQueryBenchmark(state, kFlworQuery,
                               XmarkDoc(std::string("xmark_") + sp->label,
                                        sp->factor),
-                              algo);
+                              algo, engine::PlanChoice::kOptimized,
+                              PaperPlans());
           })
           ->Unit(benchmark::kMillisecond);
     }

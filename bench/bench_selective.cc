@@ -33,7 +33,8 @@ void Register() {
       benchmark::RegisterBenchmark(
           name.c_str(),
           [query, algo](benchmark::State& state) {
-            RunQueryBenchmark(state, query, Doc(), algo);
+            RunQueryBenchmark(state, query, Doc(), algo,
+                              engine::PlanChoice::kOptimized, PaperPlans());
           })
           ->Unit(benchmark::kMillisecond);
     }

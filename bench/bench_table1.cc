@@ -57,7 +57,8 @@ void Register() {
         benchmark::RegisterBenchmark(
             name.c_str(),
             [query, algo, sp](benchmark::State& state) {
-              RunQueryBenchmark(state, query, DocFor(*sp), algo);
+              RunQueryBenchmark(state, query, DocFor(*sp), algo,
+                                engine::PlanChoice::kOptimized, PaperPlans());
             })
             ->Unit(benchmark::kMillisecond);
       }

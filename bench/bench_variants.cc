@@ -17,7 +17,7 @@ void CompileVariant(benchmark::State& state, int index) {
   engine::Engine& e = SharedEngine();
   int patterns = 0;
   for (auto _ : state) {
-    auto cq = e.Compile(q);
+    auto cq = e.Compile(q, PaperPlans());
     if (!cq.ok()) {
       state.SkipWithError(cq.status().ToString().c_str());
       return;
@@ -31,7 +31,7 @@ void CompileVariant(benchmark::State& state, int index) {
 void ExecuteVariant(benchmark::State& state, int index,
                     bool detect_patterns) {
   std::vector<std::string> variants = workload::GeneratePathVariants(20);
-  engine::CompileOptions copts;
+  engine::CompileOptions copts = PaperPlans();
   copts.detect_tree_patterns = detect_patterns;
   RunQueryBenchmark(state, variants[static_cast<size_t>(index)],
                     XmarkDoc("xmark_variants", 0.1),
@@ -46,7 +46,7 @@ void Register() {
     engine::Engine& e = SharedEngine();
     std::set<std::string> plans;
     for (const std::string& q : workload::GeneratePathVariants(20)) {
-      auto cq = e.Compile(q);
+      auto cq = e.Compile(q, PaperPlans());
       if (cq.ok()) {
         plans.insert(
             algebra::ToString(cq->optimized(), cq->vars(), *e.interner()));

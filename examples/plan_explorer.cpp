@@ -27,7 +27,11 @@ constexpr const char* kFigure1[] = {
 
 void Explore(xqtp::engine::Engine* engine, const char* query) {
   std::printf("======================================================\n");
-  auto cq = engine->Compile(query);
+  // The paper's plans: positional predicates stay outside patterns (Q3,
+  // Q4) instead of folding into them, as they do by default.
+  xqtp::engine::CompileOptions paper;
+  paper.positional_patterns = false;
+  auto cq = engine->Compile(query, paper);
   if (!cq.ok()) {
     std::printf("query: %s\ncompile error: %s\n", query,
                 cq.status().ToString().c_str());

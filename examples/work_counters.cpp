@@ -44,9 +44,13 @@ int main() {
        "$input/desc::t01[desc::t02[desc::t03[desc::t04]]]", wide_doc},
   };
 
+  // The paper's plans: the Section 5.3 chain keeps its positional steps
+  // outside patterns, as in the paper, instead of folding them in.
+  xqtp::engine::CompileOptions paper;
+  paper.positional_patterns = false;
   for (const Case& c : cases) {
     std::printf("%s\n  %s\n", c.name, c.query);
-    auto cq = engine.Compile(c.query);
+    auto cq = engine.Compile(c.query, paper);
     if (!cq.ok()) {
       std::printf("  compile error: %s\n", cq.status().ToString().c_str());
       continue;

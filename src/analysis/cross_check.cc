@@ -160,14 +160,17 @@ Status CrossCheck(const CrossCheckInput& in, const core::VarTable& vars,
                       exec::Evaluate(*in.unoptimized, vars, bindings, {})});
   }
   bool has_pattern = PlanHasPattern(*in.optimized);
-  {
-    // Tiny-batch leg: the same optimized plan with a batch size of 2, so
-    // every multi-row stream crosses batch boundaries. It must be
-    // bit-identical to the default (1024-row) routes below.
+  for (int batch_rows : {2, 1}) {
+    // Tiny-batch legs: the same optimized plan with a batch size of 2, so
+    // every multi-row stream crosses batch boundaries, and of 1, so every
+    // batch is one row and no pattern is loop-lifted — the per-row path.
+    // Both must be bit-identical to the default (1024-row, lifted) routes
+    // below.
     exec::EvalOptions bopts;
     bopts.threads = 1;
-    bopts.tuple_batch_rows = 2;
-    routes.push_back({"plan(optimized, NLJoin, batch_rows=2)",
+    bopts.tuple_batch_rows = batch_rows;
+    routes.push_back({"plan(optimized, NLJoin, batch_rows=" +
+                          std::to_string(batch_rows) + ")",
                       exec::Evaluate(*in.optimized, vars, bindings, bopts)});
   }
   for (exec::PatternAlgo algo : CrossCheckAlgos()) {

@@ -52,9 +52,11 @@ struct CrossCheckInput {
 };
 
 /// Runs every route (Core interpreter, unoptimized plan, optimized plan
-/// x each pattern algorithm) and compares all results against the first
-/// available route. Two erroring routes agree regardless of message.
-/// Returns Internal naming the diverging route on the first mismatch.
+/// x each pattern algorithm, and the optimized plan at batch sizes 2 and
+/// 1 — the latter the per-row path, where no pattern is loop-lifted) and
+/// compares all results against the first available route. Two erroring
+/// routes agree regardless of message. Returns Internal naming the
+/// diverging route on the first mismatch.
 [[nodiscard]]
 Status CrossCheck(const CrossCheckInput& in, const core::VarTable& vars,
                   const exec::Bindings& bindings);

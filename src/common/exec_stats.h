@@ -23,7 +23,10 @@ struct ExecStats {
   int64_t index_entries_scanned = 0;
   /// Binary searches (skips) into index streams.
   int64_t index_skips = 0;
-  /// TupleTreePattern evaluations (one per input tuple per operator).
+  /// TupleTreePattern evaluations: one per EvalPattern call. A pattern
+  /// fed a one-row batch is one evaluation; a loop-lifted pattern
+  /// (exec::EvalPatternLifted) is one per batch and layer of nested
+  /// contexts, however many rows the batch holds.
   int64_t pattern_evals = 0;
   /// Cooperative governor checks performed (exec/governor.h): deadline /
   /// cancellation / budget polls at operator boundaries, inner-loop

@@ -71,9 +71,11 @@ struct CompileOptions {
   /// TreeJoin.
   bool detect_tree_patterns = true;
   /// Fold constant positional predicates into pattern steps (rule (g) —
-  /// the paper's future-work extension). Off by default so plans match
-  /// the paper.
-  bool positional_patterns = false;
+  /// the paper's future-work extension). On by default: `$d//person[1]`
+  /// becomes one pattern instead of a per-row pattern inside a positional
+  /// loop (EXPERIMENTS.md E8). The paper reproductions set it to false,
+  /// which gives the paper's Q3/Q4 plans.
+  bool positional_patterns = true;
   /// Merge cascades into multi-output ("generalized") patterns (rule
   /// (d') — the paper's primary future-work item). Off by default.
   bool multi_output_patterns = false;

@@ -3,12 +3,16 @@
 #include <algorithm>
 #include <functional>
 #include <optional>
+#include <span>
+#include <utility>
+#include <vector>
 
 #include "common/exec_stats.h"
 #include "common/fault_injection.h"
 #include "exec/fn_lib.h"
 #include "exec/parallel.h"
 #include "xdm/sequence_ops.h"
+#include "xml/node.h"
 
 namespace xqtp::exec {
 
@@ -32,6 +36,60 @@ int64_t ApproxBytes(const Sequence& s) {
 /// it once per non-empty TupleBatch, in row order; an error Status stops
 /// the stream.
 using BatchSink = std::function<Status(TupleBatch&&)>;
+
+/// A dependent sub-plan MapToItem{IN#f}(TupleTreePattern[P{f}](IN)) with
+/// a liftable P: per row, it returns P's bindings over that row's context.
+bool IsLiftablePattern(const Op& op) {
+  if (op.kind != OpKind::kMapToItem ||
+      op.dep->kind != OpKind::kFieldAccess ||
+      op.inputs[0]->kind != OpKind::kTupleTreePattern) {
+    return false;
+  }
+  const Op& ttp = *op.inputs[0];
+  return ttp.inputs[0]->kind == OpKind::kInputTuple &&
+         CanLiftPattern(ttp.tp) &&
+         ttp.tp.ExtractionPoint()->output == op.dep->field;
+}
+
+/// The lift rule: collects the liftable patterns (IsLiftablePattern)
+/// inside `op` that the per-row walk evaluates on every row — operands of
+/// comparisons, arithmetic, function calls and Sequence; inputs of
+/// fs:ddo, TreeJoin, ForEach, LetIn and typeswitch; the condition of if;
+/// the first operand of and/or. It never descends into a dependent
+/// sub-plan: those rebind IN, or run a data-dependent number of times.
+void CollectLifts(const Op& op, std::vector<const Op*>* out) {
+  if (IsLiftablePattern(op)) {
+    out->push_back(&op);
+    return;
+  }
+  switch (op.kind) {
+    case OpKind::kCompare:
+    case OpKind::kArith:
+    case OpKind::kFnCall:
+    case OpKind::kSequence:
+      for (const OpPtr& in : op.inputs) CollectLifts(*in, out);
+      return;
+    case OpKind::kDdo:
+    case OpKind::kTreeJoin:
+    case OpKind::kForEach:
+    case OpKind::kLetIn:
+    case OpKind::kTypeswitch:
+    case OpKind::kIf:
+    case OpKind::kAnd:
+    case OpKind::kOr:
+      CollectLifts(*op.inputs[0], out);
+      return;
+    default:
+      return;
+  }
+}
+
+/// True iff `node` is `ctx` or lies inside its pre/post region.
+/// IsAncestorOf compares regions, which is only meaningful within one
+/// document.
+bool InRegion(const xml::Node* ctx, const xml::Node* node) {
+  return node == ctx || (node->doc == ctx->doc && ctx->IsAncestorOf(*node));
+}
 
 class Evaluator {
  public:
@@ -124,6 +182,16 @@ class Evaluator {
         return xdm::DistinctDocOrder(std::move(in));
       }
       case OpKind::kMapToItem: {
+        if (const LiftedBindings* l = FindLift(op, tuple)) {
+          // Lifted by the enclosing batch kernel: this row's bindings.
+          const size_t r = tuple.row();
+          Sequence out;
+          out.reserve(l->offsets[r + 1] - l->offsets[r]);
+          for (size_t k = l->offsets[r]; k < l->offsets[r + 1]; ++k) {
+            out.push_back(Item(l->nodes[k]));
+          }
+          return out;
+        }
         Sequence out;
         ScopedMemoryCharge mem;
         const Op& dep = *op.dep;
@@ -144,6 +212,8 @@ class Evaluator {
                 }
                 return mem.Grow(bytes);
               }
+              LiftScope lifted(&lifts_);
+              XQTP_RETURN_NOT_OK(LiftPatterns(dep, b, &lifted));
               for (size_t i = 0; i < b.rows(); ++i) {
                 XQTP_ASSIGN_OR_RETURN(
                     Sequence part, EvalItem(dep, RowView(&b, i), nullptr));
@@ -266,14 +336,15 @@ class Evaluator {
 
   /// Yields one batch downstream: counts it, gives the governor its
   /// per-BATCH poll, and charges the batch's bytes for the duration of
-  /// the downstream processing. Empty batches are dropped here so kernels
-  /// never see them.
+  /// the downstream processing — computed only under a governor, since
+  /// ApproxBytes walks every logical row. Empty batches are dropped here
+  /// so kernels never see them.
   Status Emit(const BatchSink& sink, TupleBatch&& b) {
     if (b.rows() == 0) return Status::OK();
     CountBatch();
     XQTP_RETURN_NOT_OK(GovernorPoll());
     ScopedMemoryCharge mem;
-    XQTP_RETURN_NOT_OK(mem.Grow(b.ApproxBytes()));
+    if (mem.active()) XQTP_RETURN_NOT_OK(mem.Grow(b.ApproxBytes()));
     return sink(std::move(b));
   }
 
@@ -301,8 +372,7 @@ class Evaluator {
         // identity (IN as item): build the column straight from the
         // input items without a per-item plan walk.
         const bool identity = dep.kind == OpKind::kInputItem;
-        const size_t target =
-            static_cast<size_t>(std::max(1, opts_.tuple_batch_rows));
+        const size_t target = static_cast<size_t>(BatchRows());
         for (size_t begin = 0; begin < items.size(); begin += target) {
           const size_t end = std::min(items.size(), begin + target);
           TupleColumn col;
@@ -329,13 +399,19 @@ class Evaluator {
             *op.inputs[0], ambient, [&](TupleBatch&& in) -> Status {
               std::vector<uint32_t> keep;
               keep.reserve(in.rows());
-              for (size_t i = 0; i < in.rows(); ++i) {
-                XQTP_ASSIGN_OR_RETURN(
-                    Sequence pred,
-                    EvalItem(*op.dep, RowView(&in, i), nullptr));
-                XQTP_ASSIGN_OR_RETURN(bool k,
-                                      xdm::EffectiveBooleanValue(pred));
-                if (k) keep.push_back(static_cast<uint32_t>(i));
+              {
+                // The lifted state ends with the predicate loop, before
+                // the kept rows go downstream.
+                LiftScope lifted(&lifts_);
+                XQTP_RETURN_NOT_OK(LiftPatterns(*op.dep, in, &lifted));
+                for (size_t i = 0; i < in.rows(); ++i) {
+                  XQTP_ASSIGN_OR_RETURN(
+                      Sequence pred,
+                      EvalItem(*op.dep, RowView(&in, i), nullptr));
+                  XQTP_ASSIGN_OR_RETURN(bool k,
+                                        xdm::EffectiveBooleanValue(pred));
+                  if (k) keep.push_back(static_cast<uint32_t>(i));
+                }
               }
               if (keep.empty()) return Status::OK();
               // All rows kept: forward the batch itself. Otherwise yield
@@ -354,11 +430,14 @@ class Evaluator {
     }
   }
 
-  /// Sequential TupleTreePattern kernel over one input batch: the
-  /// context field is resolved once per batch, each row's bindings land
-  /// in a PatternBatchBuilder (single-row inputs broadcast their
-  /// unmodified fields — zero replication for the dominant
-  /// root-in-one-tuple plan).
+  /// TupleTreePattern kernel over one input batch. A one-row batch is
+  /// one EvalPattern over that row's contexts; a wider one is lifted
+  /// (EvalPatternLifted) when the pattern allows it, and only patterns
+  /// it does not cover (multi-output) are evaluated row by row. Output
+  /// rows land in a PatternBatchBuilder (single-row inputs broadcast
+  /// their unmodified fields — zero replication for the dominant
+  /// root-in-one-tuple plan) and leave in batches of at most
+  /// tuple_batch_rows.
   Status EvalPatternBatch(const Op& op, const TupleBatch& in,
                           const BatchSink& sink) {
     if (in.rows() == 0) return Status::OK();
@@ -367,20 +446,112 @@ class Evaluator {
       return Status::Internal(
           "TupleTreePattern input tuple lacks the context field");
     }
-    PatternBatchBuilder builder(in);
+    const size_t target = static_cast<size_t>(BatchRows());
+    std::optional<PatternBatchBuilder> builder(std::in_place, in);
+    auto add = [&](size_t row, std::span<const std::pair<Symbol,
+                                                         const xml::Node*>>
+                                   fields) -> Status {
+      builder->Add(row, fields);
+      if (builder->rows() < target) return Status::OK();
+      TupleBatch full = builder->Finish();
+      builder.emplace(in);
+      return Emit(sink, std::move(full));
+    };
     ScopedMemoryCharge mem;
-    for (size_t i = 0; i < in.rows(); ++i) {
-      XQTP_ASSIGN_OR_RETURN(
-          std::vector<BindingRow> rows,
-          EvalPattern(op.tp, in.Value(*ctx_col, i), opts_.algo,
-                      par_ ? &*par_ : nullptr));
-      XQTP_RETURN_NOT_OK(
-          mem.Grow(static_cast<int64_t>(rows.size() * sizeof(BindingRow))));
-      for (const BindingRow& row : rows) builder.Add(i, row);
+    if (in.rows() > 1 && CanLiftPattern(op.tp)) {
+      XQTP_ASSIGN_OR_RETURN(LiftedBindings lifted,
+                            EvalPatternLifted(op.tp, in, opts_.algo, par()));
+      XQTP_RETURN_NOT_OK(mem.Grow(LiftedBytes(lifted)));
+      std::pair<Symbol, const xml::Node*> binding{
+          op.tp.ExtractionPoint()->output, nullptr};
+      for (size_t i = 0; i < in.rows(); ++i) {
+        for (size_t k = lifted.offsets[i]; k < lifted.offsets[i + 1]; ++k) {
+          binding.second = lifted.nodes[k];
+          XQTP_RETURN_NOT_OK(add(i, {&binding, 1}));
+        }
+      }
+    } else {
+      for (size_t i = 0; i < in.rows(); ++i) {
+        XQTP_ASSIGN_OR_RETURN(
+            std::vector<BindingRow> rows,
+            EvalPattern(op.tp, in.Value(*ctx_col, i), opts_.algo, par()));
+        XQTP_RETURN_NOT_OK(
+            mem.Grow(static_cast<int64_t>(rows.size() * sizeof(BindingRow))));
+        for (const BindingRow& row : rows) {
+          XQTP_RETURN_NOT_OK(add(i, row.fields));
+        }
+      }
     }
-    if (builder.rows() == 0) return Status::OK();
-    return Emit(sink, builder.Finish());
+    if (builder->rows() == 0) return Status::OK();
+    return Emit(sink, builder->Finish());
   }
+
+  // ------------------------------------------------------------------
+  // Loop lifting.
+
+  /// One lifted sub-plan's results over one batch, read by the per-row
+  /// walk by (operator, batch, row).
+  struct Lift {
+    const Op* op;
+    const TupleBatch* batch;
+    LiftedBindings bindings;
+  };
+
+  /// Holds the lifts a batch kernel makes for one batch, and their byte
+  /// charge, until the kernel is done with that batch; nothing is carried
+  /// to the next batch.
+  class LiftScope {
+   public:
+    explicit LiftScope(std::vector<Lift>* lifts)
+        : lifts_(lifts), mark_(lifts->size()) {}
+    ~LiftScope() {
+      lifts_->erase(lifts_->begin() + static_cast<ptrdiff_t>(mark_),
+                    lifts_->end());
+    }
+    LiftScope(const LiftScope&) = delete;
+    LiftScope& operator=(const LiftScope&) = delete;
+
+    ScopedMemoryCharge& mem() { return mem_; }
+
+   private:
+    std::vector<Lift>* lifts_;
+    size_t mark_;
+    ScopedMemoryCharge mem_;
+  };
+
+  static int64_t LiftedBytes(const LiftedBindings& l) {
+    return static_cast<int64_t>(l.nodes.size() * sizeof(Item) +
+                                l.offsets.size() * sizeof(size_t));
+  }
+
+  /// Evaluates, over every row of `b` at once, the patterns the lift rule
+  /// (CollectLifts) finds in `dep`, which the caller then walks per row
+  /// of `b`. A one-row batch lifts nothing: its walk evaluates each
+  /// pattern once anyway.
+  Status LiftPatterns(const Op& dep, const TupleBatch& b, LiftScope* scope) {
+    if (b.rows() < 2) return Status::OK();
+    std::vector<const Op*> ops;
+    CollectLifts(dep, &ops);
+    for (const Op* m : ops) {
+      XQTP_ASSIGN_OR_RETURN(
+          LiftedBindings l,
+          EvalPatternLifted(m->inputs[0]->tp, b, opts_.algo, par()));
+      XQTP_RETURN_NOT_OK(scope->mem().Grow(LiftedBytes(l)));
+      lifts_.push_back(Lift{m, &b, std::move(l)});
+    }
+    return Status::OK();
+  }
+
+  /// The lifted results of `op` for the batch `tuple` views, or nullptr.
+  const LiftedBindings* FindLift(const Op& op, RowView tuple) const {
+    for (auto it = lifts_.rbegin(); it != lifts_.rend(); ++it) {
+      if (it->op == &op && it->batch == tuple.batch()) return &it->bindings;
+    }
+    return nullptr;
+  }
+
+  int BatchRows() const { return std::max(1, opts_.tuple_batch_rows); }
+  const ParallelContext* par() const { return par_ ? &*par_ : nullptr; }
 
   const core::VarTable& vars_;
   const Bindings& bindings_;
@@ -389,12 +560,164 @@ class Evaluator {
   /// EvalItem); coordinating thread only.
   uint32_t governor_tick_ = 0;
   std::unordered_map<core::VarId, Sequence> scoped_;
+  /// Lifted sub-plans of the batch kernels now running, innermost last.
+  std::vector<Lift> lifts_;
   /// Parallel-evaluation parameters; empty when opts_.threads resolves
   /// to 1.
   std::optional<ParallelContext> par_;
 };
 
 }  // namespace
+
+bool CanLiftPattern(const pattern::TreePattern& tp) {
+  return tp.SingleOutputAtExtractionPoint() && tp.UsesOnlyPatternAxes();
+}
+
+Result<LiftedBindings> EvalPatternLifted(const pattern::TreePattern& tp,
+                                         const TupleBatch& in,
+                                         PatternAlgo algo,
+                                         const ParallelContext* par) {
+  const TupleBatch::BoundColumn* col = in.Find(tp.input_field);
+  if (col == nullptr) {
+    return Status::Internal(
+        "TupleTreePattern input tuple lacks the context field");
+  }
+  const size_t rows = in.rows();
+  GovernorTicker gov;
+  ScopedMemoryCharge mem;
+
+  // Every (context node, row) pair, in document order of the node.
+  struct Use {
+    const xml::Node* node;
+    uint32_t row;
+    uint32_t ctx;  // index into `ctx` below
+  };
+  std::vector<Use> uses;
+  for (size_t r = 0; r < rows; ++r) {
+    for (const Item& it : in.Value(*col, r)) {
+      if (!it.IsNode()) {
+        return Status::TypeError(
+            "tree pattern applied to a non-node context item");
+      }
+      uses.push_back({it.node(), static_cast<uint32_t>(r), 0});
+    }
+  }
+  XQTP_RETURN_NOT_OK(mem.Grow(static_cast<int64_t>(uses.size() * sizeof(Use))));
+  std::sort(uses.begin(), uses.end(), [](const Use& a, const Use& b) {
+    return a.node != b.node ? xml::DocOrderLess(a.node, b.node) : a.row < b.row;
+  });
+
+  // The distinct contexts, each in the first layer whose last context does
+  // not contain it. Contexts arrive in document order, so a context
+  // outside a layer's last one is outside all of that layer's: no context
+  // of a layer lies inside another, and there are never more layers than
+  // the contexts nest deep.
+  std::vector<const xml::Node*> ctx;
+  std::vector<uint32_t> layer_of;
+  std::vector<const xml::Node*> layer_last;
+  for (Use& u : uses) {
+    if (ctx.empty() || ctx.back() != u.node) {
+      size_t k = 0;
+      while (k < layer_last.size() && InRegion(layer_last[k], u.node)) ++k;
+      if (k == layer_last.size()) {
+        layer_last.push_back(u.node);
+      } else {
+        layer_last[k] = u.node;
+      }
+      ctx.push_back(u.node);
+      layer_of.push_back(static_cast<uint32_t>(k));
+    }
+    u.ctx = static_cast<uint32_t>(ctx.size() - 1);
+  }
+
+  // One EvalPattern per layer. Pattern axes only go down or stay put, so
+  // each binding lies in exactly one of the layer's disjoint context
+  // regions, and each context's bindings are one contiguous run of the
+  // document-ordered result.
+  struct Run {
+    size_t begin = 0;
+    size_t end = 0;
+  };
+  std::vector<const xml::Node*> bound;
+  std::vector<Run> runs(ctx.size());
+  for (uint32_t layer = 0; layer < layer_last.size(); ++layer) {
+    std::vector<uint32_t> members;
+    Sequence layer_ctx;
+    for (uint32_t id = 0; id < ctx.size(); ++id) {
+      if (layer_of[id] != layer) continue;
+      members.push_back(id);
+      layer_ctx.push_back(Item(ctx[id]));
+    }
+    XQTP_ASSIGN_OR_RETURN(std::vector<BindingRow> found,
+                          EvalPattern(tp, layer_ctx, algo, par));
+    XQTP_RETURN_NOT_OK(mem.Grow(
+        static_cast<int64_t>(found.size() * sizeof(const xml::Node*))));
+    size_t m = 0;
+    runs[members[0]].begin = bound.size();
+    for (const BindingRow& b : found) {
+      const xml::Node* node = b.fields.front().second;
+      while (!InRegion(ctx[members[m]], node)) {
+        runs[members[m]].end = bound.size();
+        if (++m == members.size()) {
+          return Status::Internal(
+              "lifted pattern bound a node outside its contexts");
+        }
+        runs[members[m]].begin = bound.size();
+      }
+      bound.push_back(node);
+    }
+    runs[members[m]].end = bound.size();
+    for (++m; m < members.size(); ++m) {
+      runs[members[m]] = Run{bound.size(), bound.size()};
+    }
+  }
+
+  // Each row's contexts in document order: a counting sort of the uses
+  // by row keeps the node order within each row.
+  std::vector<uint32_t> start(rows + 1, 0);
+  for (const Use& u : uses) ++start[u.row + 1];
+  for (size_t r = 0; r < rows; ++r) start[r + 1] += start[r];
+  std::vector<uint32_t> row_ctx(uses.size());
+  {
+    std::vector<uint32_t> fill(start.begin(), start.end() - 1);
+    for (const Use& u : uses) row_ctx[fill[u.row]++] = u.ctx;
+  }
+
+  // A row's bindings are its distinct contexts' runs, concatenated: runs
+  // of disjoint contexts follow each other in document order. Only a row
+  // holding a context inside another of its own contexts needs a merge.
+  LiftedBindings out;
+  out.offsets.reserve(rows + 1);
+  out.offsets.push_back(0);
+  for (size_t r = 0; r < rows; ++r) {
+    const size_t first = out.nodes.size();
+    const xml::Node* cover = nullptr;
+    bool nested = false;
+    for (uint32_t i = start[r]; i < start[r + 1]; ++i) {
+      const uint32_t id = row_ctx[i];
+      if (i > start[r] && id == row_ctx[i - 1]) continue;  // same node again
+      if (!gov.Tick()) return gov.status();
+      if (cover != nullptr && InRegion(cover, ctx[id])) {
+        nested = true;
+      } else {
+        cover = ctx[id];
+      }
+      out.nodes.insert(out.nodes.end(),
+                       bound.begin() + static_cast<ptrdiff_t>(runs[id].begin),
+                       bound.begin() + static_cast<ptrdiff_t>(runs[id].end));
+    }
+    if (nested) {
+      auto row_begin = out.nodes.begin() + static_cast<ptrdiff_t>(first);
+      std::sort(row_begin, out.nodes.end(), xml::DocOrderLess);
+      out.nodes.erase(std::unique(row_begin, out.nodes.end()),
+                      out.nodes.end());
+    }
+    out.offsets.push_back(out.nodes.size());
+  }
+  XQTP_RETURN_NOT_OK(
+      mem.Grow(static_cast<int64_t>(out.nodes.size() * sizeof(Item))));
+  return out;
+}
 
 Result<Sequence> Evaluate(const Op& plan, const core::VarTable& vars,
                           const Bindings& bindings, const EvalOptions& opts) {

@@ -2,7 +2,9 @@
 // a pipeline of columnar TupleBatches (exec/tuple.h) streaming between
 // pipeline-able operators. TupleTreePattern dispatches to the configured
 // physical algorithm (NLJoin / Staircase / Twig, or the cost model's
-// per-evaluation choice).
+// per-evaluation choice). A pattern that depends on the current tuple is
+// loop-lifted: evaluated once over the contexts of every row of a batch
+// (EvalPatternLifted), not once per row.
 #ifndef XQTP_EXEC_EVALUATOR_H_
 #define XQTP_EXEC_EVALUATOR_H_
 
@@ -11,6 +13,7 @@
 #include <memory>
 #include <optional>
 #include <unordered_map>
+#include <vector>
 
 #include "algebra/ops.h"
 #include "common/status.h"
@@ -62,6 +65,34 @@ struct EvalOptions {
 
 /// Values for the query's global variables.
 using Bindings = std::unordered_map<core::VarId, xdm::Sequence>;
+
+/// A single-output tree pattern's bindings for every logical row of one
+/// TupleBatch, flat: row r's bound nodes are
+/// nodes[offsets[r], offsets[r + 1]) — distinct and in document order,
+/// exactly what EvalPattern over that row's context alone returns.
+struct LiftedBindings {
+  std::vector<const xml::Node*> nodes;
+  std::vector<size_t> offsets;  ///< rows + 1 entries
+};
+
+/// Whether EvalPatternLifted evaluates `tp`: one output, at the
+/// extraction point, and only the downward or self axes the optimizer
+/// builds patterns from — so every binding lies in its context's
+/// pre/post region.
+bool CanLiftPattern(const pattern::TreePattern& tp);
+
+/// Loop-lifted evaluation of `tp` (CanLiftPattern) over the context
+/// field of every row of `in`: one EvalPattern, so one counted pattern
+/// evaluation, per layer of the batch's distinct contexts in which no
+/// context lies inside another, instead of one per row. A layer's
+/// bindings are the disjoint union of its contexts' own, and one merge
+/// over document order hands each binding to its context. A non-node
+/// context item is a TypeError, as in the pattern algorithms.
+[[nodiscard]]
+Result<LiftedBindings> EvalPatternLifted(const pattern::TreePattern& tp,
+                                         const TupleBatch& in,
+                                         PatternAlgo algo,
+                                         const ParallelContext* par = nullptr);
 
 /// Evaluates a compiled (item) plan against global bindings.
 [[nodiscard]]

@@ -174,8 +174,9 @@ class GovernorTicker {
 /// trips any limit mid-accumulation unwinds back to zero accounted bytes
 /// and the governor can be reused (no partial-result leak in the
 /// accountant). The columnar tuple pipeline charges once per produced
-/// TupleBatch (TupleBatch::ApproxBytes); item-plan accumulation loops
-/// charge per sequence part. Charges are batched locally and flushed to
+/// TupleBatch (TupleBatch::ApproxBytes) and once per loop-lifted
+/// pattern's state; item-plan accumulation loops charge per sequence
+/// part. Charges are batched locally and flushed to
 /// the shared accountant every kFlushBytes (per-part charges in the
 /// evaluator's accumulation loops would otherwise pay an atomic RMW per
 /// part — measurable on cheap plans, see bench_governor). The accounting
@@ -190,6 +191,11 @@ class ScopedMemoryCharge {
   }
   ScopedMemoryCharge(const ScopedMemoryCharge&) = delete;
   ScopedMemoryCharge& operator=(const ScopedMemoryCharge&) = delete;
+
+  /// True when a governor is installed. Callers whose charge is costly
+  /// to compute (TupleBatch::ApproxBytes walks every row) compute it
+  /// only then.
+  bool active() const { return governor_ != nullptr; }
 
   /// Accounts `bytes` more; kResourceExhausted when the flushed total
   /// exceeds the budget.

@@ -455,8 +455,9 @@ void PatternBatchBuilder::EnsureBindingColumn(Symbol field, size_t row) {
   cols_.push_back(std::move(col));
 }
 
-void PatternBatchBuilder::Add(size_t row, const BindingRow& brow) {
-  for (const auto& [sym, node] : brow.fields) EnsureBindingColumn(sym, row);
+void PatternBatchBuilder::Add(
+    size_t row, std::span<const std::pair<Symbol, const xml::Node*>> fields) {
+  for (const auto& [sym, node] : fields) EnsureBindingColumn(sym, row);
   for (Col& c : cols_) {
     if (c.src >= 0) {
       c.values.push_back(in_.Value(in_.columns()[c.src], row));
@@ -464,7 +465,7 @@ void PatternBatchBuilder::Add(size_t row, const BindingRow& brow) {
       c.values.emplace_back();
     }
   }
-  for (const auto& [sym, node] : brow.fields) {
+  for (const auto& [sym, node] : fields) {
     FindCol(sym)->values.back() = xdm::Sequence{xdm::Item(node)};
   }
   ++rows_;

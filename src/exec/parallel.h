@@ -36,6 +36,8 @@
 #define XQTP_EXEC_PARALLEL_H_
 
 #include <functional>
+#include <span>
+#include <utility>
 #include <vector>
 
 #include "common/status.h"
@@ -115,8 +117,10 @@ class PatternBatchBuilder {
   explicit PatternBatchBuilder(const TupleBatch& in);
 
   /// Appends one output row: input row `row`'s fields overlaid with
-  /// `brow`'s bindings (each bound node as a singleton sequence).
-  void Add(size_t row, const BindingRow& brow);
+  /// `fields`, a BindingRow's (field, bound node) pairs (each bound node
+  /// as a singleton sequence).
+  void Add(size_t row,
+           std::span<const std::pair<Symbol, const xml::Node*>> fields);
 
   size_t rows() const { return rows_; }
 

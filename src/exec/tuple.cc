@@ -105,6 +105,7 @@ void TupleBatch::MoveColumnValues(BoundColumn& from, TupleColumn* into) {
 }
 
 int64_t TupleBatch::ApproxBytes() const {
+  const size_t n = rows();
   int64_t bytes = 0;
   for (const BoundColumn& c : columns_) {
     if (c.broadcast) {
@@ -112,10 +113,9 @@ int64_t TupleBatch::ApproxBytes() const {
                                     sizeof(xdm::Item));
       continue;
     }
-    bytes += static_cast<int64_t>(c.column->values.size() *
-                                  sizeof(xdm::Sequence));
-    for (const xdm::Sequence& v : c.column->values) {
-      bytes += static_cast<int64_t>(v.size() * sizeof(xdm::Item));
+    bytes += static_cast<int64_t>(n * sizeof(xdm::Sequence));
+    for (size_t i = 0; i < n; ++i) {
+      bytes += static_cast<int64_t>(Value(c, i).size() * sizeof(xdm::Item));
     }
   }
   if (sel_) bytes += static_cast<int64_t>(sel_->size() * sizeof(uint32_t));

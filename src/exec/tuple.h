@@ -117,9 +117,11 @@ class TupleBatch {
   void Append(TupleBatch&& other);
 
   /// Approximate heap footprint for the governor's byte accountant:
-  /// per-row sequence items at sizeof(Item), broadcast columns counted
-  /// once, plus the selection vector. Shared columns are counted by
-  /// every sharing batch (conservative, like the rest of the accounting).
+  /// per LOGICAL row, the sequence slot plus its items at sizeof(Item);
+  /// broadcast columns counted once, plus the selection vector. A
+  /// selection view is charged for the rows it selects, not for the
+  /// columns it shares: a one-row view of a 1,000-row batch costs one
+  /// row. Columns shared by several live batches are counted by each.
   int64_t ApproxBytes() const;
 
  private:
@@ -143,6 +145,11 @@ class RowView {
 
   /// False when there is no tuple context at all.
   bool valid() const { return batch_ != nullptr; }
+
+  /// The viewed batch (nullptr when invalid) and its logical row: the
+  /// key under which a batch kernel's loop-lifted results are read.
+  const TupleBatch* batch() const { return batch_; }
+  size_t row() const { return row_; }
 
   /// The field's sequence, or nullptr if absent.
   const xdm::Sequence* Get(Symbol field) const {

@@ -18,8 +18,11 @@
 #include "core/ast.h"
 #include "core/rewrite.h"
 #include "engine/engine.h"
+#include "exec/evaluator.h"
 #include "exec/governor.h"
 #include "exec/pattern_eval.h"
+#include "exec/tuple.h"
+#include "pattern/tree_pattern.h"
 #include "workload/xmark_gen.h"
 #include "xml/parser.h"
 
@@ -266,6 +269,76 @@ TEST_F(GovernorTest, CompileTimeDeadline) {
 }
 
 // ---- Recursion-depth bounds (satellite) ------------------------------------
+
+// A loop-lifted pattern evaluation (exec::EvalPatternLifted) over one
+// 2,000-row batch is a single call that runs as long as 2,000 per-row
+// evaluations did, so it must stop on each governor limit by itself.
+class LiftedGovernorTest : public ::testing::Test {
+ protected:
+  void SetUp() override {
+    std::string xml = "<r>";
+    for (int i = 0; i < kRows; ++i) xml += "<a><b/></a>";
+    xml += "</r>";
+    auto doc = engine_.LoadDocument("rows", xml);
+    ASSERT_TRUE(doc.ok()) << doc.status().ToString();
+    Symbol dot = engine_.interner()->Intern("dot");
+    tp_ = pattern::MakeSingleStep(
+        dot, Axis::kChild, NodeTest::Name(engine_.interner()->Intern("b")),
+        engine_.interner()->Intern("out"));
+    TupleColumn col;
+    col.field = dot;
+    for (const xml::Node* a :
+         (*doc)->ElementsByTag(engine_.interner()->Intern("a"))) {
+      col.values.push_back({xdm::Item(a)});
+    }
+    ASSERT_EQ(col.values.size(), static_cast<size_t>(kRows));
+    batch_ = TupleBatch(kRows);
+    batch_.AddOwnedColumn(std::move(col));
+  }
+
+  /// The lifted evaluation's status under a governor with `limits`, for
+  /// every algorithm.
+  void ExpectTrips(const GovernorLimits& limits, StatusCode code) {
+    for (PatternAlgo algo : kAllAlgos) {
+      QueryGovernor governor(limits);
+      ScopedGovernor install(&governor);
+      auto lifted = EvalPatternLifted(tp_, batch_, algo);
+      ASSERT_FALSE(lifted.ok()) << PatternAlgoName(algo);
+      EXPECT_EQ(lifted.status().code(), code)
+          << PatternAlgoName(algo) << ": " << lifted.status().ToString();
+    }
+  }
+
+  static constexpr int kRows = 2000;
+  engine::Engine engine_;
+  pattern::TreePattern tp_;
+  TupleBatch batch_;
+};
+
+TEST_F(LiftedGovernorTest, UngovernedEvaluationCompletes) {
+  auto lifted = EvalPatternLifted(tp_, batch_, PatternAlgo::kNLJoin);
+  ASSERT_TRUE(lifted.ok()) << lifted.status().ToString();
+  EXPECT_EQ(lifted->nodes.size(), static_cast<size_t>(kRows));
+}
+
+TEST_F(LiftedGovernorTest, ExpiredDeadlineStopsTheLift) {
+  GovernorLimits limits;
+  limits.deadline = steady_clock::now() - milliseconds(1);
+  ExpectTrips(limits, StatusCode::kDeadlineExceeded);
+}
+
+TEST_F(LiftedGovernorTest, CancelledTokenStopsTheLift) {
+  GovernorLimits limits;
+  limits.cancel_token = std::make_shared<CancelToken>();
+  limits.cancel_token->Cancel();
+  ExpectTrips(limits, StatusCode::kCancelled);
+}
+
+TEST_F(LiftedGovernorTest, SmallBudgetTripsOnLiftedState) {
+  GovernorLimits limits;
+  limits.memory_budget_bytes = 16 * 1024;  // below 2,000 rows' state
+  ExpectTrips(limits, StatusCode::kResourceExhausted);
+}
 
 TEST(DepthBoundsTest, XmlParserRejectsPathologicalNesting) {
   std::string open, close;

@@ -55,8 +55,8 @@ class ParallelEvalTest : public ::testing::Test {
 // Acceptance matrix: all three algorithms x {1, 2, 8} threads x the
 // XMark query corpus, bit-identical to the Core interpreter — the
 // semantics reference, which shares no plan, pattern algorithm or morsel
-// driver with the evaluator under test — plus a tiny-batch leg so
-// multi-row streams cross batch boundaries.
+// driver with the evaluator under test — plus tiny-batch legs, so
+// multi-row streams cross batch boundaries, and the per-row path runs.
 TEST_F(ParallelEvalTest, BitIdenticalAcrossThreadsAndAlgorithms) {
   engine::Engine::GlobalMap globals{{"input", {xdm::Item(doc_->root())}}};
   for (const workload::XmarkQuery& q : workload::XmarkQueryCorpus()) {
@@ -80,20 +80,22 @@ TEST_F(ParallelEvalTest, BitIdenticalAcrossThreadsAndAlgorithms) {
               << "] item " << i;
         }
       }
-      // Tiny-batch leg: forces batch boundaries inside every multi-row
-      // stream without multiplying the whole matrix.
-      EvalOptions tiny = ParallelOpts(algo, 2);
-      tiny.tuple_batch_rows = 3;
-      auto res = engine_.Execute(*cq, globals, tiny);
-      ASSERT_TRUE(res.ok())
-          << q.id << " [" << PatternAlgoName(algo) << " batch_rows=3]: "
-          << res.status().ToString();
-      ASSERT_EQ(res->size(), ref->size())
-          << q.id << " [" << PatternAlgoName(algo) << " batch_rows=3]";
-      for (size_t i = 0; i < res->size(); ++i) {
-        ASSERT_TRUE((*res)[i] == (*ref)[i])
-            << q.id << " [" << PatternAlgoName(algo) << " batch_rows=3] item "
-            << i;
+      // Tiny-batch legs without multiplying the whole matrix: 3 rows
+      // forces batch boundaries inside every multi-row stream (and lifts
+      // dependent patterns over 3 rows at a time); 1 row is the per-row
+      // path, where nothing is lifted.
+      for (int batch_rows : {3, 1}) {
+        EvalOptions tiny = ParallelOpts(algo, 2);
+        tiny.tuple_batch_rows = batch_rows;
+        const std::string leg = q.id + " [" + PatternAlgoName(algo) +
+                                " batch_rows=" + std::to_string(batch_rows) +
+                                "]";
+        auto res = engine_.Execute(*cq, globals, tiny);
+        ASSERT_TRUE(res.ok()) << leg << ": " << res.status().ToString();
+        ASSERT_EQ(res->size(), ref->size()) << leg;
+        for (size_t i = 0; i < res->size(); ++i) {
+          ASSERT_TRUE((*res)[i] == (*ref)[i]) << leg << " item " << i;
+        }
       }
     }
   }
@@ -203,12 +205,13 @@ TEST_F(ParallelEvalTest, SingleMorselFallsBackToSequential) {
   }
 }
 
-// A dependent plan evaluates its pattern once per outer row, each time
-// over one small context. When the contexts' subtrees hold fewer nodes
-// than parallel_min_fanout, no root-step scan can reach the threshold, so
-// the driver must not scan at all: threads=2 does exactly the index work
-// of threads=1. The document has fewer than 256 nodes, so this holds for
-// every context at the default parallel_min_fanout.
+// On the per-row path (tuple_batch_rows = 1, where nothing is
+// loop-lifted) a dependent plan evaluates its pattern once per outer row,
+// each time over one small context. When the contexts' subtrees hold
+// fewer nodes than parallel_min_fanout, no root-step scan can reach the
+// threshold, so the driver must not scan at all: threads=2 does exactly
+// the index work of threads=1. The document has fewer than 256 nodes, so
+// this holds for every context at the default parallel_min_fanout.
 TEST(ParallelProbeTest, SmallSubtreesSkipTheRootFanOutScan) {
   std::string xml = "<site><open_auctions>";
   for (int i = 0; i < 20; ++i) {
@@ -239,6 +242,7 @@ TEST(ParallelProbeTest, SmallSubtreesSkipTheRootFanOutScan) {
         EvalOptions opts;
         opts.algo = algo;
         opts.threads = t + 1;
+        opts.tuple_batch_rows = 1;
         ScopedExecStats scope;
         auto res = e.Execute(*cq, globals, opts);
         ASSERT_TRUE(res.ok()) << query << ": " << res.status().ToString();

@@ -87,7 +87,7 @@ TEST(Fingerprint, PlanShapingOptionsDiscriminate) {
   add("detect_tree_patterns").detect_tree_patterns = false;
   add("rewrite").rewrite = false;
   add("ddo_removal").rewrite_opts.ddo_removal = false;
-  add("positional_patterns").positional_patterns = true;
+  add("positional_patterns").positional_patterns = false;
   add("multi_output_patterns").multi_output_patterns = true;
   add("typeswitch_rules").rewrite_opts.typeswitch_rules = false;
   add("flwor_rules").rewrite_opts.flwor_rules = false;

@@ -12,6 +12,13 @@
 namespace xqtp {
 namespace {
 
+/// The paper's plans: rule (g) off.
+engine::CompileOptions PaperMode() {
+  engine::CompileOptions opts;
+  opts.positional_patterns = false;
+  return opts;
+}
+
 class PositionalTest : public ::testing::Test {
  protected:
   void SetUp() override {
@@ -33,7 +40,7 @@ class PositionalTest : public ::testing::Test {
   std::vector<std::string> Eval(const std::string& q) {
     auto ext = engine_.Compile(q, opts_);
     EXPECT_TRUE(ext.ok()) << q << ": " << ext.status().ToString();
-    auto ref_cq = engine_.Compile(q);  // paper-mode
+    auto ref_cq = engine_.Compile(q, PaperMode());
     EXPECT_TRUE(ref_cq.ok());
     engine::Engine::GlobalMap globals{{"d", {xdm::Item(doc_->root())}}};
     auto ref = engine_.Execute(*ref_cq, globals, exec::PatternAlgo::kNLJoin);
@@ -124,12 +131,24 @@ TEST_F(PositionalTest, PositionLastStaysOutside) {
 }
 
 TEST_F(PositionalTest, DefaultModeKeepsPaperPlans) {
-  // Without the flag, Q3 keeps the maps of the paper.
-  auto cq = engine_.Compile("$d//person[1]/name");
+  // With the flag off, Q3 keeps the maps of the paper.
+  auto cq = engine_.Compile("$d//person[1]/name", PaperMode());
   ASSERT_TRUE(cq.ok());
   std::string p = algebra::ToString(cq->optimized(), cq->vars(),
                                     *engine_.interner());
   EXPECT_NE(p.find("ForEach"), std::string::npos) << p;
+}
+
+TEST_F(PositionalTest, DefaultFoldsPositionalPredicates) {
+  // Rule (g) is on by default: Q3's [1] folds into one pattern.
+  auto cq = engine_.Compile("$d//person[1]/name");
+  ASSERT_TRUE(cq.ok());
+  std::string p = algebra::ToString(cq->optimized(), cq->vars(),
+                                    *engine_.interner());
+  EXPECT_EQ(p.find("ForEach"), std::string::npos) << p;
+  EXPECT_EQ(cq->Stats().tree_pattern_ops, 1) << p;
+  EXPECT_EQ(Eval("$d//person[1]/name"),
+            (std::vector<std::string>{"Ann", "Dee"}));
 }
 
 TEST_F(PositionalTest, RandomizedAgreementOnMember) {
@@ -147,7 +166,7 @@ TEST_F(PositionalTest, RandomizedAgreementOnMember) {
       "$input//t05[1][t06]", "$input//t01[2]//t02[1]",
   };
   for (const char* q : queries) {
-    auto cq_ref = e2.Compile(q);
+    auto cq_ref = e2.Compile(q, PaperMode());
     auto cq_ext = e2.Compile(q, ext);
     ASSERT_TRUE(cq_ref.ok() && cq_ext.ok()) << q;
     engine::Engine::GlobalMap globals{{"input", {xdm::Item(d->root())}}};

@@ -3,7 +3,7 @@
 // sharing (including concurrent readers over aliased columns — the TSan
 // leg runs this binary), the row view, and the engine-level check of the
 // batch pipeline against the Core interpreter with its ExecStats
-// counters.
+// counters, and the cut of a pattern's output at tuple_batch_rows.
 #include <gtest/gtest.h>
 
 #include <string>
@@ -159,10 +159,24 @@ TEST(TupleBatchTest, AppendMovesUniqueAndCopiesShared) {
   EXPECT_EQ(IntAt(base, 1, Sym(1)), 1);  // survivor unaffected
 }
 
+TEST(TupleBatchTest, OneRowViewIsChargedAsOneRow) {
+  // A dependent plan's IN is a one-row view of the outer batch; charging
+  // the whole shared column per outer row made each batch O(rows^2).
+  TupleBatch b = IntBatch(Sym(1), 1000);
+  const int64_t row =
+      static_cast<int64_t>(sizeof(Sequence) + sizeof(Item));
+  EXPECT_EQ(b.ApproxBytes(), 1000 * row);
+  TupleBatch one = RowView(&b, 500).ToBatch();
+  EXPECT_EQ(one.ApproxBytes(),
+            row + static_cast<int64_t>(sizeof(uint32_t)));  // + selection
+}
+
 TEST(RowViewTest, ViewsOneBatchRow) {
   TupleBatch b = IntBatch(Sym(1), 4);
   RowView from_batch(&b, 2);
   EXPECT_TRUE(from_batch.valid());
+  EXPECT_EQ(from_batch.batch(), &b);
+  EXPECT_EQ(from_batch.row(), 2u);
   EXPECT_EQ((*from_batch.Get(Sym(1)))[0].integer(), 2);
   EXPECT_EQ(from_batch.Get(Sym(9)), nullptr);
 
@@ -263,6 +277,38 @@ TEST_F(BatchPipelineTest, BitIdenticalToCoreInterpOnXmarkCorpus) {
             << q.id << " batch_rows=" << batch_rows << " item " << i;
       }
     }
+  }
+}
+
+// A pattern's output leaves in batches of at most tuple_batch_rows: the
+// 2,550 persons of XMark factor 1.0 leave in three batches, not one.
+TEST(PatternBatchesTest, PatternOutputIsCutAtTupleBatchRows) {
+  engine::Engine e;
+  workload::XmarkParams p;
+  p.factor = 1.0;
+  const xml::Document* doc =
+      e.AddDocument("x", workload::GenerateXmark(p, e.interner()));
+  engine::Engine::GlobalMap globals{{"input", {Item(doc->root())}}};
+  auto cq = e.Compile("$input/site/people/person");
+  ASSERT_TRUE(cq.ok()) << cq.status().ToString();
+  auto ref = e.Execute(*cq, globals, EvalOptions{},
+                       engine::PlanChoice::kCoreInterp);
+  ASSERT_TRUE(ref.ok()) << ref.status().ToString();
+  ASSERT_EQ(ref->size(), 2550u);
+  for (int batch_rows : {1024, 4096}) {
+    EvalOptions opts;
+    opts.threads = 1;
+    opts.tuple_batch_rows = batch_rows;
+    ScopedExecStats scope;
+    auto res = e.Execute(*cq, globals, opts);
+    ASSERT_TRUE(res.ok()) << res.status().ToString();
+    EXPECT_EQ(*res, *ref) << "batch_rows=" << batch_rows;
+    // One batch carries the document root into the pattern; the rest are
+    // the pattern's output.
+    const int64_t pattern_batches =
+        (2550 + batch_rows - 1) / batch_rows;
+    EXPECT_EQ(scope.stats().batches, 1 + pattern_batches)
+        << "batch_rows=" << batch_rows;
   }
 }
 
