@@ -51,10 +51,12 @@ int64_t EstimateMemoryUsage(const CompiledQuery& q) {
   bytes += static_cast<int64_t>(q.source().capacity());
   // Per-variable bookkeeping (name string + table slots), flat estimate.
   bytes += static_cast<int64_t>(q.vars().size()) * 64;
-  bytes += BytesOf(q.normalized());
-  bytes += BytesOf(q.rewritten());
-  bytes += BytesOf(q.plan());
   bytes += BytesOf(q.optimized());
+  if (q.has_stages()) {
+    bytes += BytesOf(q.normalized());
+    bytes += BytesOf(q.rewritten());
+    bytes += BytesOf(q.plan());
+  }
   return bytes;
 }
 
@@ -109,6 +111,14 @@ analysis::EquivChecker* Engine::equiv_checker() {
 
 Result<CompiledQuery> Engine::Compile(std::string_view query,
                                       const CompileOptions& opts) {
+  return BuildQuery(query, opts, Fingerprint(query, opts),
+                    /*keep_stages=*/true);
+}
+
+Result<CompiledQuery> Engine::BuildQuery(std::string_view query,
+                                         const CompileOptions& opts,
+                                         uint64_t fingerprint,
+                                         bool keep_stages) {
   // Compile-time governance: the rewriter and optimizer poll the ambient
   // governor once per fixpoint round (core/rewrite.cc, algebra/optimize.cc).
   exec::GovernorLimits climits;
@@ -123,46 +133,51 @@ Result<CompiledQuery> Engine::Compile(std::string_view query,
 
   CompiledQuery q;
   q.source_ = std::string(query);
+  // Kept stages are clones taken before the next stage consumes its
+  // input; without them each stage moves into the next.
+  auto stages = keep_stages ? std::make_unique<CompiledQuery::Stages>()
+                            : nullptr;
 
   XQTP_ASSIGN_OR_RETURN(xquery::ExprPtr surface,
                         xquery::ParseQuery(query, &interner_));
-  XQTP_ASSIGN_OR_RETURN(q.normalized_, core::Normalize(*surface, &q.vars_));
+  XQTP_ASSIGN_OR_RETURN(core::CoreExprPtr core,
+                        core::Normalize(*surface, &q.vars_));
   if (options_.verify_plans) {
     analysis::VerifyScope scope("normalize");
     scope.MarkFired();
-    XQTP_RETURN_NOT_OK(analysis::VerifyCore(*q.normalized_, q.vars_));
+    XQTP_RETURN_NOT_OK(analysis::VerifyCore(*core, q.vars_));
   }
+  if (stages) stages->normalized = core::Clone(*core);
 
   if (opts.rewrite) {
     core::RewriteOptions ropts = opts.rewrite_opts;
     ropts.verify = options_.verify_plans;
     ropts.equiv = equiv_checker();
-    XQTP_ASSIGN_OR_RETURN(
-        q.rewritten_,
-        core::RewriteToTPNF(core::Clone(*q.normalized_), &q.vars_, ropts));
-  } else {
-    q.rewritten_ = core::Clone(*q.normalized_);
+    XQTP_ASSIGN_OR_RETURN(core,
+                          core::RewriteToTPNF(std::move(core), &q.vars_, ropts));
   }
 
-  XQTP_ASSIGN_OR_RETURN(q.plan_,
-                        algebra::Compile(*q.rewritten_, q.vars_, &interner_));
+  XQTP_ASSIGN_OR_RETURN(algebra::OpPtr plan,
+                        algebra::Compile(*core, q.vars_, &interner_));
   if (options_.verify_plans) {
     analysis::VerifyScope scope("algebra compile");
     scope.MarkFired();
     analysis::PlanVerifyOptions vopts;
     vopts.vars = &q.vars_;
     vopts.interner = &interner_;
-    XQTP_RETURN_NOT_OK(analysis::VerifyPlan(*q.plan_, vopts));
+    XQTP_RETURN_NOT_OK(analysis::VerifyPlan(*plan, vopts));
   }
   if (analysis::EquivChecker* equiv = equiv_checker()) {
     // Differential check of the compilation step itself: the compiled
     // plan must agree with the rewritten Core on the witness corpus.
     analysis::VerifyScope scope("algebra compile");
     scope.MarkFired();
-    XQTP_RETURN_NOT_OK(
-        equiv->CheckCoreVsPlan(*q.rewritten_, *q.plan_, q.vars_));
+    XQTP_RETURN_NOT_OK(equiv->CheckCoreVsPlan(*core, *plan, q.vars_));
   }
-  q.optimized_ = algebra::Clone(*q.plan_);
+  if (stages) {
+    stages->rewritten = std::move(core);
+    stages->plan = algebra::Clone(*plan);
+  }
   algebra::OptimizeOptions oopts;
   oopts.detect_tree_patterns = opts.detect_tree_patterns;
   oopts.positional_patterns = opts.positional_patterns;
@@ -170,10 +185,12 @@ Result<CompiledQuery> Engine::Compile(std::string_view query,
   oopts.verify = options_.verify_plans;
   oopts.vars = &q.vars_;
   oopts.equiv = equiv_checker();
-  XQTP_RETURN_NOT_OK(algebra::Optimize(&q.optimized_, &interner_, oopts));
+  XQTP_RETURN_NOT_OK(algebra::Optimize(&plan, &interner_, oopts));
   // Final build-path stamps; the query is immutable from here on
   // (lint.py rule compiled-query-immutable).
-  q.fingerprint_ = Fingerprint(query, opts);
+  q.optimized_ = std::move(plan);
+  q.stages_ = std::move(stages);
+  q.fingerprint_ = fingerprint;
   q.memory_bytes_ = EstimateMemoryUsage(q);
   return q;
 }
@@ -186,9 +203,11 @@ uint64_t Engine::Fingerprint(std::string_view query,
   return h;
 }
 
-Result<PlanCache::PlanPtr> Engine::CompileForCache(const std::string& query,
-                                                   const CompileOptions& opts) {
-  XQTP_ASSIGN_OR_RETURN(CompiledQuery q, Compile(query, opts));
+Result<PlanCache::PlanPtr> Engine::CompileForCache(std::string_view query,
+                                                   const CompileOptions& opts,
+                                                   uint64_t key) {
+  XQTP_ASSIGN_OR_RETURN(CompiledQuery q,
+                        BuildQuery(query, opts, key, /*keep_stages=*/false));
   return PlanCache::PlanPtr(
       std::make_shared<const CompiledQuery>(std::move(q)));
 }
@@ -196,15 +215,16 @@ Result<PlanCache::PlanPtr> Engine::CompileForCache(const std::string& query,
 Result<std::shared_ptr<const CompiledQuery>> Engine::CompileCached(
     std::string_view query, const CompileOptions& opts) {
   const uint64_t key = Fingerprint(query, opts);
-  const std::string text(query);
+  // The fill runs synchronously inside GetOrCompile, so `query` outlives
+  // it; a hit copies nothing.
   return plan_cache_.GetOrCompile(key, [&]() -> Result<PlanCache::PlanPtr> {
     if (options_.analysis.check_equivalence) {
       // The oracle (and its lazy creation) is single-threaded; serialize
       // whole fills while it participates in compilation.
       MutexLock lock(&compile_mu_);
-      return CompileForCache(text, opts);
+      return CompileForCache(query, opts, key);
     }
-    return CompileForCache(text, opts);
+    return CompileForCache(query, opts, key);
   });
 }
 
@@ -250,6 +270,12 @@ Result<xdm::Sequence> Engine::Execute(const CompiledQuery& q,
                                       const exec::EvalOptions& opts,
                                       PlanChoice plan) const {
   XQTP_FAULT_POINT("engine.execute");
+  if (plan != PlanChoice::kOptimized && !q.has_stages()) {
+    return Status::InvalidArgument(
+        "a plan-cache entry keeps only the optimized plan; compile with "
+        "Engine::Compile to run the unoptimized plan or the Core "
+        "interpreter");
+  }
   exec::Bindings bindings;
   for (core::VarId v = 0; v < static_cast<core::VarId>(q.vars().size());
        ++v) {
@@ -296,12 +322,17 @@ Result<xdm::Sequence> Engine::Run(std::string_view query,
 std::string Engine::Explain(const CompiledQuery& q) const {
   std::string out;
   out += "== query ==\n" + q.source() + "\n";
-  out += "\n== normalized core ==\n";
-  out += core::ToString(q.normalized(), q.vars(), interner_) + "\n";
-  out += "\n== rewritten core (TPNF') ==\n";
-  out += core::ToString(q.rewritten(), q.vars(), interner_) + "\n";
-  out += "\n== algebra plan ==\n";
-  out += algebra::ToPrettyString(q.plan(), q.vars(), interner_) + "\n";
+  if (q.has_stages()) {
+    out += "\n== normalized core ==\n";
+    out += core::ToString(q.normalized(), q.vars(), interner_) + "\n";
+    out += "\n== rewritten core (TPNF') ==\n";
+    out += core::ToString(q.rewritten(), q.vars(), interner_) + "\n";
+    out += "\n== algebra plan ==\n";
+    out += algebra::ToPrettyString(q.plan(), q.vars(), interner_) + "\n";
+  } else {
+    out += "\n(stages not kept: a plan-cache entry holds the optimized plan "
+           "only; Engine::Compile keeps the Core and the unoptimized plan)\n";
+  }
   out += "\n== optimized plan ==\n";
   out += algebra::ToPrettyString(q.optimized(), q.vars(), interner_) + "\n";
   out += "\n== plan cache ==\n";

@@ -90,10 +90,14 @@ struct CompileOptions {
   std::shared_ptr<exec::CancelToken> cancel_token;
 };
 
-/// A query compiled through every phase, with the intermediate forms
-/// retained for explain output and tests.
+/// A query compiled through every phase. Engine::Compile keeps the
+/// intermediate stages (normalized Core, rewritten Core, unoptimized plan)
+/// for Explain, the reference plan choices and tests; a plan-cache entry
+/// (Engine::CompileCached) keeps only what PlanChoice::kOptimized runs:
+/// the source, the variables and the optimized plan. The caller decides;
+/// no option does.
 ///
-/// IMMUTABLE AFTER BUILD: Engine::Compile populates every field and
+/// IMMUTABLE AFTER BUILD: Engine's build path populates every field and
 /// nothing mutates one afterwards, so a `shared_ptr<const CompiledQuery>`
 /// handed out by the plan cache is safe to execute from any number of
 /// threads concurrently (per-run state lives in exec::EvalOptions and the
@@ -104,12 +108,15 @@ class CompiledQuery {
   const std::string& source() const { return source_; }
   const core::VarTable& vars() const { return vars_; }
 
+  /// True when the intermediate stages were kept (Engine::Compile); false
+  /// on a plan-cache entry. The three stage accessors below require it.
+  bool has_stages() const { return stages_ != nullptr; }
   /// The normalized Core expression (the paper's Q1a-n stage).
-  const core::CoreExpr& normalized() const { return *normalized_; }
+  const core::CoreExpr& normalized() const { return *stages_->normalized; }
   /// The Core expression after the TPNF' rewrites (the Q1-tp stage).
-  const core::CoreExpr& rewritten() const { return *rewritten_; }
+  const core::CoreExpr& rewritten() const { return *stages_->rewritten; }
   /// The compiled, unoptimized algebra plan (the P1 stage).
-  const algebra::Op& plan() const { return *plan_; }
+  const algebra::Op& plan() const { return *stages_->plan; }
   /// The final optimized plan (the P5 stage).
   const algebra::Op& optimized() const { return *optimized_; }
 
@@ -124,25 +131,33 @@ class CompiledQuery {
   /// also printed by Explain.
   uint64_t fingerprint() const { return fingerprint_; }
 
-  /// Estimated heap footprint of the retained forms (source text, Core
-  /// trees, both plans). The byte charge the plan cache's
-  /// LRU accounting uses; approximate by design (sizeof-based traversal,
-  /// like the governor's memory accounting).
+  /// Estimated heap footprint of what this query holds: the source text,
+  /// the variables, the optimized plan and, when kept, the stages. The
+  /// byte charge the plan cache's LRU accounting uses; a sizeof-based
+  /// traversal of the retained trees, which tests/plan_cache_test.cc
+  /// measures against the real heap growth of a filled cache (DESIGN.md
+  /// "Plan cache").
   int64_t MemoryUsage() const { return memory_bytes_; }
 
  private:
   friend class Engine;
+  /// The pipeline's intermediate forms, kept by Engine::Compile only.
+  struct Stages {
+    core::CoreExprPtr normalized;
+    core::CoreExprPtr rewritten;
+    algebra::OpPtr plan;
+  };
   std::string source_;
   core::VarTable vars_;
-  core::CoreExprPtr normalized_;
-  core::CoreExprPtr rewritten_;
-  algebra::OpPtr plan_;
+  std::unique_ptr<const Stages> stages_;  ///< null on a plan-cache entry
   algebra::OpPtr optimized_;
   uint64_t fingerprint_ = 0;
   int64_t memory_bytes_ = 0;
 };
 
-/// Which plan Execute runs.
+/// Which plan Execute runs. The two reference choices read stages that
+/// only Engine::Compile keeps: Execute refuses them with InvalidArgument
+/// on a plan-cache entry (CompiledQuery::has_stages() is false).
 enum class PlanChoice : uint8_t {
   kOptimized,     ///< the tree-pattern plan (default)
   kUnoptimized,   ///< the P1-style plan — the Figure 4 "old engine"
@@ -173,7 +188,8 @@ class Engine {
   /// Returns a registered document or nullptr.
   const xml::Document* FindDocument(const std::string& name) const;
 
-  /// Compiles a query through all phases.
+  /// Compiles a query through all phases, keeping every intermediate stage
+  /// (Explain, PlanChoice::kUnoptimized and kCoreInterp read them).
   [[nodiscard]]
   Result<CompiledQuery> Compile(std::string_view query,
                                 const CompileOptions& opts = {});
@@ -193,9 +209,11 @@ class Engine {
   /// misses on one fingerprint compile exactly once (single-flight), the
   /// waiters receiving the filled plan or the compile error. The static
   /// verifiers and the translation-validation oracle run at fill only —
-  /// a hit is an already-verified plan. Thread-safe; when the oracle is
-  /// enabled (Debug default), fills additionally serialize on an engine
-  /// mutex because analysis::EquivChecker is single-threaded.
+  /// a hit is an already-verified plan. A fill runs the same pipeline as
+  /// Compile but keeps no intermediate stage: the entry holds the
+  /// optimized plan only (has_stages() is false). Thread-safe; when the
+  /// oracle is enabled (Debug default), fills additionally serialize on an
+  /// engine mutex because analysis::EquivChecker is single-threaded.
   [[nodiscard]]
   Result<std::shared_ptr<const CompiledQuery>> CompileCached(
       std::string_view query, const CompileOptions& opts = {});
@@ -256,7 +274,9 @@ class Engine {
   void SetOptions(const EngineOptions& options);
 
   /// Multi-phase explain dump (surface / core / rewritten / plan /
-  /// optimized plan), for the examples and debugging.
+  /// optimized plan / plan-cache disposition), for the examples and
+  /// debugging. A plan-cache entry prints the query, the optimized plan
+  /// and the plan-cache block, and says that its stages were not kept.
   std::string Explain(const CompiledQuery& q) const;
 
   StringInterner* interner() { return &interner_; }
@@ -267,11 +287,24 @@ class Engine {
   /// with the engine's interner, which must exist first).
   analysis::EquivChecker* equiv_checker();
 
-  /// Compiles `query` and wraps it for the cache; runs outside any cache
-  /// shard lock (callers hold compile_mu_ first when the oracle is on).
+  /// The one pipeline behind Compile and CompileForCache. With
+  /// `keep_stages` each stage is cloned into the result before the next
+  /// consumes it; without, each stage moves into the next and only the
+  /// optimized plan survives. Every verifier and the oracle run either
+  /// way. `fingerprint` is Fingerprint(query, opts), which the cache fill
+  /// already holds as its key.
   [[nodiscard]]
-  Result<PlanCache::PlanPtr> CompileForCache(const std::string& query,
-                                             const CompileOptions& opts);
+  Result<CompiledQuery> BuildQuery(std::string_view query,
+                                   const CompileOptions& opts,
+                                   uint64_t fingerprint, bool keep_stages);
+
+  /// Compiles `query` without its stages and wraps it for the cache under
+  /// `key`; runs outside any cache shard lock (callers hold compile_mu_
+  /// first when the oracle is on).
+  [[nodiscard]]
+  Result<PlanCache::PlanPtr> CompileForCache(std::string_view query,
+                                             const CompileOptions& opts,
+                                             uint64_t key);
 
   EngineOptions options_;
   StringInterner interner_;

@@ -1,23 +1,90 @@
 // Plan-cache suite (engine/plan_cache.h, common/fingerprint.h): canonical
 // fingerprinting, LRU byte accounting, single-flight stampede protection,
-// verify-at-fill, and an 8-thread hammer mixing hits, misses, erases, and
-// clears. The hammer and the stampede test are the TSan targets: ci/check.sh
-// runs this binary in the thread-sanitizer leg.
+// verify-at-fill, entries that keep only the optimized plan (the same plan
+// Engine::Compile builds, with the reference plan choices refused), the
+// byte charge measured against the real heap, and an 8-thread hammer
+// mixing hits, misses, erases, and clears. The hammer and the stampede test
+// are the TSan targets: ci/check.sh runs this binary in the
+// thread-sanitizer leg.
 #include <gtest/gtest.h>
+#include <malloc.h>
 
 #include <atomic>
 #include <chrono>
+#include <cstdlib>
 #include <map>
 #include <memory>
+#include <new>
+#include <set>
 #include <string>
 #include <thread>
 #include <utility>
 #include <vector>
 
+#include "algebra/printer.h"
+#include "analysis/qgen.h"
 #include "analysis/verify_scope.h"
 #include "common/fingerprint.h"
 #include "engine/engine.h"
 #include "engine/plan_cache.h"
+#include "workload/xmark_queries.h"
+
+// ---- heap accounting ---------------------------------------------------------
+// This binary replaces the global allocation functions so that
+// PlanCacheCharge can compare the cache's byte charge with the heap bytes
+// its entries really hold. Each allocation adds its malloc_usable_size to
+// one atomic counter and each deallocation subtracts it, so the counter is
+// the live heap of the process. mallinfo2 would not do: the ASan and TSan
+// allocators bypass it, and this binary runs in both sanitizer legs. Every
+// non-aligned form is replaced, so each new/delete pair stays on malloc/free
+// and no sanitizer sees a mismatched pair; the aligned forms keep their
+// defaults (no plan tree holds an over-aligned type).
+namespace {
+
+std::atomic<int64_t> g_live_heap_bytes{0};
+
+void* CountedAlloc(std::size_t size) noexcept {
+  void* p = std::malloc(size == 0 ? 1 : size);
+  if (p != nullptr) {
+    g_live_heap_bytes.fetch_add(static_cast<int64_t>(malloc_usable_size(p)),
+                                std::memory_order_relaxed);
+  }
+  return p;
+}
+
+void* CountedNew(std::size_t size) {
+  void* p = CountedAlloc(size);
+  if (p == nullptr) throw std::bad_alloc();
+  return p;
+}
+
+void CountedFree(void* p) noexcept {
+  if (p == nullptr) return;
+  g_live_heap_bytes.fetch_sub(static_cast<int64_t>(malloc_usable_size(p)),
+                              std::memory_order_relaxed);
+  std::free(p);
+}
+
+}  // namespace
+
+void* operator new(std::size_t size) { return CountedNew(size); }
+void* operator new[](std::size_t size) { return CountedNew(size); }
+void* operator new(std::size_t size, const std::nothrow_t&) noexcept {
+  return CountedAlloc(size);
+}
+void* operator new[](std::size_t size, const std::nothrow_t&) noexcept {
+  return CountedAlloc(size);
+}
+void operator delete(void* p) noexcept { CountedFree(p); }
+void operator delete[](void* p) noexcept { CountedFree(p); }
+void operator delete(void* p, std::size_t) noexcept { CountedFree(p); }
+void operator delete[](void* p, std::size_t) noexcept { CountedFree(p); }
+void operator delete(void* p, const std::nothrow_t&) noexcept {
+  CountedFree(p);
+}
+void operator delete[](void* p, const std::nothrow_t&) noexcept {
+  CountedFree(p);
+}
 
 namespace xqtp {
 namespace {
@@ -230,6 +297,113 @@ TEST(PlanCacheEngine, ExecuteQueryServesAndExplainShowsDisposition) {
   EXPECT_NE(explain.find(FingerprintHex((*cq)->fingerprint())),
             std::string::npos);
   EXPECT_NE(explain.find("disposition: cached"), std::string::npos);
+  // A cached entry keeps the optimized plan only, and Explain says so.
+  EXPECT_NE(explain.find("== optimized plan ==\n" +
+                         algebra::ToPrettyString((*cq)->optimized(),
+                                                 (*cq)->vars(),
+                                                 *e.interner())),
+            std::string::npos);
+  EXPECT_EQ(explain.find("== normalized core =="), std::string::npos);
+  EXPECT_NE(explain.find("stages not kept"), std::string::npos);
+}
+
+TEST(PlanCacheEngine, CachedEntryRunsOptimizedAndRefusesTheReferencePlans) {
+  Engine e(ServingOptions());
+  auto doc = e.LoadDocument("d", BuildDocumentXml());
+  ASSERT_TRUE(doc.ok());
+  Engine::GlobalMap globals{{"input", {xdm::Item((*doc)->root())}}};
+  const char* q = "$input//person[emailaddress]/name";
+  auto cached = e.CompileCached(q);
+  ASSERT_TRUE(cached.ok()) << cached.status().ToString();
+  EXPECT_FALSE((*cached)->has_stages());
+  auto served = e.Execute(**cached, globals, exec::PatternAlgo::kTwig);
+  ASSERT_TRUE(served.ok()) << served.status().ToString();
+  EXPECT_EQ(served->size(), 24u);
+  for (engine::PlanChoice choice :
+       {engine::PlanChoice::kUnoptimized, engine::PlanChoice::kCoreInterp}) {
+    auto refused =
+        e.Execute(**cached, globals, exec::PatternAlgo::kNLJoin, choice);
+    ASSERT_FALSE(refused.ok());
+    EXPECT_EQ(refused.status().code(), StatusCode::kInvalidArgument)
+        << refused.status().ToString();
+  }
+  // Engine::Compile keeps every stage, so the same text runs on every plan
+  // choice and each agrees with the cached entry's result.
+  auto full = e.Compile(q);
+  ASSERT_TRUE(full.ok()) << full.status().ToString();
+  EXPECT_TRUE(full->has_stages());
+  for (engine::PlanChoice choice :
+       {engine::PlanChoice::kOptimized, engine::PlanChoice::kUnoptimized,
+        engine::PlanChoice::kCoreInterp}) {
+    auto r = e.Execute(*full, globals, exec::PatternAlgo::kNLJoin, choice);
+    ASSERT_TRUE(r.ok()) << r.status().ToString();
+    ASSERT_EQ(r->size(), served->size());
+    for (size_t i = 0; i < r->size(); ++i) {
+      EXPECT_TRUE((*r)[i] == (*served)[i]) << "item " << i;
+    }
+  }
+  // The stages are what the charge leaves out.
+  EXPECT_LT((*cached)->MemoryUsage(), full->MemoryUsage());
+}
+
+/// The first `n` distinct (by canonical text) QueryGen(1) queries — the
+/// candidates the compile_churn benchmark workload draws from.
+std::vector<std::string> GeneratedQueries(size_t n) {
+  analysis::QueryGen gen(1);
+  std::set<std::string> seen;
+  std::vector<std::string> out;
+  while (out.size() < n) {
+    std::string q = gen.Next();
+    if (seen.insert(CanonicalizeQuery(q)).second) out.push_back(std::move(q));
+  }
+  return out;
+}
+
+// A fill runs the pipeline Engine::Compile runs but moves each stage into
+// the next instead of cloning it: the plan that comes out must be the same.
+// Under the Debug default options the verifiers and the translation-
+// validation oracle run at every fill here too.
+TEST(PlanCacheEngine, CachedEntryHoldsTheSamePlanAsCompile) {
+  Engine e;
+  std::vector<std::string> texts;
+  for (const workload::XmarkQuery& q : workload::XmarkQueryCorpus()) {
+    texts.push_back(q.text);
+  }
+  // QE1-QE6 of the paper's Figure 5, as the member_twig workload sends them.
+  for (const char* q : {
+           "fn:count($input/desc::t01[child::t02[child::t03[child::t04]]])",
+           "fn:count($input/desc::t01/child::t02[1]/child::t03[child::t04])",
+           "fn:count($input/desc::t01[child::t02[child::t03]/child::t04"
+           "[child::t03]])",
+           "fn:count($input/desc::t01[desc::t02[desc::t03[desc::t04]]])",
+           "fn:count($input/desc::t01/desc::t02[1]/desc::t03[desc::t04])",
+           "fn:count($input/desc::t01[desc::t02[desc::t03]/desc::t04"
+           "[desc::t03]])",
+       }) {
+    texts.push_back(q);
+  }
+  for (std::string& q : GeneratedQueries(40)) texts.push_back(std::move(q));
+  CompileOptions paper;
+  paper.positional_patterns = false;
+  int compared = 0;
+  for (const CompileOptions& opts : {CompileOptions{}, paper}) {
+    for (const std::string& text : texts) {
+      auto full = e.Compile(text, opts);
+      auto cached = e.CompileCached(text, opts);
+      ASSERT_EQ(cached.ok(), full.ok()) << text;
+      if (!full.ok()) continue;
+      const CompiledQuery& c = **cached;
+      EXPECT_FALSE(c.has_stages()) << text;
+      EXPECT_EQ(algebra::ToPrettyString(c.optimized(), c.vars(), *e.interner()),
+                algebra::ToPrettyString(full->optimized(), full->vars(),
+                                        *e.interner()))
+          << text;
+      EXPECT_EQ(c.fingerprint(), full->fingerprint()) << text;
+      EXPECT_EQ(c.GlobalNames(), full->GlobalNames()) << text;
+      ++compared;
+    }
+  }
+  EXPECT_GT(compared, static_cast<int>(texts.size()));
 }
 
 // ---- LRU byte accounting (direct PlanCache, keys pinned to one shard) ------
@@ -305,6 +479,39 @@ TEST(PlanCacheLru, NonPositiveCapacityDisablesCaching) {
   ASSERT_TRUE(cache.GetOrCompile(3, build).ok());
   EXPECT_EQ(builds, 2);  // every lookup compiles ...
   EXPECT_EQ(cache.Snapshot().entries, 0);  // ... and nothing is retained
+}
+
+// ---- the byte charge against the heap ---------------------------------------
+
+// Fills a cache with generated queries and compares the heap it grew by with
+// the bytes it charged. The warm-up fill creates what one engine makes once,
+// not per entry — the interner's names and, in Debug, the lazy oracle and
+// its witness corpus — and is then cleared, so the measured fill grows the
+// heap by its entries alone: the CompiledQuery objects with their trees,
+// their shared_ptr control blocks and the shards' map and LRU nodes.
+// DESIGN.md "Plan cache" states the band.
+TEST(PlanCacheCharge, ChargeTracksTheHeapAFilledCacheHolds) {
+  Engine e;
+  const std::vector<std::string> texts = GeneratedQueries(200);
+  int64_t compiled = 0;
+  for (const std::string& q : texts) compiled += e.CompileCached(q).ok();
+  e.ClearPlanCache();
+  ASSERT_EQ(e.plan_cache_stats().bytes, 0);
+
+  const int64_t before = g_live_heap_bytes.load();
+  for (const std::string& q : texts) (void)e.CompileCached(q);
+  const int64_t grown = g_live_heap_bytes.load() - before;
+
+  const PlanCacheStats stats = e.plan_cache_stats();
+  ASSERT_EQ(stats.entries, compiled);
+  ASSERT_EQ(stats.evictions, 0);
+  ASSERT_GT(compiled, 150);
+  const double ratio =
+      static_cast<double>(grown) / static_cast<double>(stats.bytes);
+  const std::string measured = std::to_string(grown) + " heap bytes for " +
+                               std::to_string(stats.bytes) + " charged";
+  EXPECT_GE(ratio, 0.85) << measured;
+  EXPECT_LE(ratio, 1.05) << measured;
 }
 
 // ---- single flight ----------------------------------------------------------

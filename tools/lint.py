@@ -424,11 +424,13 @@ COMPILED_QUERY_EXEMPT = {
     os.path.join("src", "engine", "engine.cc"),
 }
 
-# CompiledQuery's private members (src/engine/engine.h). `plan_` is
-# omitted: the name is too generic to key a textual rule on, and a plan_
+# CompiledQuery's private members (src/engine/engine.h). `vars_` is
+# omitted: the name is too generic to key a textual rule on, and a vars_
 # mutation outside the build path would come with one of these anyway.
+# `stages_` holds the pipeline stages that only Engine::Compile keeps; a
+# write to it could hand a cached entry stages it was built without.
 COMPILED_QUERY_MEMBER_WRITE_RE = re.compile(
-    r"\b(?:source_|normalized_|rewritten_|optimized_|fingerprint_|"
+    r"\b(?:source_|stages_|optimized_|fingerprint_|"
     r"memory_bytes_)\s*(?:=(?!=)|\.\s*(?:push_back|clear|"
     r"reset|assign|swap|emplace\w*)\s*\()")
 CONST_CAST_COMPILED_QUERY_RE = re.compile(
@@ -644,6 +646,17 @@ SELF_TEST_FIXTURES = [
      "  auto* w = const_cast<engine::CompiledQuery*>(&q);\n"
      "}\n",
      {"compiled-query-immutable"}),
+    # Stages written onto a built query, one write form per line: the
+    # rule must fire on each line, not just somewhere in the file.
+    ("src/bad/stages_mutation.cc",
+     "#include \"engine/engine.h\"\n"
+     "void Graft(engine::CompiledQuery* q, engine::CompiledQuery* o) {\n"
+     "  q->stages_ = std::move(o->stages_);\n"
+     "  q->stages_.reset();\n"
+     "  q->stages_.swap(o->stages_);\n"
+     "}\n",
+     {"compiled-query-immutable@3", "compiled-query-immutable@4",
+      "compiled-query-immutable@5"}),
     ("src/engine/engine.cc",
      "#include \"engine/engine.h\"\n"
      "// The build path: stamping members here is the rule's one hole.\n"
