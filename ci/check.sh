@@ -11,8 +11,10 @@
 #     execution of every rewrite checkpoint) with the sanitizers watching
 #     the checkers themselves.
 #  3. Release + TSan — the morsel-parallel driver's threading tests
-#     (parallel_eval_test, concurrency_test), the columnar-batch CoW
-#     aliasing tests (tuple_batch_test) and the plan-cache
+#     (parallel_eval_test, concurrency_test, and lifted_pattern_test's
+#     lifted evaluations and whole queries at threads=2 through the
+#     morsel merge), the columnar-batch CoW aliasing tests
+#     (tuple_batch_test) and the plan-cache
 #     concurrency suite (plan_cache_test: the single-flight stampede and
 #     hit/miss/erase/clear hammer) under ThreadSanitizer:
 #     RunMorsels lending parked workers to concurrent calls, the
@@ -193,10 +195,10 @@ cmake -B build-ci-tsan -S . -DCMAKE_BUILD_TYPE=Release \
 echo "==== [tsan] build ===="
 cmake --build build-ci-tsan -j "$JOBS" \
   --target tuple_batch_test parallel_eval_test concurrency_test \
-  governor_test fault_injection_test plan_cache_test
+  governor_test fault_injection_test plan_cache_test lifted_pattern_test
 echo "==== [tsan] test ===="
 ctest --test-dir build-ci-tsan --output-on-failure \
-  -R '^(tuple_batch_test|parallel_eval_test|concurrency_test|governor_test|fault_injection_test|plan_cache_test)$'
+  -R '^(tuple_batch_test|parallel_eval_test|concurrency_test|governor_test|fault_injection_test|plan_cache_test|lifted_pattern_test)$'
 leg_done tsan
 
 echo "==== leg wall-clock summary ===="

@@ -54,42 +54,6 @@ bool MainPathChildLike(const pattern::TreePattern& tp) {
   return true;
 }
 
-void CollectAnnotatedSteps(pattern::PatternNode* n,
-                           std::vector<pattern::PatternNode*>* out) {
-  if (n == nullptr) return;
-  if (n->output != kInvalidSymbol) out->push_back(n);
-  for (const pattern::PatternNodePtr& p : n->predicates) {
-    CollectAnnotatedSteps(p.get(), out);
-  }
-  CollectAnnotatedSteps(n->next.get(), out);
-}
-
-/// Restores output-field uniqueness after a pattern merge (rules (d) and
-/// (d')): rule (c) canonicalizes each cascaded pattern's output to its
-/// MapFromItem field, so merging often stacks two steps annotated with the
-/// same name. In the cascade the deeper pattern's binding overwrote the
-/// field, so the deepest annotated step keeps the public name; shallower
-/// duplicates stay annotated (the multi-output enumeration semantics need
-/// them) but move to reserved "%merged" names no reader can reference.
-void DedupOutputFields(pattern::TreePattern* tp, StringInterner* interner) {
-  std::vector<pattern::PatternNode*> annotated;
-  CollectAnnotatedSteps(tp->root.get(), &annotated);
-  FieldSet used;
-  used.insert(tp->input_field);
-  for (const pattern::PatternNode* n : annotated) used.insert(n->output);
-  FieldSet seen;
-  for (auto it = annotated.rbegin(); it != annotated.rend(); ++it) {
-    if (seen.insert((*it)->output).second) continue;
-    int k = 0;
-    Symbol fresh;
-    do {
-      fresh = interner->Intern("%merged" + std::to_string(k++));
-    } while (used.count(fresh) != 0);
-    used.insert(fresh);
-    (*it)->output = fresh;
-  }
-}
-
 /// True iff field `f` of every tuple produced by `op` is a single item —
 /// the precondition for collapsing a MapFromItem/MapToItem round trip.
 bool SingletonField(const Op& op, Symbol f) {
@@ -97,12 +61,9 @@ bool SingletonField(const Op& op, Symbol f) {
     case OpKind::kMapFromItem:
       return op.field == f && op.dep != nullptr &&
              op.dep->kind == OpKind::kInputItem;
-    case OpKind::kTupleTreePattern: {
-      for (Symbol s : op.tp.OutputFields()) {
-        if (s == f) return true;  // pattern bindings are single nodes
-      }
-      return SingletonField(*op.inputs[0], f);
-    }
+    case OpKind::kTupleTreePattern:
+      // Pattern bindings are single nodes.
+      return op.tp.output == f || SingletonField(*op.inputs[0], f);
     case OpKind::kSelect:
       return SingletonField(*op.inputs[0], f);
     default:
@@ -161,8 +122,7 @@ class Optimizer {
     }
     if (ttp->tp.input_field != required_input) return nullptr;
     // The term's value is the EBV of the pattern's output bindings.
-    std::vector<Symbol> outs = ttp->tp.OutputFields();
-    if (outs.size() != 1 || outs[0] != map->dep->field) return nullptr;
+    if (ttp->tp.output != map->dep->field) return nullptr;
     return ttp;
   }
 
@@ -207,7 +167,7 @@ class Optimizer {
       }
       case OpKind::kTupleTreePattern: {
         FieldSet inner = live;
-        for (Symbol s : n.tp.OutputFields()) inner.erase(s);
+        inner.erase(n.tp.output);
         inner.insert(n.tp.input_field);
         Rewrite(&n.inputs[0], inner, odd_ctx, changed);
         break;
@@ -303,11 +263,10 @@ class Optimizer {
       if (map.dep->kind == OpKind::kFieldAccess &&
           map.inputs[0]->kind == OpKind::kTupleTreePattern) {
         Op& ttp = *map.inputs[0];
-        std::vector<Symbol> outs = ttp.tp.OutputFields();
-        if (outs.size() == 1 && outs[0] == map.dep->field) {
+        if (ttp.tp.output == map.dep->field) {
           analysis::VerifyScope scope("optimize rule (c)");
           scope.MarkFired();
-          pattern::RenameOutput(&ttp.tp, outs[0], n.field);
+          ttp.tp.output = n.field;
           OpPtr repl = std::move(n.inputs[0]->inputs[0]);
           *op = std::move(repl);
           *changed = true;
@@ -349,58 +308,20 @@ class Optimizer {
         n.inputs[0]->kind == OpKind::kTupleTreePattern &&
         (odd_ctx || MainPathChildLike(n.inputs[0]->tp))) {
       Op& inner = *n.inputs[0];
-      if (inner.tp.SingleOutputAtExtractionPoint()) {
-        Symbol inner_out = inner.tp.OutputFields()[0];
-        // The inner binding disappears after the merge; that is fine if no
-        // ancestor reads it, or if the outer pattern re-defines a field of
-        // the same name (its outputs overwrite input fields, so readers
-        // above never saw the inner binding anyway).
-        bool outer_shadows = false;
-        for (Symbol s : n.tp.OutputFields()) {
-          if (s == inner_out) outer_shadows = true;
-        }
-        if (n.tp.input_field == inner_out &&
-            (live.count(inner_out) == 0 || outer_shadows)) {
-          analysis::VerifyScope scope("optimize rule (d)");
-          scope.MarkFired();
-          pattern::TreePattern merged = inner.tp.Clone();
-          pattern::AppendPath(&merged, std::move(n.tp));
-          DedupOutputFields(&merged, interner_);
-          inner.tp = std::move(merged);
-          OpPtr repl = std::move(n.inputs[0]);
-          *op = std::move(repl);
-          *changed = true;
-          return;
-        }
-      }
-    }
-
-    // Rule (d') — the multi-variable extension: when (d)'s order guard
-    // blocked the merge (or the intermediate binding is still read),
-    // merge into a multi-output pattern instead. The inner binding stays
-    // annotated, so the operator returns (inner, outer) binding pairs in
-    // root-to-leaf lexical order — exactly the cascade's order and
-    // multiplicity.
-    if (opts_.multi_output_patterns &&
-        n.kind == OpKind::kTupleTreePattern &&
-        n.inputs[0]->kind == OpKind::kTupleTreePattern) {
-      Op& inner = *n.inputs[0];
-      const pattern::PatternNode* inner_ep = inner.tp.ExtractionPoint();
-      if (inner_ep != nullptr && inner_ep->output != kInvalidSymbol &&
-          !n.tp.HasPositionalSteps() && !inner.tp.HasPositionalSteps()) {
-        Symbol inner_out = inner_ep->output;
-        if (n.tp.input_field == inner_out) {
-          analysis::VerifyScope scope("optimize rule (d')");
-          scope.MarkFired();
-          pattern::TreePattern merged = inner.tp.Clone();
-          pattern::AppendPathKeepOutput(&merged, std::move(n.tp));
-          DedupOutputFields(&merged, interner_);
-          inner.tp = std::move(merged);
-          OpPtr repl = std::move(n.inputs[0]);
-          *op = std::move(repl);
-          *changed = true;
-          return;
-        }
+      const Symbol inner_out = inner.tp.output;
+      // The inner binding disappears after the merge; that is fine if no
+      // ancestor reads it, or if the outer pattern re-defines a field of
+      // the same name (its output overwrites an input field, so readers
+      // above never saw the inner binding anyway).
+      if (n.tp.input_field == inner_out &&
+          (live.count(inner_out) == 0 || n.tp.output == inner_out)) {
+        analysis::VerifyScope scope("optimize rule (d)");
+        scope.MarkFired();
+        pattern::AppendPath(&inner.tp, std::move(n.tp));
+        OpPtr repl = std::move(n.inputs[0]);
+        *op = std::move(repl);
+        *changed = true;
+        return;
       }
     }
 
@@ -409,44 +330,40 @@ class Optimizer {
     if (n.kind == OpKind::kSelect &&
         n.inputs[0]->kind == OpKind::kTupleTreePattern) {
       Op& inner = *n.inputs[0];
-      if (inner.tp.SingleOutputAtExtractionPoint()) {
-        Symbol out = inner.tp.OutputFields()[0];
-        std::vector<Op*> terms;
-        FlattenConjunction(n.dep.get(), &terms);
-        bool all_match = !terms.empty();
-        std::vector<Op*> pred_ttps;
-        for (Op* t : terms) {
-          Op* ttp = MatchPredicateTerm(t, out);
-          if (ttp == nullptr) {
-            all_match = false;
-            break;
-          }
-          pred_ttps.push_back(ttp);
+      std::vector<Op*> terms;
+      FlattenConjunction(n.dep.get(), &terms);
+      bool all_match = !terms.empty();
+      std::vector<Op*> pred_ttps;
+      for (Op* t : terms) {
+        Op* ttp = MatchPredicateTerm(t, inner.tp.output);
+        if (ttp == nullptr) {
+          all_match = false;
+          break;
         }
-        if (all_match) {
-          analysis::VerifyScope scope("optimize rule (e)");
-          scope.MarkFired();
-          for (Op* p : pred_ttps) {
-            pattern::AttachPredicate(&inner.tp, std::move(p->tp));
-          }
-          OpPtr repl = std::move(n.inputs[0]);
-          *op = std::move(repl);
-          *changed = true;
-          return;
+        pred_ttps.push_back(ttp);
+      }
+      if (all_match) {
+        analysis::VerifyScope scope("optimize rule (e)");
+        scope.MarkFired();
+        for (Op* p : pred_ttps) {
+          pattern::AttachPredicate(&inner.tp, std::move(p->tp));
         }
+        OpPtr repl = std::move(n.inputs[0]);
+        *op = std::move(repl);
+        *changed = true;
+        return;
       }
     }
 
     // Rule (f): drop fs:ddo over a pattern whose semantics already
-    // coincide with XPath (single output at the extraction point, at most
-    // one input tuple).
+    // coincide with XPath (at most one input tuple: the extraction point's
+    // bindings come out in document order, without duplicates).
     if (n.kind == OpKind::kDdo && n.inputs[0]->kind == OpKind::kMapToItem) {
       Op& map = *n.inputs[0];
       if (map.dep->kind == OpKind::kFieldAccess &&
           map.inputs[0]->kind == OpKind::kTupleTreePattern) {
         Op& ttp = *map.inputs[0];
-        if (ttp.tp.SingleOutputAtExtractionPoint() &&
-            ttp.tp.OutputFields()[0] == map.dep->field &&
+        if (ttp.tp.output == map.dep->field &&
             ProducesAtMostOneTuple(*ttp.inputs[0])) {
           analysis::VerifyScope scope("optimize rule (f)");
           scope.MarkFired();
@@ -487,10 +404,9 @@ class Optimizer {
       if (k > 0 && map.dep->kind == OpKind::kFieldAccess &&
           map.inputs[0]->kind == OpKind::kTupleTreePattern) {
         Op& ttp = *map.inputs[0];
-        std::vector<Symbol> outs = ttp.tp.OutputFields();
         if (ttp.tp.StepCount() == 1 && ttp.tp.root->position == 0 &&
-            ttp.tp.root->predicates.empty() && outs.size() == 1 &&
-            outs[0] == map.dep->field) {
+            ttp.tp.root->predicates.empty() &&
+            ttp.tp.output == map.dep->field) {
           analysis::VerifyScope scope("optimize rule (g)");
           scope.MarkFired();
           ttp.tp.root->position = static_cast<int>(k);
@@ -586,19 +502,13 @@ class FieldCanonicalizer {
     return fresh;
   }
 
-  void RenamePattern(pattern::PatternNode* n) {
-    n->output = Rename(n->output);
-    for (auto& p : n->predicates) RenamePattern(p.get());
-    if (n->next) RenamePattern(n->next.get());
-  }
-
   void Walk(Op* op) {
     for (OpPtr& in : op->inputs) Walk(in.get());
     if (op->kind == OpKind::kMapFromItem) op->field = Rename(op->field);
     if (op->kind == OpKind::kFieldAccess) op->field = Rename(op->field);
     if (op->kind == OpKind::kTupleTreePattern) {
       op->tp.input_field = Rename(op->tp.input_field);
-      if (op->tp.root) RenamePattern(op->tp.root.get());
+      op->tp.output = Rename(op->tp.output);
     }
     if (op->dep) Walk(op->dep.get());
     if (op->dep2) Walk(op->dep2.get());
@@ -615,7 +525,6 @@ Status Optimize(OpPtr* plan, StringInterner* interner,
                 const OptimizeOptions& opts) {
   if (!opts.detect_tree_patterns) return Status::OK();
   analysis::PlanVerifyOptions vopts;
-  vopts.allow_multi_output = opts.multi_output_patterns;
   vopts.vars = opts.vars;
   vopts.interner = interner;
   Optimizer optimizer(interner, opts);

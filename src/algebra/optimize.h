@@ -13,9 +13,8 @@
 //            (TTP[IN#in/s{o}](Op))       -> TTP[IN#in/s[pred1]..[predN]{o}](Op)
 //  (f) fs:ddo(MapToItem{IN#o}(TTP[p{o}](Op)))
 //                                        -> MapToItem{IN#o}(TTP[p{o}](Op))
-//      when the single output is at the extraction point and the input
-//      produces at most one tuple (so the operator's output is already in
-//      document order and duplicate-free).
+//      when the input produces at most one tuple (so the operator's
+//      output is already in document order and duplicate-free).
 // plus clean-up rules (MapToItem/MapFromItem round-trip elimination).
 #ifndef XQTP_ALGEBRA_OPTIMIZE_H_
 #define XQTP_ALGEBRA_OPTIMIZE_H_
@@ -34,19 +33,12 @@ struct OptimizeOptions {
   /// Master switch; off reproduces the "old engine" (nested maps +
   /// navigational TreeJoin) used as the baseline in Figure 4.
   bool detect_tree_patterns = true;
-  /// The multi-variable extension (the paper's primary future-work item):
-  /// when rule (d)'s order guard blocks a merge, merge anyway into a
-  /// multi-output ("generalized") pattern that keeps the intermediate
-  /// binding annotated — the Section 4.1 lexical-order semantics make the
-  /// merged operator equivalent to the cascade. Multi-output patterns
-  /// are evaluated by binding enumeration (the nested-loop algorithm).
-  bool multi_output_patterns = false;
   /// The paper's future-work extension: fold constant positional
   /// predicates ("[k]") into pattern steps (rule (g)), so positional
   /// queries like Q3 compile to a single TupleTreePattern instead of a
-  /// pattern embedded in maps. Off by default to reproduce the paper's
-  /// plan shapes.
-  bool positional_patterns = false;
+  /// pattern embedded in maps. On by default, as in
+  /// engine::CompileOptions; false gives the paper's plan shapes.
+  bool positional_patterns = true;
   int max_rounds = 64;
   /// Run analysis::VerifyPlan after every fixpoint round that changed the
   /// plan (and after field canonicalization); a violation is attributed

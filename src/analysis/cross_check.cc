@@ -1,5 +1,6 @@
 #include "analysis/cross_check.h"
 
+#include <algorithm>
 #include <cmath>
 #include <string>
 #include <utility>
@@ -19,38 +20,11 @@ bool ItemsAgree(const xdm::Item& a, const xdm::Item& b) {
 
 namespace {
 
-bool SameRows(const std::vector<exec::BindingRow>& a,
-              const std::vector<exec::BindingRow>& b, size_t* first_diff) {
-  size_t n = a.size() < b.size() ? a.size() : b.size();
-  for (size_t i = 0; i < n; ++i) {
-    if (!(a[i] == b[i])) {
-      *first_diff = i;
-      return false;
-    }
+std::string RenderNode(const xml::Node* n, const StringInterner& interner) {
+  if (n->name != kInvalidSymbol) {
+    return interner.NameOf(n->name) + "[pre=" + std::to_string(n->pre) + "]";
   }
-  if (a.size() != b.size()) {
-    *first_diff = n;
-    return false;
-  }
-  return true;
-}
-
-std::string RenderRow(const exec::BindingRow& row,
-                      const StringInterner& interner) {
-  std::string out = "[";
-  for (size_t i = 0; i < row.fields.size(); ++i) {
-    if (i > 0) out += ", ";
-    out += interner.NameOf(row.fields[i].first) + ": ";
-    const xml::Node* n = row.fields[i].second;
-    if (n == nullptr) {
-      out += "null";
-    } else if (n->name != kInvalidSymbol) {
-      out += interner.NameOf(n->name) + "[pre=" + std::to_string(n->pre) + "]";
-    } else {
-      out += "node[pre=" + std::to_string(n->pre) + "]";
-    }
-  }
-  return out + "]";
+  return "node[pre=" + std::to_string(n->pre) + "]";
 }
 
 bool AgreeSeq(const Result<xdm::Sequence>& a, const Result<xdm::Sequence>& b) {
@@ -109,31 +83,34 @@ Status CrossCheckPattern(const pattern::TreePattern& tp,
     for (int leg = 0; leg < 2; ++leg) {
       bool parallel = leg == 1;
       if (!parallel && algo == exec::PatternAlgo::kNLJoin) continue;
-      auto rows =
+      auto nodes =
           exec::EvalPattern(tp, context, algo, parallel ? &par : nullptr);
       std::string leg_name =
           std::string(exec::PatternAlgoName(algo)) + (parallel ? "+morsel" : "");
-      if (!rows.ok()) {
+      if (!nodes.ok()) {
         return Status::Internal(
             std::string("cross-check: ") + leg_name +
             " failed where NLJoin succeeded on " + tp.ToString(interner) +
-            ": " + rows.status().ToString());
+            ": " + nodes.status().ToString());
       }
-      size_t diff = 0;
-      if (!SameRows(reference.value(), rows.value(), &diff)) {
+      const std::vector<const xml::Node*>& want = reference.value();
+      const std::vector<const xml::Node*>& got = nodes.value();
+      if (got != want) {
+        const size_t diff = static_cast<size_t>(
+            std::mismatch(want.begin(), want.end(), got.begin(), got.end())
+                .first -
+            want.begin());
         std::string msg = std::string("cross-check: ") + leg_name +
                           " diverges from NLJoin";
         msg += "\n  pattern: " + tp.ToString(interner);
-        msg += "\n  row " + std::to_string(diff) + ": NLJoin=" +
-               (diff < reference.value().size()
-                    ? RenderRow(reference.value()[diff], interner)
-                    : std::string("<absent>")) +
+        msg += "\n  node " + std::to_string(diff) + ": NLJoin=" +
+               (diff < want.size() ? RenderNode(want[diff], interner)
+                                   : std::string("<absent>")) +
                " vs " + leg_name + "=" +
-               (diff < rows.value().size()
-                    ? RenderRow(rows.value()[diff], interner)
-                    : std::string("<absent>"));
-        msg += "\n  rows: NLJoin=" + std::to_string(reference.value().size()) +
-               " " + leg_name + "=" + std::to_string(rows.value().size());
+               (diff < got.size() ? RenderNode(got[diff], interner)
+                                  : std::string("<absent>"));
+        msg += "\n  nodes: NLJoin=" + std::to_string(want.size()) + " " +
+               leg_name + "=" + std::to_string(got.size());
         return Status::Internal(std::move(msg));
       }
     }

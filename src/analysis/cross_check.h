@@ -1,6 +1,6 @@
 // Cross-evaluator oracle: the paper's central claim that every physical
 // pattern algorithm computes the same operator semantics (Section 4.1
-// bindings, root-to-leaf lexical order) is checked dynamically by running
+// bindings, in document order) is checked dynamically by running
 // the same pattern — or whole plan — through all three algorithms and
 // asserting identical ordered results. The "Demythization" comparison
 // (PAPERS.md) shows holistic vs. binary evaluators are exactly where
@@ -31,9 +31,9 @@ const std::vector<exec::PatternAlgo>& CrossCheckAlgos();
 bool ItemsAgree(const xdm::Item& a, const xdm::Item& b);
 
 /// Evaluates `tp` over `context` with every algorithm and compares the
-/// binding rows against the nested-loop reference. Returns Internal on
+/// bound nodes against the nested-loop reference. Returns Internal on
 /// the first divergence, naming the algorithm, the pattern, and the first
-/// differing row index.
+/// differing node index.
 [[nodiscard]]
 Status CrossCheckPattern(const pattern::TreePattern& tp,
                          const xdm::Sequence& context,

@@ -164,8 +164,7 @@ class PlanVerifier {
     return Status::OK();
   }
 
-  Status CheckPatternNode(const PatternNode& n, bool in_predicate,
-                          FieldSet* outputs) const {
+  Status CheckPatternNode(const PatternNode& n) const {
     if (!AxisAllowedInPattern(n.axis)) {
       return Violation("pattern-axis",
                        std::string(AxisName(n.axis)) +
@@ -178,26 +177,10 @@ class PlanVerifier {
                        "pattern step carries a negative positional "
                        "constraint");
     }
-    if (n.output != kInvalidSymbol) {
-      if (in_predicate) {
-        return Violation("pattern-pred-output",
-                         "predicate branch annotates output field " +
-                             FieldName(n.output) +
-                             " (predicate bindings are unobservable)");
-      }
-      XQTP_RETURN_NOT_OK(CheckField(n.output, "pattern output"));
-      if (!outputs->insert(n.output).second) {
-        return Violation("pattern-output-dup",
-                         "output field " + FieldName(n.output) +
-                             " is annotated on more than one step");
-      }
-    }
     for (const PatternNodePtr& p : n.predicates) {
-      XQTP_RETURN_NOT_OK(CheckPatternNode(*p, /*in_predicate=*/true, outputs));
+      XQTP_RETURN_NOT_OK(CheckPatternNode(*p));
     }
-    if (n.next) {
-      XQTP_RETURN_NOT_OK(CheckPatternNode(*n.next, in_predicate, outputs));
-    }
+    if (n.next) XQTP_RETURN_NOT_OK(CheckPatternNode(*n.next));
     return Status::OK();
   }
 
@@ -206,21 +189,12 @@ class PlanVerifier {
       return Violation("pattern-root", "TupleTreePattern has no steps");
     }
     XQTP_RETURN_NOT_OK(CheckField(tp.input_field, "pattern context"));
-    FieldSet outputs;
-    XQTP_RETURN_NOT_OK(
-        CheckPatternNode(*tp.root, /*in_predicate=*/false, &outputs));
-    if (outputs.empty()) {
+    XQTP_RETURN_NOT_OK(CheckPatternNode(*tp.root));
+    if (tp.output == kInvalidSymbol) {
       return Violation("single-output",
                        "TupleTreePattern annotates no output field");
     }
-    if (outputs.size() > 1 && !opts_.allow_multi_output) {
-      return Violation("single-output",
-                       "TupleTreePattern annotates " +
-                           std::to_string(outputs.size()) +
-                           " output fields but multi-output patterns are "
-                           "disabled");
-    }
-    return Status::OK();
+    return CheckField(tp.output, "pattern output");
   }
 
   /// Verifies a tuple plan evaluated against ambient tuple fields
@@ -271,7 +245,7 @@ class PlanVerifier {
                                FieldName(op.tp.input_field) +
                                " is produced by no upstream operator");
         }
-        for (Symbol s : op.tp.OutputFields()) in.insert(s);
+        in.insert(op.tp.output);
         *produced = std::move(in);
         return Status::OK();
       }

@@ -25,9 +25,7 @@
 //  - [tuple-context]    IN (tuple) only inside a dependent plan
 //  - [item-context]     IN (item) only inside a MapFromItem dependent
 //  - [invalid-field]    field symbols are valid and known to the interner
-//  - [single-output]    a TupleTreePattern has exactly one output unless
-//                       multi-output patterns are enabled (then: at least
-//                       one, all on the main path)
+//  - [single-output]    a TupleTreePattern carries its output field
 //  - [pattern-root]     a TupleTreePattern has a context field and at
 //                       least one step
 //  - [pattern-axis]     every step (main path and predicate branches)
@@ -35,7 +33,6 @@
 //  - [pattern-test]     node tests are internally consistent (a name test
 //                       carries a name, the others do not) and positional
 //                       constraints are non-negative
-//  - [pattern-output-dup] no output field is annotated twice
 //  - [scoped-var-scope] kScopedVar only references an enclosing ForEach/
 //                       LetIn/Typeswitch binder
 //  - [global-var]       kGlobalVar references a registered query global
@@ -50,9 +47,6 @@
 namespace xqtp::analysis {
 
 struct PlanVerifyOptions {
-  /// Allow multi-output ("generalized") tree patterns — mirror of
-  /// OptimizeOptions::multi_output_patterns.
-  bool allow_multi_output = false;
   /// Enables the global/scoped variable checks when supplied.
   const core::VarTable* vars = nullptr;
   /// Enables symbol-validity checks when supplied.

@@ -60,7 +60,8 @@ int64_t EstimateMemoryUsage(const CompiledQuery& q) {
   return bytes;
 }
 
-/// Option bits that shape the compiled plan, packed for HashCombine.
+/// Option bits that shape the compiled plan, packed for HashCombine. Bit 3
+/// belonged to a removed option; it stays unused so no key moves.
 uint64_t PlanShapeBits(const CompileOptions& opts) {
   uint64_t bits = 0;
   auto set = [&bits](bool on, int bit) {
@@ -69,7 +70,6 @@ uint64_t PlanShapeBits(const CompileOptions& opts) {
   set(opts.rewrite, 0);
   set(opts.detect_tree_patterns, 1);
   set(opts.positional_patterns, 2);
-  set(opts.multi_output_patterns, 3);
   set(opts.rewrite_opts.typeswitch_rules, 4);
   set(opts.rewrite_opts.flwor_rules, 5);
   set(opts.rewrite_opts.ddo_removal, 6);
@@ -181,7 +181,6 @@ Result<CompiledQuery> Engine::BuildQuery(std::string_view query,
   algebra::OptimizeOptions oopts;
   oopts.detect_tree_patterns = opts.detect_tree_patterns;
   oopts.positional_patterns = opts.positional_patterns;
-  oopts.multi_output_patterns = opts.multi_output_patterns;
   oopts.verify = options_.verify_plans;
   oopts.vars = &q.vars_;
   oopts.equiv = equiv_checker();

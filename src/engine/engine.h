@@ -76,9 +76,6 @@ struct CompileOptions {
   /// loop (EXPERIMENTS.md E8). The paper reproductions set it to false,
   /// which gives the paper's Q3/Q4 plans.
   bool positional_patterns = true;
-  /// Merge cascades into multi-output ("generalized") patterns (rule
-  /// (d') — the paper's primary future-work item). Off by default.
-  bool multi_output_patterns = false;
   /// Fine-grained rewrite switches (used by the ablation benchmark).
   core::RewriteOptions rewrite_opts;
   /// Compile-time resource limits: when either is set, Compile installs a

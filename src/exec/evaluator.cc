@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <functional>
 #include <optional>
-#include <span>
 #include <utility>
 #include <vector>
 
@@ -47,8 +46,7 @@ bool IsLiftablePattern(const Op& op) {
   }
   const Op& ttp = *op.inputs[0];
   return ttp.inputs[0]->kind == OpKind::kInputTuple &&
-         CanLiftPattern(ttp.tp) &&
-         ttp.tp.ExtractionPoint()->output == op.dep->field;
+         CanLiftPattern(ttp.tp) && ttp.tp.output == op.dep->field;
 }
 
 /// The lift rule: collects the liftable patterns (IsLiftablePattern)
@@ -90,6 +88,86 @@ void CollectLifts(const Op& op, std::vector<const Op*>* out) {
 bool InRegion(const xml::Node* ctx, const xml::Node* node) {
   return node == ctx || (node->doc == ctx->doc && ctx->IsAncestorOf(*node));
 }
+
+/// Builds a TupleTreePattern's output batch: one row per bound node, the
+/// node's input row with the node (as a singleton sequence) in the
+/// pattern's output field. The schema is the input batch's columns in
+/// order, less an input column the output field overwrites, then the
+/// output column.
+///
+/// When the input batch has exactly one logical row (the dominant
+/// optimized plan: one tuple carrying the document root), the input
+/// columns are NOT replicated per output row — Finish attaches them as
+/// broadcast columns sharing the input's storage, so a root fan-out
+/// binding 10^5 nodes copies zero input sequences.
+class PatternBatchBuilder {
+ public:
+  PatternBatchBuilder(const TupleBatch& in, Symbol output)
+      : in_(in), output_(output), broadcast_(in.rows() == 1) {
+    if (broadcast_) return;
+    for (const TupleBatch::BoundColumn& bc : in.columns()) {
+      if (bc.column->field != output) gathered_.push_back({&bc, {}});
+    }
+  }
+
+  /// Appends one output row: input row `row` with `node` bound.
+  void Add(size_t row, const xml::Node* node) {
+    for (Gathered& g : gathered_) g.values.push_back(in_.Value(*g.src, row));
+    bound_.push_back(Sequence{Item(node)});
+  }
+
+  size_t rows() const { return bound_.size(); }
+
+  /// Assembles the batch (counts rows() materialized tuples; the
+  /// ExecStats batch count is taken where the batch is YIELDED between
+  /// operators). The builder is consumed.
+  TupleBatch Finish() {
+    const size_t rows = bound_.size();
+    TupleBatch out(rows);
+    if (broadcast_) {
+      for (const TupleBatch::BoundColumn& bc : in_.columns()) {
+        if (bc.column->field == output_) continue;  // overwritten
+        if (bc.column->values.size() == 1) {
+          // The input column has exactly one physical value — share it.
+          out.AddBroadcastColumn(bc.column);
+        } else {
+          // Single logical row selected out of a wider column: one copy
+          // of one value, still broadcast to every output row.
+          TupleColumn one;
+          one.field = bc.column->field;
+          one.values.push_back(in_.Value(bc, 0));
+          out.AddBroadcastColumn(MakeColumn(std::move(one)));
+        }
+      }
+    }
+    for (Gathered& g : gathered_) {
+      TupleColumn col;
+      col.field = g.src->column->field;
+      col.values = std::move(g.values);
+      out.AddOwnedColumn(std::move(col));
+    }
+    TupleColumn col;
+    col.field = output_;
+    col.values = std::move(bound_);
+    out.AddOwnedColumn(std::move(col));
+    CountTuplesMaterialized(static_cast<int64_t>(rows));
+    return out;
+  }
+
+ private:
+  /// An input column copied per output row (multi-row inputs only).
+  struct Gathered {
+    const TupleBatch::BoundColumn* src;
+    std::vector<Sequence> values;
+  };
+
+  const TupleBatch& in_;
+  const Symbol output_;
+  /// Single-row input: the input columns stay shared (broadcast).
+  const bool broadcast_;
+  std::vector<Gathered> gathered_;
+  std::vector<Sequence> bound_;
+};
 
 class Evaluator {
  public:
@@ -433,10 +511,10 @@ class Evaluator {
   /// TupleTreePattern kernel over one input batch. A one-row batch is
   /// one EvalPattern over that row's contexts; a wider one is lifted
   /// (EvalPatternLifted) when the pattern allows it, and only patterns
-  /// it does not cover (multi-output) are evaluated row by row. Output
-  /// rows land in a PatternBatchBuilder (single-row inputs broadcast
-  /// their unmodified fields — zero replication for the dominant
-  /// root-in-one-tuple plan) and leave in batches of at most
+  /// it does not cover (a non-pattern axis) are evaluated row by row.
+  /// Output rows land in a PatternBatchBuilder (single-row inputs
+  /// broadcast their unmodified fields — zero replication for the
+  /// dominant root-in-one-tuple plan) and leave in batches of at most
   /// tuple_batch_rows.
   Status EvalPatternBatch(const Op& op, const TupleBatch& in,
                           const BatchSink& sink) {
@@ -447,14 +525,13 @@ class Evaluator {
           "TupleTreePattern input tuple lacks the context field");
     }
     const size_t target = static_cast<size_t>(BatchRows());
-    std::optional<PatternBatchBuilder> builder(std::in_place, in);
-    auto add = [&](size_t row, std::span<const std::pair<Symbol,
-                                                         const xml::Node*>>
-                                   fields) -> Status {
-      builder->Add(row, fields);
+    std::optional<PatternBatchBuilder> builder(std::in_place, in,
+                                               op.tp.output);
+    auto add = [&](size_t row, const xml::Node* node) -> Status {
+      builder->Add(row, node);
       if (builder->rows() < target) return Status::OK();
       TupleBatch full = builder->Finish();
-      builder.emplace(in);
+      builder.emplace(in, op.tp.output);
       return Emit(sink, std::move(full));
     };
     ScopedMemoryCharge mem;
@@ -462,23 +539,20 @@ class Evaluator {
       XQTP_ASSIGN_OR_RETURN(LiftedBindings lifted,
                             EvalPatternLifted(op.tp, in, opts_.algo, par()));
       XQTP_RETURN_NOT_OK(mem.Grow(LiftedBytes(lifted)));
-      std::pair<Symbol, const xml::Node*> binding{
-          op.tp.ExtractionPoint()->output, nullptr};
       for (size_t i = 0; i < in.rows(); ++i) {
         for (size_t k = lifted.offsets[i]; k < lifted.offsets[i + 1]; ++k) {
-          binding.second = lifted.nodes[k];
-          XQTP_RETURN_NOT_OK(add(i, {&binding, 1}));
+          XQTP_RETURN_NOT_OK(add(i, lifted.nodes[k]));
         }
       }
     } else {
       for (size_t i = 0; i < in.rows(); ++i) {
         XQTP_ASSIGN_OR_RETURN(
-            std::vector<BindingRow> rows,
+            std::vector<const xml::Node*> nodes,
             EvalPattern(op.tp, in.Value(*ctx_col, i), opts_.algo, par()));
-        XQTP_RETURN_NOT_OK(
-            mem.Grow(static_cast<int64_t>(rows.size() * sizeof(BindingRow))));
-        for (const BindingRow& row : rows) {
-          XQTP_RETURN_NOT_OK(add(i, row.fields));
+        XQTP_RETURN_NOT_OK(mem.Grow(
+            static_cast<int64_t>(nodes.size() * sizeof(const xml::Node*))));
+        for (const xml::Node* node : nodes) {
+          XQTP_RETURN_NOT_OK(add(i, node));
         }
       }
     }
@@ -570,7 +644,7 @@ class Evaluator {
 }  // namespace
 
 bool CanLiftPattern(const pattern::TreePattern& tp) {
-  return tp.SingleOutputAtExtractionPoint() && tp.UsesOnlyPatternAxes();
+  return tp.UsesOnlyPatternAxes();
 }
 
 Result<LiftedBindings> EvalPatternLifted(const pattern::TreePattern& tp,
@@ -648,14 +722,13 @@ Result<LiftedBindings> EvalPatternLifted(const pattern::TreePattern& tp,
       members.push_back(id);
       layer_ctx.push_back(Item(ctx[id]));
     }
-    XQTP_ASSIGN_OR_RETURN(std::vector<BindingRow> found,
+    XQTP_ASSIGN_OR_RETURN(std::vector<const xml::Node*> found,
                           EvalPattern(tp, layer_ctx, algo, par));
     XQTP_RETURN_NOT_OK(mem.Grow(
         static_cast<int64_t>(found.size() * sizeof(const xml::Node*))));
     size_t m = 0;
     runs[members[0]].begin = bound.size();
-    for (const BindingRow& b : found) {
-      const xml::Node* node = b.fields.front().second;
+    for (const xml::Node* node : found) {
       while (!InRegion(ctx[members[m]], node)) {
         runs[members[m]].end = bound.size();
         if (++m == members.size()) {

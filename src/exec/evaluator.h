@@ -66,8 +66,8 @@ struct EvalOptions {
 /// Values for the query's global variables.
 using Bindings = std::unordered_map<core::VarId, xdm::Sequence>;
 
-/// A single-output tree pattern's bindings for every logical row of one
-/// TupleBatch, flat: row r's bound nodes are
+/// A tree pattern's bindings for every logical row of one TupleBatch,
+/// flat: row r's bound nodes are
 /// nodes[offsets[r], offsets[r + 1]) — distinct and in document order,
 /// exactly what EvalPattern over that row's context alone returns.
 struct LiftedBindings {
@@ -75,10 +75,9 @@ struct LiftedBindings {
   std::vector<size_t> offsets;  ///< rows + 1 entries
 };
 
-/// Whether EvalPatternLifted evaluates `tp`: one output, at the
-/// extraction point, and only the downward or self axes the optimizer
-/// builds patterns from — so every binding lies in its context's
-/// pre/post region.
+/// Whether EvalPatternLifted evaluates `tp`: only the downward or self
+/// axes the optimizer builds patterns from — so every binding lies in its
+/// context's pre/post region.
 bool CanLiftPattern(const pattern::TreePattern& tp);
 
 /// Loop-lifted evaluation of `tp` (CanLiftPattern) over the context

@@ -52,9 +52,10 @@ bool ExistsMatch(const Node* ctx, const PatternNode& p,
   return false;
 }
 
-/// Depth-first enumeration of main-path bindings.
-void Enumerate(const Node* ctx, const PatternNode& p, BindingRow* partial,
-               std::vector<BindingRow>* rows, GovernorTicker* gov) {
+/// Depth-first enumeration of main-path bindings; collects the nodes the
+/// extraction point binds.
+void Enumerate(const Node* ctx, const PatternNode& p,
+               std::vector<const Node*>* out, GovernorTicker* gov) {
   xdm::Sequence candidates;
   xdm::EvalAxisStep(ctx, p.axis, p.test, &candidates);
   int pos = 0;
@@ -74,57 +75,32 @@ void Enumerate(const Node* ctx, const PatternNode& p, BindingRow* partial,
       }
     }
     if (!preds_ok) continue;
-    bool annotated = p.output != kInvalidSymbol;
-    if (annotated) partial->fields.emplace_back(p.output, n);
     if (p.next != nullptr) {
-      Enumerate(n, *p.next, partial, rows, gov);
+      Enumerate(n, *p.next, out, gov);
     } else {
-      rows->push_back(*partial);
-    }
-    if (annotated) partial->fields.pop_back();
-  }
-}
-
-bool HasPredicateOutputs(const PatternNode& p) {
-  for (const PatternNodePtr& pred : p.predicates) {
-    // Any annotation inside a predicate branch.
-    const PatternNode* n = pred.get();
-    std::vector<const PatternNode*> stack{n};
-    while (!stack.empty()) {
-      const PatternNode* cur = stack.back();
-      stack.pop_back();
-      if (cur->output != kInvalidSymbol) return true;
-      for (const PatternNodePtr& q : cur->predicates) stack.push_back(q.get());
-      if (cur->next) stack.push_back(cur->next.get());
+      out->push_back(n);
     }
   }
-  if (p.next) return HasPredicateOutputs(*p.next);
-  return false;
 }
 
 }  // namespace
 
-Result<std::vector<BindingRow>> EvalPatternNL(const TreePattern& tp,
-                                              const xdm::Sequence& context) {
+Result<std::vector<const Node*>> EvalPatternNL(const TreePattern& tp,
+                                               const xdm::Sequence& context) {
   XQTP_FAULT_POINT("exec.pattern.nl");
-  if (tp.root == nullptr) return std::vector<BindingRow>{};
-  if (HasPredicateOutputs(*tp.root)) {
-    return Status::NotImplemented(
-        "output annotations inside predicate branches are not supported");
-  }
+  std::vector<const Node*> out;
+  if (tp.root == nullptr) return out;
   GovernorTicker gov;
-  std::vector<BindingRow> rows;
-  BindingRow partial;
   for (const xdm::Item& it : context) {
     if (!it.IsNode()) {
       return Status::TypeError(
           "tree pattern applied to a non-node context item");
     }
-    Enumerate(it.node(), *tp.root, &partial, &rows, &gov);
+    Enumerate(it.node(), *tp.root, &out, &gov);
     if (!gov.status().ok()) return gov.status();
   }
-  FinalizeRows(&rows);
-  return rows;
+  SortDedup(&out);
+  return out;
 }
 
 }  // namespace xqtp::exec

@@ -2,9 +2,9 @@
 // for the architecture). Correctness rests on two facts:
 //
 //  1. every sequential algorithm returns the operator's Section 4.1
-//     result: DISTINCT binding rows in root-to-leaf lexical order
-//     (RowLexLess). A morsel's result is therefore a sorted run, and an
-//     order-preserving merge + dedup of the runs reproduces the
+//     result: the DISTINCT bound nodes in document order
+//     (xml::DocOrderLess). A morsel's result is therefore a sorted run,
+//     and an order-preserving merge + dedup of the runs reproduces the
 //     sequential output bit for bit;
 //  2. the union over context nodes (or over root-step candidates, for
 //     the self-rooted rewrite) of the pattern's matches equals the
@@ -225,24 +225,23 @@ std::vector<MorselRange> PlanMorsels(size_t units, int threads,
   return morsels;
 }
 
-/// Order-preserving merge of per-morsel sorted runs, then one dedup pass.
-/// Uses the same RowLexLess the sequential FinalizeRows sorts by, which is
-/// what makes the merged output bit-identical to the sequential one.
-std::vector<BindingRow> MergeSortedRuns(std::vector<std::vector<BindingRow>> runs) {
-  std::vector<BindingRow> acc;
-  for (std::vector<BindingRow>& run : runs) {
+/// Order-preserving merge of per-morsel node runs by document order, then
+/// one dedup pass. Every sequential algorithm returns its nodes in that
+/// order, which is what makes the merged output bit-identical to the
+/// sequential one.
+std::vector<const Node*> MergeSortedRuns(
+    std::vector<std::vector<const Node*>> runs) {
+  std::vector<const Node*> acc;
+  for (std::vector<const Node*>& run : runs) {
     if (run.empty()) continue;
     if (acc.empty()) {
       acc = std::move(run);
       continue;
     }
-    std::vector<BindingRow> merged;
+    std::vector<const Node*> merged;
     merged.reserve(acc.size() + run.size());
-    std::merge(std::make_move_iterator(acc.begin()),
-               std::make_move_iterator(acc.end()),
-               std::make_move_iterator(run.begin()),
-               std::make_move_iterator(run.end()), std::back_inserter(merged),
-               RowLexLess);
+    std::merge(acc.begin(), acc.end(), run.begin(), run.end(),
+               std::back_inserter(merged), xml::DocOrderLess);
     acc = std::move(merged);
   }
   acc.erase(std::unique(acc.begin(), acc.end()), acc.end());
@@ -277,7 +276,7 @@ void MergeWorkerStats(const std::vector<ExecStats>& slots) {
 bool TryEvalPatternParallel(const pattern::TreePattern& tp,
                             const xdm::Sequence& context, PatternAlgo algo,
                             const ParallelContext& par,
-                            Result<std::vector<BindingRow>>* out) {
+                            Result<std::vector<const Node*>>* out) {
   if (par.threads < 2 || tp.root == nullptr) return false;
   // kCostBased must be resolved by the caller (one algorithm across all
   // morsels); an unresolved choice is not morselizable.
@@ -314,8 +313,7 @@ bool TryEvalPatternParallel(const pattern::TreePattern& tp,
       if (it.node()->doc != doc) return false;  // index scans are per-doc
       ctx.push_back(it.node());
     }
-    std::sort(ctx.begin(), ctx.end(), xml::DocOrderLess);
-    ctx.erase(std::unique(ctx.begin(), ctx.end()), ctx.end());
+    SortDedup(&ctx);
     // The candidates lie in the contexts' subtrees, and DocumentBuilder's
     // numbering gives a node post - pre + depth descendants (attributes
     // included). Below min_fanout even that bound cannot morselize, so
@@ -360,7 +358,7 @@ bool TryEvalPatternParallel(const pattern::TreePattern& tp,
   }
 
   struct Part {
-    Result<std::vector<BindingRow>> rows = std::vector<BindingRow>{};
+    Result<std::vector<const Node*>> nodes = std::vector<const Node*>{};
   };
   std::vector<Part> parts(morsels.size());
   std::vector<ExecStats> stats_slots(morsels.size());
@@ -385,7 +383,7 @@ bool TryEvalPatternParallel(const pattern::TreePattern& tp,
       // A tripped governor's verdict is sticky, so every skipped morsel
       // reports the same status: the run drains cleanly without doing
       // the remaining work and no partial result leaks out.
-      part.rows = std::move(entry);
+      part.nodes = std::move(entry);
       stats_slots[static_cast<size_t>(m)] = scope.stats();
       return;
     }
@@ -395,7 +393,7 @@ bool TryEvalPatternParallel(const pattern::TreePattern& tp,
     for (size_t i = mr.begin; i < mr.end; ++i) {
       ctx.push_back(xdm::Item(units[i]));
     }
-    part.rows = EvalPatternSequential(*eval_tp, ctx, algo);
+    part.nodes = EvalPatternSequential(*eval_tp, ctx, algo);
     stats_slots[static_cast<size_t>(m)] = scope.stats();
   });
   MergeWorkerStats(stats_slots);
@@ -403,101 +401,16 @@ bool TryEvalPatternParallel(const pattern::TreePattern& tp,
   // Error determinism: the lowest morsel's error is the one the
   // sequential evaluation would have hit first.
   for (Part& p : parts) {
-    if (!p.rows.ok()) {
-      *out = p.rows.status();
+    if (!p.nodes.ok()) {
+      *out = p.nodes.status();
       return true;
     }
   }
-  std::vector<std::vector<BindingRow>> runs;
+  std::vector<std::vector<const Node*>> runs;
   runs.reserve(parts.size());
-  for (Part& p : parts) runs.push_back(std::move(p.rows).value());
+  for (Part& p : parts) runs.push_back(std::move(p.nodes).value());
   *out = MergeSortedRuns(std::move(runs));
   return true;
-}
-
-PatternBatchBuilder::PatternBatchBuilder(const TupleBatch& in)
-    : in_(in), broadcast_(in.rows() == 1) {
-  if (!broadcast_) {
-    cols_.reserve(in.column_count());
-    for (size_t c = 0; c < in.column_count(); ++c) {
-      cols_.push_back(
-          Col{in.columns()[c].column->field, static_cast<int>(c), {}});
-    }
-  }
-}
-
-PatternBatchBuilder::Col* PatternBatchBuilder::FindCol(Symbol field) {
-  for (Col& c : cols_) {
-    if (c.field == field) return &c;
-  }
-  return nullptr;
-}
-
-void PatternBatchBuilder::EnsureBindingColumn(Symbol field, size_t row) {
-  if (FindCol(field) != nullptr) return;
-  Col col;
-  col.field = field;
-  col.src = -1;
-  if (broadcast_) {
-    // A binding that overwrites an input field forces that column off the
-    // shared path: materialize it (the copy-on-write "write"), keeping
-    // the input value as the per-row default for rows it does not bind.
-    for (size_t c = 0; c < in_.column_count(); ++c) {
-      if (in_.columns()[c].column->field == field) {
-        col.src = static_cast<int>(c);
-        break;
-      }
-    }
-  }
-  col.values.assign(rows_, col.src >= 0
-                               ? in_.Value(in_.columns()[col.src], row)
-                               : xdm::Sequence{});
-  cols_.push_back(std::move(col));
-}
-
-void PatternBatchBuilder::Add(
-    size_t row, std::span<const std::pair<Symbol, const xml::Node*>> fields) {
-  for (const auto& [sym, node] : fields) EnsureBindingColumn(sym, row);
-  for (Col& c : cols_) {
-    if (c.src >= 0) {
-      c.values.push_back(in_.Value(in_.columns()[c.src], row));
-    } else {
-      c.values.emplace_back();
-    }
-  }
-  for (const auto& [sym, node] : fields) {
-    FindCol(sym)->values.back() = xdm::Sequence{xdm::Item(node)};
-  }
-  ++rows_;
-}
-
-TupleBatch PatternBatchBuilder::Finish() {
-  TupleBatch out(rows_);
-  if (broadcast_) {
-    for (size_t c = 0; c < in_.column_count(); ++c) {
-      const TupleBatch::BoundColumn& bc = in_.columns()[c];
-      if (FindCol(bc.column->field) != nullptr) continue;  // overwritten
-      if (bc.column->values.size() == 1) {
-        // The input column has exactly one physical value — share it.
-        out.AddBroadcastColumn(bc.column);
-      } else {
-        // Single logical row selected out of a wider column: one copy of
-        // one value, still broadcast to every output row.
-        TupleColumn one;
-        one.field = bc.column->field;
-        one.values.push_back(in_.Value(bc, 0));
-        out.AddBroadcastColumn(MakeColumn(std::move(one)));
-      }
-    }
-  }
-  for (Col& c : cols_) {
-    TupleColumn col;
-    col.field = c.field;
-    col.values = std::move(c.values);
-    out.AddOwnedColumn(std::move(col));
-  }
-  CountTuplesMaterialized(static_cast<int64_t>(rows_));
-  return out;
 }
 
 }  // namespace xqtp::exec

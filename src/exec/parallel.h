@@ -5,7 +5,7 @@
 // parallelism: its root-input stream partitions into independent morsels,
 // each evaluated by any of the sequential algorithms, with an
 // order-preserving merge re-establishing the operator's Section 4.1
-// semantics (distinct bindings, root-to-leaf lexical order). The nested
+// semantics (distinct bindings in document order). The nested
 // Map/TreeJoin "old engine" plan has no such unit to cut.
 //
 // Two morselization strategies, chosen per evaluation:
@@ -18,8 +18,8 @@
 //     document root) per pattern. The driver expands the root step's
 //     candidate set directly from the per-tag index (the staircase-join
 //     region scan), rewrites the pattern to be self-rooted (the remainder:
-//     predicates + continuation, annotations preserved), and partitions
-//     the candidates into morsels.
+//     predicates + continuation), and partitions the candidates into
+//     morsels.
 //
 // RunMorsels is the one way morsels run: the calling thread plus workers
 // borrowed, per morselizing evaluation, from a process-wide reservoir of
@@ -36,14 +36,11 @@
 #define XQTP_EXEC_PARALLEL_H_
 
 #include <functional>
-#include <span>
-#include <utility>
 #include <vector>
 
 #include "common/status.h"
 #include "exec/governor.h"
 #include "exec/pattern_eval.h"
-#include "exec/tuple.h"
 #include "pattern/tree_pattern.h"
 #include "xdm/item.h"
 
@@ -94,60 +91,11 @@ int ClampParallelThreads(size_t units, int threads, int min_fanout);
 /// morselizable (small fan-out, non-node contexts, positional or
 /// non-downward root, multi-document context) and the sequential path
 /// should run instead. Results are bit-identical to the sequential
-/// algorithm: same rows, same order, same output fields.
+/// algorithm: the same nodes in the same order.
 bool TryEvalPatternParallel(const pattern::TreePattern& tp,
                             const xdm::Sequence& context, PatternAlgo algo,
                             const ParallelContext& par,
-                            Result<std::vector<BindingRow>>* out);
-
-/// Builds a TupleTreePattern's output batch from binding rows, with
-/// overwrite semantics per row: the schema is the input batch's columns
-/// in order (a binding field naming an input column replaces its value),
-/// followed by the pattern's new binding fields in first-seen order. Rows
-/// added before a binding field first appears read it as the empty
-/// sequence — indistinguishable from a row that lacks the field.
-///
-/// When the input batch has exactly one logical row (the dominant
-/// optimized plan: one tuple carrying the document root), input columns
-/// that no binding overwrites are NOT replicated per output row — Finish
-/// attaches them as broadcast columns sharing the input's storage, so a
-/// root fan-out producing 10^5 binding rows copies zero input sequences.
-class PatternBatchBuilder {
- public:
-  explicit PatternBatchBuilder(const TupleBatch& in);
-
-  /// Appends one output row: input row `row`'s fields overlaid with
-  /// `fields`, a BindingRow's (field, bound node) pairs (each bound node
-  /// as a singleton sequence).
-  void Add(size_t row,
-           std::span<const std::pair<Symbol, const xml::Node*>> fields);
-
-  size_t rows() const { return rows_; }
-
-  /// Assembles the batch (counts rows() materialized tuples; the
-  /// ExecStats batch count is taken where the batch is YIELDED between
-  /// operators). The builder is consumed.
-  TupleBatch Finish();
-
- private:
-  struct Col {
-    Symbol field;
-    /// Input column gathered as the row default, or -1 (binding-only,
-    /// defaults to the empty sequence).
-    int src;
-    std::vector<xdm::Sequence> values;
-  };
-
-  Col* FindCol(Symbol field);
-  void EnsureBindingColumn(Symbol field, size_t row);
-
-  const TupleBatch& in_;
-  /// Single-row input: input columns stay shared (broadcast) unless a
-  /// binding overwrites them.
-  bool broadcast_;
-  std::vector<Col> cols_;
-  size_t rows_ = 0;
-};
+                            Result<std::vector<const xml::Node*>>* out);
 
 /// Number of pattern evaluations that actually fanned out into morsels
 /// since process start (context partitioning or root fan-out).

@@ -1,8 +1,8 @@
 // Shared tree-pattern machinery: the algorithm dispatch behind
 // TupleTreePattern (EvalPattern / EvalPatternSequential), the pattern
 // shapes each algorithm handles itself, the index stream a step scans and
-// the staircase region scan over it, the lexical row order every
-// algorithm finalizes into, and the governance
+// the staircase region scan over it, the document-order sort and dedup
+// node sets are finalized with, and the governance
 // boundary — a cooperative governor check guards every pattern
 // evaluation, and the individual algorithms poll on a stride inside their
 // inner loops (GovernorTicker), so a deadline or external cancel
@@ -42,12 +42,10 @@ bool HandlesPatternShape(PatternAlgo algo, const TreePattern& tp) {
   switch (algo) {
     case PatternAlgo::kNLJoin:
     case PatternAlgo::kCostBased:
-      return true;
     case PatternAlgo::kStaircase:
-      return tp.SingleOutputAtExtractionPoint();
+      return true;
     case PatternAlgo::kTwig:
-      return tp.SingleOutputAtExtractionPoint() && tp.UsesOnlyPatternAxes() &&
-             !tp.HasPositionalSteps();
+      return tp.UsesOnlyPatternAxes() && !tp.HasPositionalSteps();
   }
   return false;
 }
@@ -120,22 +118,12 @@ std::vector<const xml::Node*> ScanRegions(
   return out;
 }
 
-bool RowLexLess(const BindingRow& a, const BindingRow& b) {
-  size_t n = std::min(a.fields.size(), b.fields.size());
-  for (size_t i = 0; i < n; ++i) {
-    const xml::Node* na = a.fields[i].second;
-    const xml::Node* nb = b.fields[i].second;
-    if (na != nb) return xml::DocOrderLess(na, nb);
-  }
-  return a.fields.size() < b.fields.size();
+void SortDedup(std::vector<const xml::Node*>* nodes) {
+  std::sort(nodes->begin(), nodes->end(), xml::DocOrderLess);
+  nodes->erase(std::unique(nodes->begin(), nodes->end()), nodes->end());
 }
 
-void FinalizeRows(std::vector<BindingRow>* rows) {
-  std::sort(rows->begin(), rows->end(), RowLexLess);
-  rows->erase(std::unique(rows->begin(), rows->end()), rows->end());
-}
-
-Result<std::vector<BindingRow>> EvalPatternSequential(
+Result<std::vector<const xml::Node*>> EvalPatternSequential(
     const TreePattern& tp, const xdm::Sequence& context, PatternAlgo algo) {
   // Every pattern evaluation — morsel or whole — crosses a governance
   // boundary here; the algorithms' inner loops add strided polls on top.
@@ -154,17 +142,17 @@ Result<std::vector<BindingRow>> EvalPatternSequential(
   return Status::Internal("unknown pattern algorithm");
 }
 
-Result<std::vector<BindingRow>> EvalPattern(const TreePattern& tp,
-                                            const xdm::Sequence& context,
-                                            PatternAlgo algo,
-                                            const ParallelContext* par) {
+Result<std::vector<const xml::Node*>> EvalPattern(
+    const TreePattern& tp, const xdm::Sequence& context, PatternAlgo algo,
+    const ParallelContext* par) {
   CountPatternEval();
   // Resolve the cost-based choice once, against the full context, so a
   // morselized evaluation runs ONE algorithm across all its morsels.
   if (algo == PatternAlgo::kCostBased) algo = ChooseAlgorithm(tp, context);
   if (par != nullptr) {
-    Result<std::vector<BindingRow>> rows = std::vector<BindingRow>{};
-    if (TryEvalPatternParallel(tp, context, algo, *par, &rows)) return rows;
+    Result<std::vector<const xml::Node*>> nodes =
+        std::vector<const xml::Node*>{};
+    if (TryEvalPatternParallel(tp, context, algo, *par, &nodes)) return nodes;
   }
   return EvalPatternSequential(tp, context, algo);
 }

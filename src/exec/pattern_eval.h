@@ -1,8 +1,8 @@
 // The physical tree-pattern algorithms behind TupleTreePattern. All three
-// produce the operator semantics of Section 4.1: the distinct projected
-// bindings of the pattern over the context nodes, in root-to-leaf lexical
-// order (which coincides with XPath document order when the single output
-// is at the extraction point).
+// produce the operator semantics of Section 4.1 for the paper's
+// single-output patterns: the distinct nodes the extraction point binds
+// over the context nodes, in document order (XPath's semantics). The
+// caller binds them to the pattern's output field.
 //
 //  - kNLJoin:    nested-loop navigation over first-child / next-sibling
 //                cursors; touches only the reachable part of the tree.
@@ -16,10 +16,8 @@
 // Both index algorithms, and the parallel driver's root-step expansion,
 // read the tag streams through one staircase region scan (ScanRegions).
 //
-// The index-based algorithms handle single-output patterns (the only
-// shape the optimizer emits); multi-output patterns, and the other shapes
-// HandlesPatternShape rejects, fall back to the nested-loop algorithm,
-// which enumerates full bindings.
+// The shapes HandlesPatternShape rejects for TwigJoin (non-pattern axes,
+// positional steps) fall back to the nested-loop algorithm.
 #ifndef XQTP_EXEC_PATTERN_EVAL_H_
 #define XQTP_EXEC_PATTERN_EVAL_H_
 
@@ -42,10 +40,9 @@ enum class PatternAlgo : uint8_t {
 const char* PatternAlgoName(PatternAlgo algo);
 
 /// Whether `algo` evaluates patterns of `tp`'s shape itself. False means
-/// it hands `tp` to EvalPatternNL: a multi-output pattern (every index
-/// algorithm), a non-pattern axis (TwigJoin) or a positional step
-/// (TwigJoin). The algorithms and the cost model share this rule, so
-/// the cost of a handoff is priced as the nested loop that actually runs.
+/// it hands `tp` to EvalPatternNL: a non-pattern axis or a positional step
+/// (TwigJoin). The algorithms and the cost model share this rule, so the
+/// cost of a handoff is priced as the nested loop that actually runs.
 bool HandlesPatternShape(PatternAlgo algo, const pattern::TreePattern& tp);
 
 /// The document-ordered index a pattern step with `axis` and `test`
@@ -76,30 +73,25 @@ std::vector<const xml::Node*> ScanRegions(
     const std::vector<const xml::Node*>& ctx, Axis axis, const NodeTest& test,
     GovernorTicker* gov);
 
+/// Sorts `nodes` into document order and removes duplicates: the one
+/// finalization of the nested loop's bindings, of unsorted step results
+/// and of context sets.
+void SortDedup(std::vector<const xml::Node*>* nodes);
+
 /// Parallel-evaluation parameters (exec/parallel.h); EvalPattern takes an
 /// optional pointer so pattern evaluation stays usable without the driver.
 struct ParallelContext;
 
-/// One projected binding: (output field, bound node) pairs in root-to-leaf
-/// lexical order of the pattern's annotated steps.
-struct BindingRow {
-  std::vector<std::pair<Symbol, const xml::Node*>> fields;
-
-  bool operator==(const BindingRow& other) const {
-    return fields == other.fields;
-  }
-};
-
 /// Evaluates `tp` over the given context nodes with the chosen algorithm.
-/// `context` items must all be nodes. Returns distinct rows in lexical
-/// order. With a non-null `par`, evaluations whose root fan-out crosses
-/// the morsel threshold run on the parallel driver (exec/parallel.h) with
-/// bit-identical results; everything else takes the sequential path.
+/// `context` items must all be nodes. Returns the extraction point's
+/// distinct bindings in document order. With a non-null `par`,
+/// evaluations whose root fan-out crosses the morsel threshold run on the
+/// parallel driver (exec/parallel.h) with bit-identical results;
+/// everything else takes the sequential path.
 [[nodiscard]]
-Result<std::vector<BindingRow>> EvalPattern(const pattern::TreePattern& tp,
-                                            const xdm::Sequence& context,
-                                            PatternAlgo algo,
-                                            const ParallelContext* par = nullptr);
+Result<std::vector<const xml::Node*>> EvalPattern(
+    const pattern::TreePattern& tp, const xdm::Sequence& context,
+    PatternAlgo algo, const ParallelContext* par = nullptr);
 
 /// The sequential dispatch behind EvalPattern: runs exactly one algorithm
 /// (kCostBased resolves through the cost model first) without counting a
@@ -107,31 +99,20 @@ Result<std::vector<BindingRow>> EvalPattern(const pattern::TreePattern& tp,
 /// ExecStats::pattern_evals stays exact — one count per operator
 /// evaluation, however many morsels it fans out into.
 [[nodiscard]]
-Result<std::vector<BindingRow>> EvalPatternSequential(
+Result<std::vector<const xml::Node*>> EvalPatternSequential(
     const pattern::TreePattern& tp, const xdm::Sequence& context,
     PatternAlgo algo);
 
-/// The lexical row order of Section 4.1: document order of the bound
-/// nodes, field by field in root-to-leaf order, shorter rows first on a
-/// tie. FinalizeRows and the driver's morsel merge share this comparator,
-/// which is what makes parallel results bit-identical.
-bool RowLexLess(const BindingRow& a, const BindingRow& b);
-
-/// Shared finalization: sorts rows lexically by document order of their
-/// bound nodes and removes duplicates. Exposed for the algorithm
-/// implementations and tests.
-void FinalizeRows(std::vector<BindingRow>* rows);
-
 // Individual algorithm entry points (used directly by unit tests).
 [[nodiscard]]
-Result<std::vector<BindingRow>> EvalPatternNL(const pattern::TreePattern& tp,
-                                              const xdm::Sequence& context);
-[[nodiscard]]
-Result<std::vector<BindingRow>> EvalPatternStaircase(
+Result<std::vector<const xml::Node*>> EvalPatternNL(
     const pattern::TreePattern& tp, const xdm::Sequence& context);
 [[nodiscard]]
-Result<std::vector<BindingRow>> EvalPatternTwig(const pattern::TreePattern& tp,
-                                                const xdm::Sequence& context);
+Result<std::vector<const xml::Node*>> EvalPatternStaircase(
+    const pattern::TreePattern& tp, const xdm::Sequence& context);
+[[nodiscard]]
+Result<std::vector<const xml::Node*>> EvalPatternTwig(
+    const pattern::TreePattern& tp, const xdm::Sequence& context);
 
 }  // namespace xqtp::exec
 

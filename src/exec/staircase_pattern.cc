@@ -30,11 +30,6 @@ using pattern::TreePattern;
 using xml::Document;
 using xml::Node;
 
-void SortDedup(std::vector<const Node*>* v) {
-  std::sort(v->begin(), v->end(), xml::DocOrderLess);
-  v->erase(std::unique(v->begin(), v->end()), v->end());
-}
-
 class StaircaseEval {
  public:
   /// Evaluates one axis step over the whole context set, producing a
@@ -182,15 +177,10 @@ class StaircaseEval {
 
 }  // namespace
 
-Result<std::vector<BindingRow>> EvalPatternStaircase(
+Result<std::vector<const Node*>> EvalPatternStaircase(
     const TreePattern& tp, const xdm::Sequence& context) {
   XQTP_FAULT_POINT("exec.pattern.staircase");
-  if (tp.root == nullptr) return std::vector<BindingRow>{};
-  if (!HandlesPatternShape(PatternAlgo::kStaircase, tp)) {
-    // The staircase join is a set-at-a-time path algorithm; full binding
-    // enumeration falls back to the nested-loop evaluator.
-    return EvalPatternNL(tp, context);
-  }
+  if (tp.root == nullptr) return std::vector<const Node*>{};
   std::vector<const Node*> ctx;
   ctx.reserve(context.size());
   for (const xdm::Item& it : context) {
@@ -210,16 +200,8 @@ Result<std::vector<BindingRow>> EvalPatternStaircase(
       std::move(ctx), tp.root->axis, tp.root->test, tp.root->position);
   std::vector<const Node*> result = eval.Matches(std::move(first), *tp.root);
   XQTP_RETURN_NOT_OK(eval.status());
-  Symbol out = tp.OutputFields()[0];
-  std::vector<BindingRow> rows;
-  rows.reserve(result.size());
-  for (const Node* n : result) {
-    BindingRow row;
-    row.fields.emplace_back(out, n);
-    rows.push_back(std::move(row));
-  }
   // Already document-ordered and duplicate-free by construction.
-  return rows;
+  return result;
 }
 
 }  // namespace xqtp::exec

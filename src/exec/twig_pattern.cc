@@ -151,8 +151,7 @@ NodeVec ReachableVia(const Document& doc, Axis axis, const NodeTest& test,
           out.push_back(c->parent);
         }
       }
-      std::sort(out.begin(), out.end(), xml::DocOrderLess);
-      out.erase(std::unique(out.begin(), out.end()), out.end());
+      SortDedup(&out);
       return out;
     }
     case Axis::kAncestor:
@@ -219,8 +218,7 @@ NodeVec SemijoinUpWithin(const NodeVec& candidates, const NodeVec& ctx,
           out.push_back(c->parent);
         }
       }
-      std::sort(out.begin(), out.end(), xml::DocOrderLess);
-      out.erase(std::unique(out.begin(), out.end()), out.end());
+      SortDedup(&out);
       return out;
     }
     case Axis::kAncestor:
@@ -263,10 +261,10 @@ class TwigEval {
 
 }  // namespace
 
-Result<std::vector<BindingRow>> EvalPatternTwig(const TreePattern& tp,
-                                                const xdm::Sequence& context) {
+Result<NodeVec> EvalPatternTwig(const TreePattern& tp,
+                                const xdm::Sequence& context) {
   XQTP_FAULT_POINT("exec.pattern.twig");
-  if (tp.root == nullptr) return std::vector<BindingRow>{};
+  if (tp.root == nullptr) return NodeVec{};
   if (!HandlesPatternShape(PatternAlgo::kTwig, tp)) {
     // Positional steps need per-parent counting, which the set-at-a-time
     // merges cannot express — delegate to the nested-loop evaluator.
@@ -281,9 +279,8 @@ Result<std::vector<BindingRow>> EvalPatternTwig(const TreePattern& tp,
     }
     ctx.push_back(it.node());
   }
-  if (ctx.empty()) return std::vector<BindingRow>{};
-  std::sort(ctx.begin(), ctx.end(), xml::DocOrderLess);
-  ctx.erase(std::unique(ctx.begin(), ctx.end()), ctx.end());
+  if (ctx.empty()) return NodeVec{};
+  SortDedup(&ctx);
   // The stream-based merge works one document at a time.
   for (const Node* n : ctx) {
     if (n->doc != ctx.front()->doc) return EvalPatternNL(tp, context);
@@ -309,16 +306,7 @@ Result<std::vector<BindingRow>> EvalPatternTwig(const TreePattern& tp,
   // Surface a mid-merge trip (sticky in the governor) before the possibly
   // truncated sets become a result.
   XQTP_RETURN_NOT_OK(GovernorPoll());
-
-  Symbol out = tp.OutputFields()[0];
-  std::vector<BindingRow> rows;
-  rows.reserve(reach.size());
-  for (const Node* n : reach) {
-    BindingRow row;
-    row.fields.emplace_back(out, n);
-    rows.push_back(std::move(row));
-  }
-  return rows;
+  return reach;
 }
 
 }  // namespace xqtp::exec

@@ -4,10 +4,12 @@
 //   Pattern     ::= Step ([Pattern])* (/Pattern)?
 //   Step        ::= Axis NodeTest ({FieldName})?
 //
-// A pattern is a tree of steps: each node has an axis + node test, an
-// optional output-field annotation, predicate branches, and an optional
-// continuation of the main path. The TupleTreePattern operator evaluates
-// the pattern against the context nodes found in the input tuples' field.
+// A pattern is a tree of steps: each node has an axis + node test,
+// predicate branches, and an optional continuation of the main path. The
+// paper restricts patterns to one output node, so the one output-field
+// annotation belongs to the pattern and always sits on the extraction
+// point. The TupleTreePattern operator evaluates the pattern against the
+// context nodes found in the input tuples' field.
 #ifndef XQTP_PATTERN_TREE_PATTERN_H_
 #define XQTP_PATTERN_TREE_PATTERN_H_
 
@@ -27,9 +29,6 @@ using PatternNodePtr = std::unique_ptr<PatternNode>;
 struct PatternNode {
   Axis axis = Axis::kChild;
   NodeTest test;
-  /// Output annotation {field}; kInvalidSymbol when the step's bindings
-  /// are not returned.
-  Symbol output = kInvalidSymbol;
   /// Positional constraint (the paper's future-work extension): when > 0,
   /// only the position-th node matching axis::test *per parent binding*
   /// (in document order, counted before the predicate branches) matches
@@ -41,10 +40,13 @@ struct PatternNode {
   PatternNodePtr next;
 };
 
-/// A whole tree pattern: the input field holding the context nodes plus
-/// the root step of the pattern.
+/// A whole tree pattern: the input field holding the context nodes, the
+/// output field the extraction point's bindings are returned in, and the
+/// root step of the pattern.
 struct TreePattern {
   Symbol input_field = kInvalidSymbol;
+  /// The output annotation {field} of the extraction point.
+  Symbol output = kInvalidSymbol;
   PatternNodePtr root;
 
   TreePattern() = default;
@@ -56,15 +58,6 @@ struct TreePattern {
   /// The last step of the main path (the extraction point per Def. 4.1).
   PatternNode* ExtractionPoint();
   const PatternNode* ExtractionPoint() const;
-
-  /// All output fields, in root-to-leaf lexical order (main path first,
-  /// then predicate branches depth-first at each step).
-  std::vector<Symbol> OutputFields() const;
-
-  /// True iff the only output annotation sits on the extraction point —
-  /// the case in which the operator's semantics coincide with XPath
-  /// (document order, duplicate-free), enabling rewrite rule (f).
-  bool SingleOutputAtExtractionPoint() const;
 
   /// Number of steps (main path + predicate branches).
   int StepCount() const;
@@ -93,25 +86,16 @@ bool Equal(const TreePattern& a, const TreePattern& b);
 TreePattern MakeSingleStep(Symbol input_field, Axis axis, const NodeTest& test,
                            Symbol output);
 
-/// Replaces the (unique) occurrence of output field `from` with `to`.
-/// Returns false if `from` is not an output of the pattern.
-bool RenameOutput(TreePattern* tp, Symbol from, Symbol to);
-
 /// Appends `suffix`'s root chain after this pattern's extraction point
 /// (rewrite rule (d)): pattern/step1{out1} + IN#out1/step2{out2}
-/// = pattern/step1/step2{out2}. The caller must have verified that
-/// `suffix.input_field` equals this pattern's extraction-point output.
+/// = pattern/step1/step2{out2}. The suffix's output becomes the pattern's;
+/// the intermediate binding is dropped. The caller must have verified
+/// that `suffix.input_field` equals this pattern's output.
 void AppendPath(TreePattern* tp, TreePattern suffix);
 
-/// Like AppendPath but KEEPS the extraction point's output annotation,
-/// producing a multi-output ("generalized") tree pattern — rewrite rule
-/// (d') of the multi-variable extension. The operator's Section 4.1
-/// semantics (distinct bindings in root-to-leaf lexical order) make this
-/// merge unconditionally equivalent to the cascade.
-void AppendPathKeepOutput(TreePattern* tp, TreePattern suffix);
-
-/// Attaches `pred` (rooted at this pattern's extraction-point output) as a
-/// predicate branch of the extraction point (rewrite rule (e)).
+/// Attaches `pred` (rooted at this pattern's output) as a predicate branch
+/// of the extraction point (rewrite rule (e)). `pred`'s output is dropped:
+/// bindings inside a predicate branch are unobservable.
 void AttachPredicate(TreePattern* tp, TreePattern pred);
 
 }  // namespace xqtp::pattern

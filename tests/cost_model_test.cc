@@ -138,25 +138,12 @@ TEST_F(CostModelTest, HandoffsArePricedAsTheNestedLoop) {
   step.root->position = 1;
   pattern::AppendPath(&positional, std::move(step));
   ASSERT_TRUE(positional.HasPositionalSteps());
-  // desc::t01{a}/child::t02{out}: every index algorithm hands
-  // multi-output patterns to the nested loop.
-  TreePattern multi = MakeSingleStep(Tag("dot"), Axis::kDescendant,
-                                     NodeTest::Name(Tag("t01")), Tag("a"));
-  pattern::AppendPathKeepOutput(
-      &multi, MakeSingleStep(Tag("a"), Axis::kChild,
-                             NodeTest::Name(Tag("t02")), Tag("out")));
-  ASSERT_FALSE(multi.SingleOutputAtExtractionPoint());
 
   xdm::Sequence ctx{xdm::Item(wide_->root())};
   double nl_positional = EstimateCost(positional, ctx, PatternAlgo::kNLJoin);
   EXPECT_EQ(EstimateCost(positional, ctx, PatternAlgo::kTwig), nl_positional);
   EXPECT_NE(EstimateCost(positional, ctx, PatternAlgo::kStaircase),
             nl_positional);
-  double nl_multi = EstimateCost(multi, ctx, PatternAlgo::kNLJoin);
-  for (PatternAlgo algo : {PatternAlgo::kStaircase, PatternAlgo::kTwig}) {
-    EXPECT_EQ(EstimateCost(multi, ctx, algo), nl_multi)
-        << PatternAlgoName(algo);
-  }
 }
 
 TEST_F(CostModelTest, FoldedPositionalPatternsAvoidTheTwigHandoff) {

@@ -123,18 +123,14 @@ class LiftedPatternTest : public ::testing::Test {
                                    << lifted.status().ToString();
           ASSERT_EQ(lifted->offsets.size(), batch.rows() + 1) << what;
           for (size_t r = 0; r < batch.rows(); ++r) {
-            auto ref = EvalPattern(tp, *batch.Get(r, dot_), algo);
-            ASSERT_TRUE(ref.ok()) << what;
-            std::vector<const xml::Node*> want;
-            for (const BindingRow& row : *ref) {
-              want.push_back(row.fields.back().second);
-            }
+            auto want = EvalPattern(tp, *batch.Get(r, dot_), algo);
+            ASSERT_TRUE(want.ok()) << what;
             std::vector<const xml::Node*> got(
                 lifted->nodes.begin() +
                     static_cast<ptrdiff_t>(lifted->offsets[r]),
                 lifted->nodes.begin() +
                     static_cast<ptrdiff_t>(lifted->offsets[r + 1]));
-            EXPECT_EQ(got, want) << what << " row " << r;
+            EXPECT_EQ(got, *want) << what << " row " << r;
           }
         }
       }

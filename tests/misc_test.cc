@@ -1,8 +1,7 @@
-// Smaller units: the shared function library, the DOT exporter, and
-// deep/recursive document stress for the pattern algorithms.
+// Smaller units: the shared function library and deep/recursive document
+// stress for the pattern algorithms.
 #include <gtest/gtest.h>
 
-#include "algebra/dot.h"
 #include "engine/engine.h"
 #include "exec/fn_lib.h"
 
@@ -52,21 +51,6 @@ TEST(FnLibTest, NumericFunctions) {
   EXPECT_DOUBLE_EQ((*sum)[0].dbl(), 3.5);
   auto bad = exec::ApplyCoreFn(CoreFn::kSum, {{Item(std::string("x"))}});
   EXPECT_FALSE(bad.ok());
-}
-
-TEST(DotExportTest, RendersPlanGraph) {
-  engine::Engine e;
-  auto cq = e.Compile("$d//person[emailaddress]/name");
-  ASSERT_TRUE(cq.ok());
-  std::string dot =
-      algebra::ToDot(cq->optimized(), cq->vars(), *e.interner());
-  EXPECT_EQ(dot.rfind("digraph plan {", 0), 0u);
-  EXPECT_NE(dot.find("TupleTreePattern"), std::string::npos);
-  EXPECT_NE(dot.find("MapFromItem [dot : IN]"), std::string::npos);
-  EXPECT_NE(dot.find("style=dashed"), std::string::npos);
-  EXPECT_NE(dot.find("}\n"), std::string::npos);
-  // No unescaped quotes inside labels.
-  EXPECT_EQ(dot.find("label=\"\""), std::string::npos);
 }
 
 TEST(RecursiveDocumentStress, DeeplyNestedSameTag) {

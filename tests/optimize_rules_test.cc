@@ -63,6 +63,7 @@ class OptimizeRulesTest : public ::testing::Test {
 
   std::string Optimized(OpPtr plan) {
     OptimizeOptions opts;
+    opts.positional_patterns = false;  // the paper's rules (a)-(f) only
     opts.verify = true;  // the plan verifier runs even in Release builds
     opts.vars = &vars_;
     Status st = Optimize(&plan, &interner_, opts);

@@ -27,6 +27,7 @@ class OptimizeTest : public ::testing::Test {
     plan_ = std::move(plan).value();
     OptimizeOptions opts;
     opts.detect_tree_patterns = detect;
+    opts.positional_patterns = false;  // the paper's plan shapes
     opts.verify = true;  // the plan verifier runs even in Release builds
     opts.vars = &vars_;
     Status st = Optimize(&plan_, &interner_, opts);
@@ -139,6 +140,7 @@ TEST_F(OptimizeTest, OptimizeIsIdempotent) {
   std::string once = Optimized("$d//person[emailaddress]/name");
   OpPtr copy = Clone(*plan_);
   OptimizeOptions opts;
+  opts.positional_patterns = false;
   opts.verify = true;
   opts.vars = &vars_;
   EXPECT_TRUE(Optimize(&copy, &interner_, opts).ok());

@@ -2,6 +2,7 @@
 // against the same expectations and against each other.
 #include <gtest/gtest.h>
 
+#include "exec/parallel.h"
 #include "exec/pattern_eval.h"
 #include "xdm/sequence_ops.h"
 #include "xml/parser.h"
@@ -31,11 +32,11 @@ class PatternEvalTest : public ::testing::TestWithParam<PatternAlgo> {
 
   xdm::Sequence RootCtx() { return {xdm::Item(doc_->root())}; }
 
-  std::vector<BindingRow> Eval(const TreePattern& tp,
-                               const xdm::Sequence& ctx) {
+  std::vector<const xml::Node*> Eval(const TreePattern& tp,
+                                     const xdm::Sequence& ctx) {
     auto res = EvalPattern(tp, ctx, GetParam());
     EXPECT_TRUE(res.ok()) << res.status().ToString();
-    return res.ok() ? *res : std::vector<BindingRow>{};
+    return res.ok() ? *res : std::vector<const xml::Node*>{};
   }
 
   StringInterner interner_;
@@ -50,7 +51,7 @@ TEST_P(PatternEvalTest, SingleDescendantStep) {
   EXPECT_EQ(rows.size(), 4u);
   // Document order.
   for (size_t i = 0; i + 1 < rows.size(); ++i) {
-    EXPECT_LT(rows[i].fields[0].second->pre, rows[i + 1].fields[0].second->pre);
+    EXPECT_LT(rows[i]->pre, rows[i + 1]->pre);
   }
 }
 
@@ -69,8 +70,8 @@ TEST_P(PatternEvalTest, PathWithPredicate) {
   auto rows = Eval(tp, RootCtx());
   // c nodes with a d child: id=1, id=4, id=9.
   ASSERT_EQ(rows.size(), 3u);
-  for (const BindingRow& r : rows) {
-    EXPECT_FALSE(r.fields[0].second->Attributes().empty());
+  for (const xml::Node* c : rows) {
+    EXPECT_FALSE(c->Attributes().empty());
   }
 }
 
@@ -96,8 +97,8 @@ TEST_P(PatternEvalTest, AttributeExtraction) {
                           NodeTest::Name(interner_.Intern("id")), out_));
   auto rows = Eval(tp, RootCtx());
   ASSERT_EQ(rows.size(), 4u);
-  EXPECT_EQ(rows[0].fields[0].second->Text(), "1");
-  EXPECT_EQ(rows[3].fields[0].second->Text(), "9");
+  EXPECT_EQ(rows[0]->Text(), "1");
+  EXPECT_EQ(rows[3]->Text(), "9");
 }
 
 TEST_P(PatternEvalTest, DescendantDescendantDedupes) {
@@ -112,7 +113,7 @@ TEST_P(PatternEvalTest, DescendantDescendantDedupes) {
   auto rows = Eval(tp, RootCtx());
   EXPECT_EQ(rows.size(), 4u);  // four distinct d elements
   for (size_t i = 0; i + 1 < rows.size(); ++i) {
-    EXPECT_LT(rows[i].fields[0].second->pre, rows[i + 1].fields[0].second->pre);
+    EXPECT_LT(rows[i]->pre, rows[i + 1]->pre);
   }
 }
 
@@ -169,7 +170,7 @@ TEST_P(PatternEvalTest, DescendantOrSelfTiesWithParentStep) {
   auto rows = EvalPattern(tp, {xdm::Item(res.value()->root())}, GetParam());
   ASSERT_TRUE(rows.ok()) << rows.status().ToString();
   ASSERT_EQ(rows->size(), 3u);  // r itself plus its two d children
-  EXPECT_EQ((*rows)[0].fields[0].second->name, in2.Intern("r"));
+  EXPECT_EQ((*rows)[0]->name, in2.Intern("r"));
 }
 
 TEST_P(PatternEvalTest, RootAttributeStep) {
@@ -183,8 +184,8 @@ TEST_P(PatternEvalTest, RootAttributeStep) {
       dot_, Axis::kAttribute, NodeTest::Name(interner_.Intern("id")), out_);
   auto rows = Eval(tp, ctx);
   ASSERT_EQ(rows.size(), 4u);  // ids 1, 4, 6, 9
-  EXPECT_EQ(rows[0].fields[0].second->Text(), "1");
-  EXPECT_EQ(rows[3].fields[0].second->Text(), "9");
+  EXPECT_EQ(rows[0]->Text(), "1");
+  EXPECT_EQ(rows[3]->Text(), "9");
 }
 
 TEST_P(PatternEvalTest, AncestorRelatedContextsDuplicateSiblings) {
@@ -253,9 +254,9 @@ TEST_P(PatternEvalTest, AttributeWildcardSteps) {
     auto rows = EvalPattern(path, ctx, GetParam());
     ASSERT_TRUE(rows.ok()) << rows.status().ToString();
     ASSERT_EQ(rows->size(), 3u);
-    EXPECT_EQ((*rows)[0].fields[0].second->Text(), "1");
-    EXPECT_EQ((*rows)[1].fields[0].second->Text(), "2");
-    EXPECT_EQ((*rows)[2].fields[0].second->Text(), "3");
+    EXPECT_EQ((*rows)[0]->Text(), "1");
+    EXPECT_EQ((*rows)[1]->Text(), "2");
+    EXPECT_EQ((*rows)[2]->Text(), "3");
 
     // descendant::*[attribute::*]: r, both a's with attributes, and b.
     TreePattern pred = MakeSingleStep(in2.Intern("dot"), Axis::kDescendant,
@@ -267,8 +268,8 @@ TEST_P(PatternEvalTest, AttributeWildcardSteps) {
     rows = EvalPattern(pred, ctx, GetParam());
     ASSERT_TRUE(rows.ok()) << rows.status().ToString();
     ASSERT_EQ(rows->size(), 4u);
-    EXPECT_EQ((*rows)[0].fields[0].second->name, in2.Intern("r"));
-    EXPECT_EQ((*rows)[3].fields[0].second->name, in2.Intern("b"));
+    EXPECT_EQ((*rows)[0]->name, in2.Intern("r"));
+    EXPECT_EQ((*rows)[3]->name, in2.Intern("b"));
   }
 }
 
@@ -286,7 +287,7 @@ TEST_P(PatternEvalTest, DescendantOrSelfOverAnElementAndItsAttribute) {
   auto rows = EvalPattern(tp, ctx, GetParam());
   ASSERT_TRUE(rows.ok()) << rows.status().ToString();
   ASSERT_EQ(rows->size(), 3u);  // e, its attribute k, then f
-  EXPECT_EQ((*rows)[1].fields[0].second, e->Attributes()[0]);
+  EXPECT_EQ((*rows)[1], e->Attributes()[0]);
 }
 
 INSTANTIATE_TEST_SUITE_P(AllAlgorithms, PatternEvalTest,
@@ -297,42 +298,56 @@ INSTANTIATE_TEST_SUITE_P(AllAlgorithms, PatternEvalTest,
                            return PatternAlgoName(info.param);
                          });
 
-// Multi-output binding enumeration (Section 4.1 example) — evaluated by
-// the nested-loop algorithm (the index algorithms delegate to it).
+// The Section 4.1 example in its single-output form: every algorithm,
+// sequentially and through the morsel driver, returns the extraction
+// point's bindings in document order.
 TEST(PatternBindings, PaperSection41Example) {
   StringInterner in;
   auto res = xml::Parse(
       "<x1><a><c id=\"1\"><d id=\"2\"/><d id=\"3\"/></c></a></x1>", &in);
   ASSERT_TRUE(res.ok());
-  // IN#x/descendant::a/child::c{y}[@id]/child::d{z}
+  // IN#x/descendant::a/child::c[attribute::id]/child::d{z}
   TreePattern tp = MakeSingleStep(in.Intern("x"), Axis::kDescendant,
                                   NodeTest::Name(in.Intern("a")),
                                   kInvalidSymbol);
-  auto* step_a = tp.ExtractionPoint();
-  step_a->next = std::make_unique<pattern::PatternNode>();
-  step_a->next->axis = Axis::kChild;
-  step_a->next->test = NodeTest::Name(in.Intern("c"));
-  step_a->next->output = in.Intern("y");
-  auto pred = std::make_unique<pattern::PatternNode>();
-  pred->axis = Axis::kAttribute;
-  pred->test = NodeTest::Name(in.Intern("id"));
-  step_a->next->predicates.push_back(std::move(pred));
-  step_a->next->next = std::make_unique<pattern::PatternNode>();
-  step_a->next->next->axis = Axis::kChild;
-  step_a->next->next->test = NodeTest::Name(in.Intern("d"));
-  step_a->next->next->output = in.Intern("z");
+  pattern::AppendPath(
+      &tp, MakeSingleStep(kInvalidSymbol, Axis::kChild,
+                          NodeTest::Name(in.Intern("c")), in.Intern("y")));
+  pattern::AttachPredicate(
+      &tp, MakeSingleStep(kInvalidSymbol, Axis::kAttribute,
+                          NodeTest::Name(in.Intern("id")), kInvalidSymbol));
+  pattern::AppendPath(
+      &tp, MakeSingleStep(kInvalidSymbol, Axis::kChild,
+                          NodeTest::Name(in.Intern("d")), in.Intern("z")));
+  ASSERT_EQ(tp.ToString(in),
+            "IN#x/descendant::a/child::c[attribute::id]/child::d{z}");
 
-  EXPECT_FALSE(tp.SingleOutputAtExtractionPoint());  // two outputs
+  const xml::Node* root = res.value()->root();
+  // The document node and x1: two contexts, so a forced fan-out of 2
+  // cuts them into two morsels whose runs the merge deduplicates.
+  const xdm::Sequence contexts[] = {{xdm::Item(root)},
+                                    {xdm::Item(root),
+                                     xdm::Item(root->first_child)}};
+  ParallelContext par;
+  par.threads = 2;
+  par.min_fanout = 2;
   for (PatternAlgo algo : {PatternAlgo::kNLJoin, PatternAlgo::kStaircase,
                            PatternAlgo::kTwig}) {
-    auto rows = EvalPattern(tp, {xdm::Item(res.value()->root())}, algo);
-    ASSERT_TRUE(rows.ok());
-    // One tuple per (c, d) binding: (c1, d2), (c1, d3).
-    ASSERT_EQ(rows->size(), 2u) << PatternAlgoName(algo);
-    EXPECT_EQ((*rows)[0].fields.size(), 2u);
-    EXPECT_EQ((*rows)[0].fields[0].second->Attributes()[0]->Text(), "1");
-    EXPECT_EQ((*rows)[0].fields[1].second->Attributes()[0]->Text(), "2");
-    EXPECT_EQ((*rows)[1].fields[1].second->Attributes()[0]->Text(), "3");
+    for (const ParallelContext* p : {static_cast<ParallelContext*>(nullptr),
+                                     &par}) {
+      const xdm::Sequence& ctx = contexts[p != nullptr ? 1 : 0];
+      const std::string what = std::string(PatternAlgoName(algo)) +
+                               (p != nullptr ? " t2" : " t1");
+      const int64_t morselized_before = ParallelEvaluationCountForTesting();
+      auto nodes = EvalPattern(tp, ctx, algo, p);
+      ASSERT_TRUE(nodes.ok()) << what << ": " << nodes.status().ToString();
+      EXPECT_EQ(ParallelEvaluationCountForTesting() - morselized_before,
+                p != nullptr ? 1 : 0)
+          << what;
+      ASSERT_EQ(nodes->size(), 2u) << what;
+      EXPECT_EQ((*nodes)[0]->Attributes()[0]->Text(), "2") << what;
+      EXPECT_EQ((*nodes)[1]->Attributes()[0]->Text(), "3") << what;
+    }
   }
 }
 

@@ -21,7 +21,7 @@ TEST_F(PatternTest, SingleStepToString) {
                                   NodeTest::Name(person_), out_);
   EXPECT_EQ(tp.ToString(in_), "IN#dot/descendant::person{out}");
   EXPECT_EQ(tp.StepCount(), 1);
-  EXPECT_TRUE(tp.SingleOutputAtExtractionPoint());
+  EXPECT_EQ(tp.output, out_);
 }
 
 TEST_F(PatternTest, AppendPathMergesMainPath) {
@@ -33,9 +33,7 @@ TEST_F(PatternTest, AppendPathMergesMainPath) {
   EXPECT_EQ(tp.ToString(in_),
             "IN#dot/descendant::person/child::name{out2}");
   EXPECT_EQ(tp.StepCount(), 2);
-  std::vector<Symbol> outs = tp.OutputFields();
-  ASSERT_EQ(outs.size(), 1u);
-  EXPECT_EQ(outs[0], out2_);
+  EXPECT_EQ(tp.output, out2_);
 }
 
 TEST_F(PatternTest, AttachPredicateClearsPredicateOutputs) {
@@ -46,8 +44,18 @@ TEST_F(PatternTest, AttachPredicateClearsPredicateOutputs) {
   AttachPredicate(&tp, std::move(pred));
   EXPECT_EQ(tp.ToString(in_),
             "IN#dot/descendant::person{out}[child::emailaddress]");
-  EXPECT_TRUE(tp.SingleOutputAtExtractionPoint());
+  EXPECT_EQ(tp.output, out_);
   EXPECT_EQ(tp.MaxBranching(), 1);
+}
+
+TEST_F(PatternTest, OutputPrintsAfterPositionAndBeforePredicates) {
+  Symbol t02 = in_.Intern("t02"), t03 = in_.Intern("t03");
+  TreePattern tp =
+      MakeSingleStep(dot_, Axis::kChild, NodeTest::Name(t02), out_);
+  tp.root->position = 1;
+  AttachPredicate(&tp, MakeSingleStep(out_, Axis::kChild, NodeTest::Name(t03),
+                                      kInvalidSymbol));
+  EXPECT_EQ(tp.ToString(in_), "IN#dot/child::t02[1]{out}[child::t03]");
 }
 
 TEST_F(PatternTest, PaperGrammarExample) {
@@ -69,18 +77,10 @@ TEST_F(PatternTest, PaperGrammarExample) {
   EXPECT_EQ(
       tp.ToString(in_),
       "IN#x/descendant::a/child::c[attribute::id]/child::d{z}");
-  // After AppendPath the intermediate {y} annotation is cleared, so the
-  // pattern has a single output at the extraction point.
-  EXPECT_TRUE(tp.SingleOutputAtExtractionPoint());
+  // AppendPath drops the intermediate {y} annotation: the pattern's
+  // output is the extraction point's {z}.
+  EXPECT_EQ(tp.output, z);
   EXPECT_EQ(tp.StepCount(), 4);
-}
-
-TEST_F(PatternTest, RenameOutput) {
-  TreePattern tp = MakeSingleStep(dot_, Axis::kChild,
-                                  NodeTest::Name(name_), out_);
-  EXPECT_TRUE(RenameOutput(&tp, out_, out2_));
-  EXPECT_EQ(tp.OutputFields()[0], out2_);
-  EXPECT_FALSE(RenameOutput(&tp, out_, out2_));  // out_ no longer present
 }
 
 TEST_F(PatternTest, CloneAndEqual) {
@@ -93,6 +93,10 @@ TEST_F(PatternTest, CloneAndEqual) {
   EXPECT_TRUE(Equal(tp, copy));
   copy.root->axis = Axis::kChild;
   EXPECT_FALSE(Equal(tp, copy));
+  // Patterns differing only in their output field are not equal.
+  TreePattern renamed = tp.Clone();
+  renamed.output = out2_;
+  EXPECT_FALSE(Equal(tp, renamed));
 }
 
 TEST_F(PatternTest, WildcardAndNodeTests) {

@@ -18,7 +18,6 @@ using algebra::MakeOp;
 using algebra::Op;
 using algebra::OpKind;
 using algebra::OpPtr;
-using pattern::PatternNode;
 using pattern::TreePattern;
 
 void ExpectViolation(const Status& st, const char* invariant) {
@@ -116,27 +115,9 @@ TEST_F(PlanVerifierTest, PatternContextFieldUnproduced) {
   ExpectViolation(analysis::VerifyPlan(*plan, Opts()), "field-def-use");
 }
 
-TEST_F(PlanVerifierTest, MultiOutputRequiresOptIn) {
-  // IN#dot/child::a{out}/child::a{out2}: legal only for the
-  // multi-variable extension.
-  OpPtr plan = LegalPlan();
-  TreePattern& tp = plan->inputs[0]->tp;
-  auto second = std::make_unique<PatternNode>();
-  second->axis = Axis::kChild;
-  second->test = NodeTest::Name(a_);
-  second->output = interner_.Intern("out2");
-  tp.root->next = std::move(second);
-  ExpectViolation(analysis::VerifyPlan(*plan, Opts()), "single-output");
-
-  analysis::PlanVerifyOptions multi = Opts();
-  multi.allow_multi_output = true;
-  // (The extraction still reads "out", which the pattern still produces.)
-  EXPECT_TRUE(analysis::VerifyPlan(*plan, multi).ok());
-}
-
 TEST_F(PlanVerifierTest, NoOutputAtAll) {
   OpPtr plan = LegalPlan();
-  plan->inputs[0]->tp.root->output = kInvalidSymbol;
+  plan->inputs[0]->tp.output = kInvalidSymbol;
   ExpectViolation(analysis::VerifyPlan(*plan, Opts()), "single-output");
 }
 
@@ -158,31 +139,6 @@ TEST_F(PlanVerifierTest, PatternWithoutSteps) {
   OpPtr plan = LegalPlan();
   plan->inputs[0]->tp.root.reset();
   ExpectViolation(analysis::VerifyPlan(*plan, Opts()), "pattern-root");
-}
-
-TEST_F(PlanVerifierTest, PredicateBranchWithOutput) {
-  // Predicate bindings are unobservable; an output annotation there is a
-  // merge bug (AttachPredicate must clear it).
-  OpPtr plan = LegalPlan();
-  auto pred = std::make_unique<PatternNode>();
-  pred->axis = Axis::kChild;
-  pred->test = NodeTest::AnyName();
-  pred->output = interner_.Intern("leak");
-  plan->inputs[0]->tp.root->predicates.push_back(std::move(pred));
-  ExpectViolation(analysis::VerifyPlan(*plan, Opts()), "pattern-pred-output");
-}
-
-TEST_F(PlanVerifierTest, DuplicateOutputAnnotation) {
-  OpPtr plan = LegalPlan();
-  TreePattern& tp = plan->inputs[0]->tp;
-  auto second = std::make_unique<PatternNode>();
-  second->axis = Axis::kChild;
-  second->test = NodeTest::AnyName();
-  second->output = out_;  // same field as the root step
-  tp.root->next = std::move(second);
-  analysis::PlanVerifyOptions multi = Opts();
-  multi.allow_multi_output = true;
-  ExpectViolation(analysis::VerifyPlan(*plan, multi), "pattern-output-dup");
 }
 
 TEST_F(PlanVerifierTest, TuplePlanAtRoot) {
@@ -381,16 +337,6 @@ TEST(EngineVerifyTest, VerifiedCompilationSucceedsOnRealQueries) {
     auto cq = e.Compile(q);
     EXPECT_TRUE(cq.ok()) << q << ": " << cq.status().ToString();
   }
-}
-
-TEST(EngineVerifyTest, VerifiedMultiOutputCompilationSucceeds) {
-  engine::EngineOptions eopts;
-  eopts.verify_plans = true;
-  engine::Engine e(eopts);
-  engine::CompileOptions copts;
-  copts.multi_output_patterns = true;
-  auto cq = e.Compile("for $p in $d//person return $p/name/text()", copts);
-  EXPECT_TRUE(cq.ok()) << cq.status().ToString();
 }
 
 }  // namespace
