@@ -42,8 +42,10 @@
 #  - a bounded Release run of tools/equiv_fuzz (fixed seed) whose summary
 #    line is part of the gate's output — the deep seed-matrix sweep under
 #    sanitizers lives in ci/fuzz.sh;
-#  - a bounded smoke run of bench_parallel and bench_governor, so both
-#    binaries keep running end to end (timings are printed, not judged);
+#  - a bounded smoke run of bench_parallel, bench_governor and
+#    bench_costmodel (the bench the cost model's unit costs are fitted
+#    from), so the binaries keep running end to end (timings are printed,
+#    not judged);
 #  - a smoke run of the served-query benchmark (bench/e2e/run.py --smoke):
 #    every served workload, briefly, untraced and traced, with each
 #    response hash checked against the Core-interpreter reference and
@@ -170,9 +172,10 @@ build-ci-release/tools/equiv_fuzz --iters 500 --seed 1 \
   --artifacts fuzz-artifacts --quiet
 leg_done equiv-fuzz
 
-echo "==== [bench-smoke] bench_parallel + bench_governor, one short run ===="
+echo "==== [bench-smoke] bench_parallel + bench_governor + bench_costmodel, one short run ===="
 build-ci-release/bench/bench_parallel --benchmark_min_time=0.05
 build-ci-release/bench/bench_governor --benchmark_min_time=0.05
+build-ci-release/bench/bench_costmodel --benchmark_min_time=0.05
 leg_done bench-smoke
 
 echo "==== [bench-e2e-smoke] served workloads vs the reference results ===="

@@ -11,6 +11,9 @@ std::string ExecStats::ToString() const {
          " index_entries=" + std::to_string(index_entries_scanned) +
          " index_skips=" + std::to_string(index_skips) +
          " pattern_evals=" + std::to_string(pattern_evals) +
+         " nl_evals=" + std::to_string(nl_evals) +
+         " sc_evals=" + std::to_string(sc_evals) +
+         " tj_evals=" + std::to_string(tj_evals) +
          " governor_checks=" + std::to_string(governor_checks) +
          " peak_memory_bytes=" + std::to_string(peak_memory_bytes) +
          " batches=" + std::to_string(batches) +

@@ -28,6 +28,15 @@ struct ExecStats {
   /// (exec::EvalPatternLifted) is one per batch and layer of nested
   /// contexts, however many rows the batch holds.
   int64_t pattern_evals = 0;
+  /// Pattern evaluations by the algorithm that ran them: nested loop,
+  /// staircase join, twig join. One count per EvalPattern, like
+  /// pattern_evals, however many morsels it fans out into; a kCostBased
+  /// evaluation counts under the algorithm the cost model chose, and a
+  /// pattern TwigJoin hands to the nested loop (HandlesPatternShape)
+  /// counts under the nested loop.
+  int64_t nl_evals = 0;
+  int64_t sc_evals = 0;
+  int64_t tj_evals = 0;
   /// Cooperative governor checks performed (exec/governor.h): deadline /
   /// cancellation / budget polls at operator boundaries, inner-loop
   /// strides, and morsel boundaries. Zero when no governor was active.
@@ -58,6 +67,9 @@ struct ExecStats {
     index_entries_scanned += other.index_entries_scanned;
     index_skips += other.index_skips;
     pattern_evals += other.pattern_evals;
+    nl_evals += other.nl_evals;
+    sc_evals += other.sc_evals;
+    tj_evals += other.tj_evals;
     governor_checks += other.governor_checks;
     if (other.peak_memory_bytes > peak_memory_bytes) {
       peak_memory_bytes = other.peak_memory_bytes;
@@ -98,9 +110,6 @@ inline void CountIndexEntries(int64_t n) {
 }
 inline void CountIndexSkip() {
   if (ExecStats* s = CurrentExecStats()) ++s->index_skips;
-}
-inline void CountPatternEval() {
-  if (ExecStats* s = CurrentExecStats()) ++s->pattern_evals;
 }
 inline void CountBatch() {
   if (ExecStats* s = CurrentExecStats()) ++s->batches;

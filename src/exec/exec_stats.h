@@ -13,7 +13,6 @@ using xqtp::CountCowColumnCopies;
 using xqtp::CountIndexEntries;
 using xqtp::CountIndexSkip;
 using xqtp::CountNodesVisited;
-using xqtp::CountPatternEval;
 using xqtp::CountTuplesMaterialized;
 using xqtp::CurrentExecStats;
 using xqtp::ExecStats;

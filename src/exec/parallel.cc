@@ -254,13 +254,11 @@ void PrewarmSteps(const Document& doc, const PatternNode& p) {
   if (p.next != nullptr) PrewarmSteps(doc, *p.next);
 }
 
-/// Pre-builds the lazily-constructed per-tag streams and document
-/// statistics that evaluating `tp` will touch, so worker threads only
-/// ever hit the built fast path of Document's lazy getters.
+/// Pre-builds the lazily-constructed per-tag streams that evaluating `tp`
+/// will touch, so worker threads only ever hit the built fast path of
+/// Document's lazy getters.
 void PrewarmPatternIndexes(const Document& doc, const TreePattern& tp) {
   PrewarmSteps(doc, *tp.root);
-  // The cost model reads the lazily-computed document statistics.
-  doc.Stats();
 }
 
 /// Merges the per-morsel worker counters into the calling scope (if any):
@@ -292,10 +290,13 @@ bool TryEvalPatternParallel(const pattern::TreePattern& tp,
   const TreePattern* eval_tp = &tp;
 
   if (context.size() >= static_cast<size_t>(par.min_fanout)) {
-    // Strategy 1: the context itself is wide — contiguous ranges of it
-    // become morsels and each runs the unmodified pattern.
+    // Strategy 1: the context itself is wide — contiguous ranges of it,
+    // in document order and without duplicates, become morsels and each
+    // runs the unmodified pattern. SortDedup leaves a sorted distinct
+    // context (a lifted layer) as it is after one pass.
     units.reserve(context.size());
     for (const xdm::Item& it : context) units.push_back(it.node());
+    SortDedup(&units);
   } else {
     // Strategy 2: root fan-out. Expand the root step's candidates from
     // the index, rewrite the pattern self-rooted, morselize candidates.

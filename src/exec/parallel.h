@@ -12,8 +12,12 @@
 //
 //  1. context partitioning — when the pattern's context sequence is
 //     already wide (>= EvalOptions::parallel_min_fanout nodes), contiguous
-//     document-order ranges of the sorted context become morsels and each
-//     runs the unmodified pattern.
+//     document-order ranges of the sorted, duplicate-free context become
+//     morsels and each runs the unmodified pattern, so a repeated context
+//     is evaluated once. Only a context that a one-pass probe finds
+//     unsorted or repeated is sorted. A context nested inside another may
+//     still land in a different morsel: both morsels bind the nodes of the
+//     overlap, and the merge drops the second copy.
 //  2. root fan-out — the common optimized plan feeds ONE context node (the
 //     document root) per pattern. The driver expands the root step's
 //     candidate set directly from the per-tag index (the staircase-join

@@ -119,6 +119,15 @@ std::vector<const xml::Node*> ScanRegions(
 }
 
 void SortDedup(std::vector<const xml::Node*>* nodes) {
+  // Most sets arrive in document order and distinct (one context's
+  // bindings, a lifted layer): one pass finds that out and skips the sort.
+  const auto out_of_order = [](const xml::Node* a, const xml::Node* b) {
+    return !xml::DocOrderLess(a, b);
+  };
+  if (std::adjacent_find(nodes->begin(), nodes->end(), out_of_order) ==
+      nodes->end()) {
+    return;
+  }
   std::sort(nodes->begin(), nodes->end(), xml::DocOrderLess);
   nodes->erase(std::unique(nodes->begin(), nodes->end()), nodes->end());
 }
@@ -145,10 +154,24 @@ Result<std::vector<const xml::Node*>> EvalPatternSequential(
 Result<std::vector<const xml::Node*>> EvalPattern(
     const TreePattern& tp, const xdm::Sequence& context, PatternAlgo algo,
     const ParallelContext* par) {
-  CountPatternEval();
   // Resolve the cost-based choice once, against the full context, so a
   // morselized evaluation runs ONE algorithm across all its morsels.
   if (algo == PatternAlgo::kCostBased) algo = ChooseAlgorithm(tp, context);
+  if (ExecStats* s = CurrentExecStats()) {
+    ++s->pattern_evals;
+    switch (HandlesPatternShape(algo, tp) ? algo : PatternAlgo::kNLJoin) {
+      case PatternAlgo::kStaircase:
+        ++s->sc_evals;
+        break;
+      case PatternAlgo::kTwig:
+        ++s->tj_evals;
+        break;
+      case PatternAlgo::kNLJoin:
+      case PatternAlgo::kCostBased:
+        ++s->nl_evals;
+        break;
+    }
+  }
   if (par != nullptr) {
     Result<std::vector<const xml::Node*>> nodes =
         std::vector<const xml::Node*>{};

@@ -75,7 +75,8 @@ std::vector<const xml::Node*> ScanRegions(
 
 /// Sorts `nodes` into document order and removes duplicates: the one
 /// finalization of the nested loop's bindings, of unsorted step results
-/// and of context sets.
+/// and of context sets. A set already in document order and distinct costs
+/// one pass and is left as it is.
 void SortDedup(std::vector<const xml::Node*>* nodes);
 
 /// Parallel-evaluation parameters (exec/parallel.h); EvalPattern takes an

@@ -1,4 +1,5 @@
-// Document: an arena of nodes plus lazily-built per-tag indexes.
+// Document: an arena of nodes, its statistics, and lazily-built per-tag
+// indexes.
 #ifndef XQTP_XML_DOCUMENT_H_
 #define XQTP_XML_DOCUMENT_H_
 
@@ -18,12 +19,70 @@
 
 namespace xqtp::xml {
 
-/// Structural statistics of a document, computed lazily like the tag
-/// indexes (consumed by the cost model in exec/cost_model.h).
+/// Structural statistics of a document, counted as DocumentBuilder adds
+/// its nodes; the cost model (exec/cost_model.h) reads its cardinalities
+/// here.
+///
+/// A row describes a set of nodes: the document node (kDocumentRow), every
+/// element (kElementRow), the text and attribute nodes (kLeafRow, which
+/// have no children), and then one row per element tag. A row's pairs
+/// count its nodes' children by kind and name (ChildKey): an element tag,
+/// text, or an attribute name. The element row's counts and pairs are the
+/// sums over the tag rows.
 struct DocumentStats {
-  int64_t node_count = 0;   ///< document + elements + text nodes
-  double avg_fanout = 1.1;  ///< average children per *branching* element
-  int max_depth = 1;        ///< deepest element level
+  struct Row {
+    int64_t count = 0;     ///< nodes in the row
+    int64_t subtree = 0;   ///< their descendants, attributes excluded
+    int64_t children = 0;  ///< their child nodes: elements and text
+    int64_t inner = 0;     ///< those of them with at least one child
+    int64_t outermost = 0;  ///< those of them inside no node of the row
+    uint32_t pairs_begin = 0;  ///< the row's pairs are pairs[begin, end)
+    uint32_t pairs_end = 0;
+  };
+  /// One kind of child under one row.
+  struct Pair {
+    uint64_t child = 0;     ///< ChildKey of the children counted
+    int64_t children = 0;   ///< how many such children the row's nodes have
+    int64_t parents = 0;    ///< how many of the row's nodes have at least one
+  };
+  static constexpr int kDocumentRow = 0;
+  static constexpr int kElementRow = 1;
+  static constexpr int kLeafRow = 2;
+
+  /// The pair key of a child node of `kind` named `name` (element tags and
+  /// attribute names; text nodes have no name).
+  static uint64_t ChildKey(NodeKind kind, Symbol name) {
+    return (static_cast<uint64_t>(static_cast<uint32_t>(name)) << 2) |
+           static_cast<uint64_t>(kind);
+  }
+
+  /// The row of the elements tagged `tag`, or -1 if the document has none.
+  int RowOfTag(Symbol tag) const {
+    const auto i = static_cast<size_t>(tag);
+    return tag >= 0 && i < tag_rows.size() ? tag_rows[i] : -1;
+  }
+  /// The row `n` belongs to (its tag's row for an element).
+  int RowOf(const Node& n) const {
+    switch (n.kind) {
+      case NodeKind::kDocument:
+        return kDocumentRow;
+      case NodeKind::kElement:
+        return RowOfTag(n.name);
+      case NodeKind::kAttribute:
+      case NodeKind::kText:
+        break;
+    }
+    return kLeafRow;
+  }
+  /// The pair of `row` whose children have key `child`, or nullptr.
+  const Pair* FindPair(int row, uint64_t child) const;
+
+  int64_t node_count = 0;  ///< document + elements + text nodes
+  std::vector<Row> rows;
+  /// Grouped by row, in row order; sorted by child key within a row.
+  std::vector<Pair> pairs;
+  /// Indexed by element tag: its row, or -1.
+  std::vector<int32_t> tag_rows;
 };
 
 /// Longest text or attribute value a document can hold: a node records its
@@ -64,8 +123,9 @@ class Document {
   /// of the descendant axes; attributes excluded per XPath).
   const std::vector<const Node*>& AllNodes() const;
 
-  /// Structural statistics; computed on first use and cached.
-  const DocumentStats& Stats() const;
+  /// Structural statistics (DocumentStats), built with the document: no
+  /// lock, no lazy build.
+  const DocumentStats& Stats() const { return stats_; }
 
   /// All attribute nodes with the given name, in document order.
   const std::vector<const Node*>& AttributesByName(Symbol name) const;
@@ -97,6 +157,8 @@ class Document {
   size_t text_count_ = 0;
   Node* root_ = nullptr;
   int32_t id_ = 0;
+  /// Set by DocumentBuilder::Finish, immutable afterwards.
+  DocumentStats stats_;
 
   /// Guards all lazily-built structures below. Documents are immutable
   /// after Finish(), so queries over *compiled* plans may execute
@@ -117,8 +179,6 @@ class Document {
   mutable bool text_nodes_built_ GUARDED_BY(lazy_mu_) = false;
   mutable std::vector<const Node*> all_nodes_ GUARDED_BY(lazy_mu_);
   mutable bool all_nodes_built_ GUARDED_BY(lazy_mu_) = false;
-  mutable DocumentStats stats_ GUARDED_BY(lazy_mu_);
-  mutable bool stats_built_ GUARDED_BY(lazy_mu_) = false;
 };
 
 /// Incremental builder. Usage:
@@ -133,6 +193,9 @@ class Document {
 class DocumentBuilder {
  public:
   explicit DocumentBuilder(StringInterner* interner);
+  ~DocumentBuilder();
+  DocumentBuilder(const DocumentBuilder&) = delete;
+  DocumentBuilder& operator=(const DocumentBuilder&) = delete;
 
   void StartElement(std::string_view tag);
   /// `value` is at most kMaxValueBytes long.
@@ -162,6 +225,8 @@ class DocumentBuilder {
   void SetText(Node* n, std::string_view text);
 
   std::unique_ptr<Document> doc_;
+  /// Counts the document's statistics as its nodes are added.
+  std::unique_ptr<class StatsCounter> stats_;
   std::vector<OpenNode> stack_;
   int32_t next_pre_ = 0;
   int32_t next_post_ = 0;

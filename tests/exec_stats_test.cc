@@ -4,6 +4,7 @@
 
 #include "engine/engine.h"
 #include "exec/exec_stats.h"
+#include "exec/parallel.h"
 #include "workload/member_gen.h"
 
 namespace xqtp::exec {
@@ -106,6 +107,38 @@ TEST_F(ExecStatsTest, IndexAlgorithmsSkipRatherThanTraverse) {
   ExecStats nl = Measure("$input//t1[t1[t1]]", PatternAlgo::kNLJoin);
   EXPECT_GT(nl.nodes_visited, 10000);
   EXPECT_EQ(nl.index_entries_scanned, 0);
+}
+
+TEST_F(ExecStatsTest, MorselizedEvaluationCountsOnceUnderItsAlgorithm) {
+  // Each evaluation also counts under the algorithm that ran it, once per
+  // EvalPattern however many morsels it fans out into.
+  auto cq = engine_.Compile("$input//t1");
+  ASSERT_TRUE(cq.ok());
+  engine::Engine::GlobalMap globals{{"input", {xdm::Item(deep_->root())}}};
+  EvalOptions opts;
+  opts.algo = PatternAlgo::kStaircase;
+  opts.threads = 2;
+  opts.parallel_min_fanout = 16;
+  const int64_t before = ParallelEvaluationCountForTesting();
+  ScopedExecStats scope;
+  auto res = engine_.Execute(*cq, globals, opts);
+  ASSERT_TRUE(res.ok());
+  ASSERT_GT(ParallelEvaluationCountForTesting(), before);  // it morselized
+  const ExecStats& s = scope.stats();
+  EXPECT_EQ(s.pattern_evals, 1);
+  EXPECT_EQ(s.sc_evals, 1);
+  EXPECT_EQ(s.nl_evals, 0);
+  EXPECT_EQ(s.tj_evals, 0);
+  EXPECT_NE(s.ToString().find("sc_evals=1"), std::string::npos);
+
+  ExecStats merged = s;
+  ExecStats other;
+  other.nl_evals = 2;
+  other.tj_evals = 3;
+  merged.Add(other);
+  EXPECT_EQ(merged.nl_evals, 2);
+  EXPECT_EQ(merged.sc_evals, 1);
+  EXPECT_EQ(merged.tj_evals, 3);
 }
 
 TEST_F(ExecStatsTest, PatternEvalsCounted) {
