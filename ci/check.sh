@@ -13,8 +13,8 @@
 #  3. Release + TSan — the morsel-parallel driver's threading tests
 #     (parallel_eval_test, concurrency_test, and lifted_pattern_test's
 #     lifted evaluations and whole queries at threads=2 through the
-#     morsel merge), the columnar-batch CoW aliasing tests
-#     (tuple_batch_test) and the plan-cache
+#     morsel merge), the columnar-batch tests (tuple_batch_test:
+#     concurrent readers of batches sharing columns) and the plan-cache
 #     concurrency suite (plan_cache_test: the single-flight stampede and
 #     hit/miss/erase/clear hammer) under ThreadSanitizer:
 #     RunMorsels lending parked workers to concurrent calls, the
@@ -42,10 +42,11 @@
 #  - a bounded Release run of tools/equiv_fuzz (fixed seed) whose summary
 #    line is part of the gate's output — the deep seed-matrix sweep under
 #    sanitizers lives in ci/fuzz.sh;
-#  - a bounded smoke run of bench_parallel, bench_governor and
+#  - a bounded smoke run of bench_parallel, bench_governor,
 #    bench_costmodel (the bench the cost model's unit costs are fitted
-#    from), so the binaries keep running end to end (timings are printed,
-#    not judged);
+#    from) and bench_table1's 2.1 MB rows (the paper's Table 1 under TJ,
+#    SC and NL), so the binaries keep running end to end (timings are
+#    printed, not judged);
 #  - a smoke run of the served-query benchmark (bench/e2e/run.py --smoke):
 #    every served workload, briefly, untraced and traced, with each
 #    response hash checked against the Core-interpreter reference and
@@ -172,10 +173,12 @@ build-ci-release/tools/equiv_fuzz --iters 500 --seed 1 \
   --artifacts fuzz-artifacts --quiet
 leg_done equiv-fuzz
 
-echo "==== [bench-smoke] bench_parallel + bench_governor + bench_costmodel, one short run ===="
+echo "==== [bench-smoke] bench_parallel + bench_governor + bench_costmodel + bench_table1 (2.1MB), one short run ===="
 build-ci-release/bench/bench_parallel --benchmark_min_time=0.05
 build-ci-release/bench/bench_governor --benchmark_min_time=0.05
 build-ci-release/bench/bench_costmodel --benchmark_min_time=0.05
+build-ci-release/bench/bench_table1 --benchmark_min_time=0.05 \
+  --benchmark_filter=/2.1MB
 leg_done bench-smoke
 
 echo "==== [bench-e2e-smoke] served workloads vs the reference results ===="

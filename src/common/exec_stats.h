@@ -52,9 +52,9 @@ struct ExecStats {
   /// into fresh batch columns. Rows passed along by column sharing or
   /// broadcast do not count.
   int64_t tuples_materialized = 0;
-  /// Shared / filtered / broadcast columns deep-copied because a
-  /// consumer needed flat owned storage (TupleBatch::Flatten — the
-  /// copy-on-write "write"). One count per column gathered.
+  /// Columns deep-copied because a consumer needed flat owned storage.
+  /// Nothing increments it: no operator copies a shared column. It stays
+  /// because the served-query benchmark (bench/e2e) reports it.
   int64_t cow_column_copies = 0;
 
   /// Adds another collector's counters into this one. The morsel driver
@@ -116,9 +116,6 @@ inline void CountBatch() {
 }
 inline void CountTuplesMaterialized(int64_t n) {
   if (ExecStats* s = CurrentExecStats()) s->tuples_materialized += n;
-}
-inline void CountCowColumnCopies(int64_t n) {
-  if (ExecStats* s = CurrentExecStats()) s->cow_column_copies += n;
 }
 
 }  // namespace xqtp

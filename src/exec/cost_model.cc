@@ -26,7 +26,7 @@ struct UnitCosts {
 };
 constexpr UnitCosts kNLCosts{5.6, 6.1, 0, 0, 8.3};
 constexpr UnitCosts kSCCosts{0, 0, 2.7, 13, 45};
-constexpr UnitCosts kTJCosts{174, 0, 4.9, 26.5, 24};
+constexpr UnitCosts kTJCosts{96, 0, 4.9, 12.5, 4.7};
 
 double Price(const UnitCosts& c, const PredictedWork& w) {
   return c.eval + c.visit * w.nodes_visited + c.entry * w.index_entries +
@@ -390,8 +390,7 @@ class Estimate {
  public:
   Estimate(const Stats& stats, const Mix& contexts, const TreePattern& tp)
       : model_(stats) {
-    Visit(*tp.root, contexts.One(), contexts.Total(), /*main=*/true,
-          /*root=*/true);
+    Visit(*tp.root, contexts.One(), contexts.Total(), /*main=*/true);
   }
   Estimate(const Estimate&) = delete;
   Estimate& operator=(const Estimate&) = delete;
@@ -440,7 +439,8 @@ class Estimate {
 
   /// SC's Step of `q` from `n` nodes: one region scan per node, nested
   /// nodes pruned on the descendant axes. A positional step searches the
-  /// whole stream for each node, an overhead priced as a step each.
+  /// stream for each node, from where the previous node's search ended,
+  /// an overhead priced as a step each.
   static void ScanSC(const PatternNode& q, const Step& st, double n,
                      PredictedWork* w) {
     w->steps += std::min(1.0, n);
@@ -459,21 +459,19 @@ class Estimate {
 
   /// `q`'s branch from `n` nodes drawn from `one`: on the main path its
   /// NL and SC work goes to nl_ and sc_; its TJ work always goes to tj_.
-  Branch Visit(const PatternNode& q, const Mix& one, double n, bool main,
-               bool root) {
+  Branch Visit(const PatternNode& q, const Mix& one, double n, bool main) {
     const Step& st = Apply(q, one);
-    const Axis axis = q.axis;
-    const bool hashed = axis == Axis::kChild || axis == Axis::kAttribute;
-    // TJ: one pruned region scan over all n nodes, a child or named
-    // attribute step reading the descendant window. A child or attribute
-    // edge hashes its sources, and the semijoin above it hashes its
-    // refined matches and looks up the sources (TJ's `steps`).
-    if (IsScanAxis(axis) ||
-        (axis == Axis::kAttribute && q.test.kind == NodeTestKind::kName)) {
+    // TJ: one pruned region scan over all n nodes. A child or named
+    // attribute step reads the descendant window and merges it with the n
+    // nodes; TJ's `steps` are the nodes its merges read.
+    const bool merged = q.axis == Axis::kChild ||
+                        (q.axis == Axis::kAttribute &&
+                         q.test.kind == NodeTestKind::kName);
+    if (IsScanAxis(q.axis) || merged) {
       tj_.index_skips += st.OuterSources(n);
       tj_.index_entries += st.OuterWindow(n);
+      if (merged) tj_.steps += n + st.OuterWindow(n);
     }
-    if (hashed) tj_.steps += root ? n : 2 * n;
     if (main) {
       nl_.nodes_visited += n * st.visits;
       nl_.steps += n;
@@ -501,8 +499,10 @@ class Estimate {
     double rest = 1;
     PredictedWork nl_candidate;
     PredictedWork sc_candidate;
+    // TJ merges each branch's refined matches with the candidates left.
     for (const PatternNodePtr& p : q.predicates) {
-      const Branch r = Visit(*p, candidates, m * rest, false, false);
+      const Branch r = Visit(*p, candidates, m * rest, false);
+      tj_.steps += m * rest + r.refined;
       AddScaled(r.nl, rest, &nl_candidate);
       AddScaled(r.sc, rest, &sc_candidate);
       rest *= r.exists;
@@ -515,7 +515,8 @@ class Estimate {
     }
     const double after_predicates = rest;
     if (q.next != nullptr) {
-      const Branch r = Visit(*q.next, candidates, m * rest, main, false);
+      const Branch r = Visit(*q.next, candidates, m * rest, main);
+      tj_.steps += m * rest + r.refined;
       if (!main) {
         // NL probes the continuation per candidate; SC steps on from the
         // surviving candidates together.
@@ -523,22 +524,11 @@ class Estimate {
         AddScaled(r.sc, matches * after_predicates, &b.sc);
       }
       rest *= r.exists;
-      if (main) {
-        // TJ's final top-down pass rescans a descendant step's refined
-        // set within this step's refined regions, and hashes both for a
-        // child or attribute step.
-        const double refined = m * rest;
-        const Axis next = q.next->axis;
-        if (next == Axis::kDescendant || next == Axis::kDescendantOrSelf) {
-          tj_.index_skips += refined;
-          tj_.index_entries += r.refined;
-        } else if (next == Axis::kChild || next == Axis::kAttribute) {
-          tj_.steps += refined + r.refined;
-        }
-      }
+      // TJ's final top-down pass merges this step's refined set with the
+      // next step's.
+      if (main) tj_.steps += m * rest + r.refined;
     }
     b.refined = m * rest;
-    if (hashed && !root) tj_.steps += b.refined;
 
     double examined = have;  // a positional step examines one
     if (q.position > 0) {
@@ -612,8 +602,6 @@ PatternAlgo Runner(const TreePattern& tp, PatternAlgo algo) {
 }
 
 }  // namespace
-
-const DocStats& StatsFor(const xml::Document& doc) { return doc.Stats(); }
 
 PredictedWork PredictWork(const TreePattern& tp, const xdm::Sequence& context,
                           PatternAlgo algo) {

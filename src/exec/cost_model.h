@@ -12,8 +12,10 @@
 //               predicate branch per candidate;
 //   - TwigJoin: index_entries_scanned and index_skips — one region scan
 //               per pattern edge over the parent step's whole candidate
-//               set (a child step reads the descendant window), plus the
-//               final top-down pass over the descendant steps;
+//               set (a child step reads the descendant window) — and the
+//               nodes its merges read (steps): a child or named attribute
+//               step's sources and window, each edge's bottom-up
+//               refinement, and the final top-down pass;
 // plus one evaluation each, and the per-node overheads those counters do
 // not record (PredictedWork::steps). The costs per unit (kNLCosts,
 // kSCCosts and kTJCosts in cost_model.cc) are this codebase's measured
@@ -67,22 +69,14 @@
 
 namespace xqtp::exec {
 
-/// Per-document statistics used by the cost model (an alias of
-/// xml::DocumentStats, built with the document).
-using DocStats = xml::DocumentStats;
-
-/// Returns the statistics of `doc`.
-const DocStats& StatsFor(const xml::Document& doc);
-
 /// The work counters one evaluation is predicted to record (ExecStats'
 /// nodes_visited, index_entries_scanned and index_skips), and a count of
 /// the per-node overheads ExecStats does not record, `steps`: NL's cursor
 /// enumerations (one per node a step starts from), SC's Step calls (one
 /// per step of the main path, and one per step of every per-candidate
 /// predicate evaluation), each allocating its result, and its positional
-/// steps' whole-stream searches (one per node), and TJ's hash-set inserts
-/// and lookups (of a child or attribute edge's sources and refined
-/// matches).
+/// steps' per-node searches, and the nodes TJ's merges read (both inputs
+/// of every merge).
 struct PredictedWork {
   double nodes_visited = 0;
   double index_entries = 0;

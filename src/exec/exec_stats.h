@@ -9,7 +9,6 @@
 namespace xqtp::exec {
 
 using xqtp::CountBatch;
-using xqtp::CountCowColumnCopies;
 using xqtp::CountIndexEntries;
 using xqtp::CountIndexSkip;
 using xqtp::CountNodesVisited;

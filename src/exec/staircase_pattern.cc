@@ -43,6 +43,10 @@ class StaircaseEval {
     if (ctx.empty() || !gov_.Tick()) return out;
     if (position > 0) {
       const Document& doc = *ctx.front()->doc;
+      // The contexts are sorted, so each search starts where the previous
+      // context's ended; not past its scan, since the next context may lie
+      // inside this one.
+      size_t pos = 0;
       for (const Node* c : ctx) {
         int count = 0;
         switch (axis) {
@@ -58,8 +62,10 @@ class StaircaseEval {
                 StepStream(doc, axis, test);
             CountIndexSkip();
             auto it = std::upper_bound(
-                stream.begin(), stream.end(), c->pre,
+                stream.begin() + static_cast<ptrdiff_t>(pos), stream.end(),
+                c->pre,
                 [](int32_t pre, const Node* n) { return pre < n->pre; });
+            pos = static_cast<size_t>(it - stream.begin());
             for (; it != stream.end() && (*it)->post < c->post; ++it) {
               CountIndexEntries(1);
               if (axis == Axis::kChild && (*it)->parent != c) continue;

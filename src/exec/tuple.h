@@ -1,6 +1,6 @@
 // Tuples flowing through the tuple algebra, as TupleBatches: ~1024 rows
 // in structure-of-arrays layout — one TupleColumn (a vector of sequences)
-// per field, columns shared copy-on-write across operators via
+// per field, columns shared by reference across operators via
 // shared_ptr<const TupleColumn>, plus a selection vector so Select
 // filters WITHOUT copying a single sequence and a per-column broadcast
 // flag so a pattern that expands one input tuple into thousands of
@@ -10,9 +10,9 @@
 //
 // Thread-safety: a TupleBatch is immutable through the shared columns
 // (shared_ptr<const ...>), so any number of threads may read one batch —
-// or sibling batches sharing columns — concurrently. Mutating calls
-// (Flatten / Append / Add*Column) require exclusive ownership of the
-// TupleBatch object itself, like any value type.
+// or sibling batches sharing columns — concurrently. Adding a column
+// requires exclusive ownership of the TupleBatch object itself, like any
+// value type.
 #ifndef XQTP_EXEC_TUPLE_H_
 #define XQTP_EXEC_TUPLE_H_
 
@@ -36,9 +36,7 @@ struct TupleColumn {
 
 using TupleColumnPtr = std::shared_ptr<const TupleColumn>;
 
-/// The one way to wrap a column for sharing. The object is allocated
-/// non-const (then viewed const), so a sole owner may legally reopen it
-/// to move values out (TupleBatch::Append's steal path).
+/// The one way to wrap a column for sharing.
 inline TupleColumnPtr MakeColumn(TupleColumn col) {
   return std::make_shared<TupleColumn>(std::move(col));
 }
@@ -94,8 +92,6 @@ class TupleBatch {
   /// Appends a column owned by this batch (values.size() must equal
   /// physical_rows(), asserted in debug builds).
   void AddOwnedColumn(TupleColumn column);
-  /// Appends a column shared with another batch (same length contract).
-  void AddSharedColumn(TupleColumnPtr column);
   /// Appends a single-value column broadcast to every logical row.
   void AddBroadcastColumn(TupleColumnPtr column);
 
@@ -104,17 +100,6 @@ class TupleBatch {
   /// zero-copy Select. The result's selection composes with this batch's.
   [[nodiscard]]
   TupleBatch SelectRows(const std::vector<uint32_t>& keep) const;
-
-  /// Rewrites the batch to identity selection with fully owned, non-
-  /// broadcast columns, gathering through the selection vector. Each
-  /// column that had to be deep-copied (it was shared, filtered, or
-  /// broadcast) counts one ExecStats::cow_column_copies.
-  void Flatten();
-
-  /// Appends `other`'s rows to this batch. Schemas must match (same
-  /// fields in the same column order). Both batches are flattened first;
-  /// `other`'s sequences are moved, not copied, when uniquely owned.
-  void Append(TupleBatch&& other);
 
   /// Approximate heap footprint for the governor's byte accountant:
   /// per LOGICAL row, the sequence slot plus its items at sizeof(Item);
@@ -125,10 +110,6 @@ class TupleBatch {
   int64_t ApproxBytes() const;
 
  private:
-  /// Moves (sole owner) or copies (shared — counts one cow_column_copies)
-  /// a flat column's values into `into`, then releases `from`.
-  static void MoveColumnValues(BoundColumn& from, TupleColumn* into);
-
   size_t physical_rows_ = 0;
   std::vector<BoundColumn> columns_;
   /// Logical -> physical row map; null = identity over physical rows.

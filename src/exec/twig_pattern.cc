@@ -1,24 +1,22 @@
 // Holistic twig-join evaluation of tree patterns.
 //
-// The algorithm processes every pattern edge with ordered merges over
-// document-ordered streams — no per-node index probes — which is the
-// holistic property of TwigJoin [4]: per evaluation, each stream is
-// scanned once per pattern edge, with binary-searched skipping into the
-// context subtrees (so a TupleTreePattern embedded in a map, evaluated
-// once per tuple, only touches the tuple's region of the index).
-//
-// Three phases per evaluation:
-//   1. top-down candidate generation: cand(q) = stream(q) restricted to
-//      nodes reachable from the parent step's candidates via q's axis;
-//   2. bottom-up refinement: drop candidates that do not satisfy the
-//      predicate branches / main-path continuation (structural merge
-//      semijoins);
-//   3. a final top-down reachability pass over the refined sets, which
-//      yields the extraction set directly in document order.
-#include <algorithm>
-#include <unordered_map>
-#include <unordered_set>
-
+// Every pattern edge is joined by ordered merges over document-ordered
+// node sets — no hash table and no per-node index probe — which is the
+// holistic property of TwigJoin [4]. Three phases per evaluation:
+//   1. top-down candidate generation: cand(q) = the nodes q's step reaches
+//      from the parent step's candidates. A descendant step is one
+//      staircase region scan of q's index stream (ScanRegions), with
+//      binary-searched skipping into the context subtrees, so a
+//      TupleTreePattern evaluated once per tuple only touches the tuple's
+//      region of the index. A child or named attribute step scans the
+//      descendant window the same way and merges it with its sources;
+//   2. bottom-up refinement: keep the candidates that have a refined match
+//      of every predicate branch and of the main-path continuation;
+//   3. a final top-down pass merging each refined main-path set with the
+//      next one, which yields the extraction set in document order.
+// One merge, Semijoin, joins an edge in every phase. It reads each input
+// once and keeps on a stack the chain of upper nodes that contain the
+// current lower node (the Stack-Tree structural join).
 #include "common/fault_injection.h"
 #include "exec/governor.h"
 #include "exec/pattern_eval.h"
@@ -37,227 +35,129 @@ using xml::Node;
 
 using NodeVec = std::vector<const Node*>;
 
-/// Keep a in A iff some d in D lies below a along `axis` (both sorted).
-NodeVec SemijoinDown(const NodeVec& a_vec, const NodeVec& d_vec, Axis axis) {
+/// The structural semijoin of two document-ordered, duplicate-free node
+/// sets along a pattern axis (child, attribute, descendant,
+/// descendant-or-self or self), in one merge: with `keep_upper`, the
+/// `upper` nodes that reach some `lower` node along `axis`; otherwise the
+/// `lower` nodes that some `upper` node reaches. Each node read ticks
+/// `gov`; a tripped governor truncates the result.
+NodeVec Semijoin(const NodeVec& upper, const NodeVec& lower, Axis axis,
+                 bool keep_upper, GovernorTicker* gov) {
+  const bool self = axis == Axis::kSelf || axis == Axis::kDescendantOrSelf;
+  const bool down =
+      axis == Axis::kDescendant || axis == Axis::kDescendantOrSelf;
+  std::vector<size_t> stack;  // upper indices: the chain containing `l`
+  std::vector<char> kept(keep_upper ? upper.size() : 0);
   NodeVec out;
-  switch (axis) {
-    case Axis::kChild:
-    case Axis::kAttribute: {
-      std::unordered_set<const Node*> parents;
-      parents.reserve(d_vec.size());
-      for (const Node* d : d_vec) {
-        if (d->parent != nullptr) parents.insert(d->parent);
+  size_t next = 0;
+  for (const Node* l : lower) {
+    for (; next < upper.size() && upper[next]->pre <= l->pre; ++next) {
+      if (!gov->Tick()) return out;
+      while (!stack.empty() &&
+             !upper[stack.back()]->IsAncestorOf(*upper[next])) {
+        stack.pop_back();
       }
-      for (const Node* a : a_vec) {
-        if (parents.count(a) > 0) out.push_back(a);
-      }
-      break;
+      stack.push_back(next);
     }
-    case Axis::kDescendant:
-    case Axis::kDescendantOrSelf: {
-      std::unordered_set<const Node*> selves;
-      if (axis == Axis::kDescendantOrSelf) {
-        selves.insert(d_vec.begin(), d_vec.end());
-      }
-      for (const Node* a : a_vec) {
-        if (axis == Axis::kDescendantOrSelf && selves.count(a) > 0) {
-          out.push_back(a);
-          continue;
-        }
-        // Descendants of `a` are contiguous in preorder: the first stream
-        // node after a.pre is inside a's subtree iff any descendant is.
-        auto it = std::upper_bound(
-            d_vec.begin(), d_vec.end(), a->pre,
-            [](int32_t pre, const Node* n) { return pre < n->pre; });
-        if (it != d_vec.end() && (*it)->post < a->post) out.push_back(a);
-      }
-      break;
+    if (!gov->Tick()) return out;
+    while (!stack.empty() && upper[stack.back()] != l &&
+           !upper[stack.back()]->IsAncestorOf(*l)) {
+      stack.pop_back();
     }
-    case Axis::kSelf: {
-      std::unordered_set<const Node*> set(d_vec.begin(), d_vec.end());
-      for (const Node* a : a_vec) {
-        if (set.count(a) > 0) out.push_back(a);
+    if (stack.empty() && next == upper.size()) break;  // no upper node left
+    // The entries that reach l lie below `top`; l itself only on a self
+    // axis.
+    size_t top = stack.size();
+    if (top > 0 && upper[stack[top - 1]] == l && !self) --top;
+    if (top == 0) continue;
+    const Node* inner = upper[stack[top - 1]];
+    if (!down && inner != (axis == Axis::kSelf ? l : l->parent)) continue;
+    if (!keep_upper) {
+      out.push_back(l);
+    } else if (!down) {
+      kept[stack[top - 1]] = 1;
+    } else {
+      // Every entry below a marked one was marked with it, so the marks
+      // stop at the first: each merge stays linear.
+      for (size_t i = top; i > 0 && !kept[stack[i - 1]]; --i) {
+        kept[stack[i - 1]] = 1;
       }
-      break;
     }
-    case Axis::kParent: {
-      std::unordered_set<const Node*> set(d_vec.begin(), d_vec.end());
-      for (const Node* a : a_vec) {
-        if (a->parent != nullptr && set.count(a->parent) > 0) {
-          out.push_back(a);
-        }
-      }
-      break;
+  }
+  if (keep_upper) {
+    for (size_t i = 0; i < upper.size(); ++i) {
+      if (kept[i]) out.push_back(upper[i]);
     }
-    case Axis::kAncestor:
-    case Axis::kAncestorOrSelf:
-    case Axis::kFollowingSibling:
-    case Axis::kPrecedingSibling:
-      // Non-pattern axes never reach the twig join (NL fallback).
-      break;
   }
   return out;
 }
 
-/// Nodes matching `test` reachable from some node of `ctx` along `axis`,
-/// computed with the staircase region scan over the per-tag stream
-/// (document order preserved). Self-membership tests use the node test
-/// directly, so the cost is bounded by the windows, never the whole stream.
-NodeVec ReachableVia(const Document& doc, Axis axis, const NodeTest& test,
+/// Phase 1: the nodes `q`'s step reaches from the contexts `ctx`, in
+/// document order. Self steps and attribute wildcards, which have no
+/// stream, read the contexts; every other step scans the contexts' pruned
+/// regions of its stream, and a child or attribute step merges that
+/// window with the contexts.
+NodeVec ReachableVia(const Document& doc, const PatternNode& q,
                      const NodeVec& ctx, GovernorTicker* gov) {
-  switch (axis) {
-    case Axis::kDescendant:
-    case Axis::kDescendantOrSelf:
-      return ScanRegions(StepStream(doc, axis, test), ctx, axis, test, gov);
-    case Axis::kAttribute:
-      if (test.kind != NodeTestKind::kName) {
-        // Attribute wildcards have no stream: navigate the contexts'
-        // attributes, which follow their owner in document order.
-        NodeVec out;
-        for (const Node* c : ctx) {
-          for (const Node* a : c->Attributes()) {
-            if (xdm::MatchesTest(a, axis, test)) out.push_back(a);
-          }
-        }
-        return out;
-      }
-      [[fallthrough]];
-    case Axis::kChild: {
-      // One pruned scan of the contexts' regions, then a parent filter:
-      // nested contexts do not rescan the stream.
-      NodeVec window = ScanRegions(StepStream(doc, axis, test), ctx,
-                                   Axis::kDescendant, test, gov);
-      std::unordered_set<const Node*> parents(ctx.begin(), ctx.end());
-      NodeVec out;
-      out.reserve(window.size());
-      for (const Node* d : window) {
-        if (d->parent != nullptr && parents.count(d->parent) > 0) {
-          out.push_back(d);
-        }
-      }
-      return out;
+  if (q.axis == Axis::kSelf) {
+    NodeVec out;
+    for (const Node* c : ctx) {
+      if (xdm::MatchesTest(c, q.axis, q.test)) out.push_back(c);
     }
-    case Axis::kSelf: {
-      NodeVec out;
-      for (const Node* c : ctx) {
-        if (xdm::MatchesTest(c, axis, test)) out.push_back(c);
-      }
-      return out;
-    }
-    case Axis::kParent: {
-      NodeVec out;
-      for (const Node* c : ctx) {
-        if (c->parent != nullptr && xdm::MatchesTest(c->parent, axis, test)) {
-          out.push_back(c->parent);
-        }
-      }
-      SortDedup(&out);
-      return out;
-    }
-    case Axis::kAncestor:
-    case Axis::kAncestorOrSelf:
-    case Axis::kFollowingSibling:
-    case Axis::kPrecedingSibling:
-      break;  // non-pattern axes never reach the twig join (NL fallback)
+    return out;
   }
-  return {};
+  if (q.axis == Axis::kAttribute && q.test.kind != NodeTestKind::kName) {
+    // A context's attributes follow it in document order.
+    NodeVec out;
+    for (const Node* c : ctx) {
+      for (const Node* a : c->Attributes()) {
+        if (xdm::MatchesTest(a, q.axis, q.test)) out.push_back(a);
+      }
+    }
+    return out;
+  }
+  const NodeVec& stream = StepStream(doc, q.axis, q.test);
+  if (q.axis != Axis::kChild && q.axis != Axis::kAttribute) {
+    return ScanRegions(stream, ctx, q.axis, q.test, gov);
+  }
+  const NodeVec window =
+      ScanRegions(stream, ctx, Axis::kDescendant, q.test, gov);
+  return Semijoin(ctx, window, q.axis, /*keep_upper=*/false, gov);
 }
 
-/// Phase-3 variant of ReachableVia operating on an already-refined
-/// candidate vector (small, hashable) instead of a whole stream.
-NodeVec SemijoinUpWithin(const NodeVec& candidates, const NodeVec& ctx,
-                         const PatternNode& p, GovernorTicker* gov) {
-  switch (p.axis) {
-    case Axis::kDescendant:
-      return ScanRegions(candidates, ctx, p.axis, p.test, gov);
-    case Axis::kDescendantOrSelf: {
-      // A context is a self-hit only while it is still a candidate, which
-      // matching the test alone does not imply after refinement.
-      NodeVec window =
-          ScanRegions(candidates, ctx, Axis::kDescendant, p.test, gov);
-      std::unordered_set<const Node*> cand(candidates.begin(),
-                                           candidates.end());
-      NodeVec selves;
-      for (const Node* c : ctx) {
-        if (cand.count(c) > 0) selves.push_back(c);
-      }
-      if (selves.empty()) return window;
-      NodeVec merged;
-      merged.reserve(window.size() + selves.size());
-      std::merge(window.begin(), window.end(), selves.begin(), selves.end(),
-                 std::back_inserter(merged), xml::DocOrderLess);
-      merged.erase(std::unique(merged.begin(), merged.end()), merged.end());
-      return merged;
-    }
-    case Axis::kChild:
-    case Axis::kAttribute: {
-      std::unordered_set<const Node*> parents(ctx.begin(), ctx.end());
-      NodeVec out;
-      for (const Node* d : candidates) {
-        if (d->parent != nullptr && parents.count(d->parent) > 0) {
-          out.push_back(d);
-        }
-      }
-      return out;
-    }
-    case Axis::kSelf: {
-      std::unordered_set<const Node*> cand(candidates.begin(),
-                                           candidates.end());
-      NodeVec out;
-      for (const Node* c : ctx) {
-        if (cand.count(c) > 0) out.push_back(c);
-      }
-      return out;
-    }
-    case Axis::kParent: {
-      std::unordered_set<const Node*> cand(candidates.begin(),
-                                           candidates.end());
-      NodeVec out;
-      for (const Node* c : ctx) {
-        if (c->parent != nullptr && cand.count(c->parent) > 0) {
-          out.push_back(c->parent);
-        }
-      }
-      SortDedup(&out);
-      return out;
-    }
-    case Axis::kAncestor:
-    case Axis::kAncestorOrSelf:
-    case Axis::kFollowingSibling:
-    case Axis::kPrecedingSibling:
-      break;  // non-pattern axes never reach the twig join (NL fallback)
-  }
-  return {};
-}
-
-class TwigEval {
- public:
-  TwigEval(const Document& doc, GovernorTicker* gov) : doc_(doc), gov_(gov) {}
-
-  /// Phase 1+2 for the sub-twig rooted at `p` with context candidates
-  /// `ctx`: computes (and memoizes) the refined match set of every node
-  /// in the sub-twig.
-  const NodeVec& ComputeSets(const PatternNode& p, const NodeVec& ctx) {
-    NodeVec m = ReachableVia(doc_, p.axis, p.test, ctx, gov_);
-    for (const PatternNodePtr& pred : p.predicates) {
-      if (m.empty()) break;
-      const NodeVec& pm = ComputeSets(*pred, m);
-      m = SemijoinDown(m, pm, pred->axis);
-    }
-    if (p.next != nullptr && !m.empty()) {
-      const NodeVec& nm = ComputeSets(*p.next, m);
-      m = SemijoinDown(m, nm, p.next->axis);
-    }
-    return sets_[&p] = std::move(m);
-  }
-
-  const NodeVec& SetOf(const PatternNode& p) const { return sets_.at(&p); }
-
- private:
-  const Document& doc_;
-  GovernorTicker* gov_;
-  std::unordered_map<const PatternNode*, NodeVec> sets_;
+/// One step of a chain and its candidate set.
+struct StepSet {
+  const PatternNode* step;
+  NodeVec nodes;
 };
+
+/// Phases 1 and 2 for the chain of steps from `p` along `next`, from the
+/// contexts `ctx`: each step's candidates that have a refined match of its
+/// predicate branches and of the rest of the chain, first step first. A
+/// step left without candidates ends the chain, and the refinement empties
+/// every set above it.
+std::vector<StepSet> Refine(const Document& doc, const PatternNode& p,
+                            const NodeVec& ctx, GovernorTicker* gov) {
+  std::vector<StepSet> chain;
+  const NodeVec* from = &ctx;
+  for (const PatternNode* q = &p; q != nullptr && !from->empty();
+       q = q->next.get()) {
+    NodeVec m = ReachableVia(doc, *q, *from, gov);
+    for (const PatternNodePtr& pred : q->predicates) {
+      if (m.empty()) break;
+      m = Semijoin(m, Refine(doc, *pred, m, gov).front().nodes, pred->axis,
+                   /*keep_upper=*/true, gov);
+    }
+    chain.push_back({q, std::move(m)});
+    from = &chain.back().nodes;
+  }
+  for (size_t i = chain.size(); i > 1; --i) {
+    chain[i - 2].nodes = Semijoin(chain[i - 2].nodes, chain[i - 1].nodes,
+                                  chain[i - 1].step->axis,
+                                  /*keep_upper=*/true, gov);
+  }
+  return chain;
+}
 
 }  // namespace
 
@@ -286,22 +186,16 @@ Result<NodeVec> EvalPatternTwig(const TreePattern& tp,
     if (n->doc != ctx.front()->doc) return EvalPatternNL(tp, context);
   }
 
-  // The region scans are the twig join's hot loop; a tripped governor
+  // The scans and merges are the twig join's hot loops; a tripped governor
   // truncates them and the final poll below surfaces the latched verdict,
   // discarding the partial sets.
   GovernorTicker gov;
-  TwigEval eval(*ctx.front()->doc, &gov);
-  eval.ComputeSets(*tp.root, ctx);
-
-  // Phase 3: final top-down reachability over the refined main-path sets.
-  std::vector<const PatternNode*> path;
-  for (const PatternNode* p = tp.root.get(); p != nullptr;
-       p = p->next.get()) {
-    path.push_back(p);
-  }
-  NodeVec reach = eval.SetOf(*path[0]);
+  std::vector<StepSet> path = Refine(*ctx.front()->doc, *tp.root, ctx, &gov);
+  // Phase 3: final top-down pass over the refined main-path sets.
+  NodeVec reach = std::move(path.front().nodes);
   for (size_t i = 1; i < path.size() && !reach.empty(); ++i) {
-    reach = SemijoinUpWithin(eval.SetOf(*path[i]), reach, *path[i], &gov);
+    reach = Semijoin(reach, path[i].nodes, path[i].step->axis,
+                     /*keep_upper=*/false, &gov);
   }
   // Surface a mid-merge trip (sticky in the governor) before the possibly
   // truncated sets become a result.

@@ -18,6 +18,7 @@ using algebra::Op;
 using algebra::OpKind;
 using pattern::MakeSingleStep;
 using pattern::TreePattern;
+using Stats = xml::DocumentStats;
 
 /// QE1-QE6 of the paper's Figure 5.
 constexpr const char* kQE[] = {
@@ -145,8 +146,7 @@ TEST_F(CostModelTest, StatsAreSane) {
   auto doc = e.LoadDocument(
       "s", "<a id='1'><b/><a><b/><b x='2'/>hi</a><b/>yo</a>");
   ASSERT_TRUE(doc.ok());
-  const DocStats& s = StatsFor(**doc);
-  EXPECT_EQ(&s, &(*doc)->Stats());
+  const Stats& s = (*doc)->Stats();
   EXPECT_EQ(s.node_count, 9);  // the document, six elements, two texts
   auto sym = [&e](const char* name) { return e.interner()->Lookup(name); };
   const int a = s.RowOfTag(sym("a"));
@@ -165,10 +165,10 @@ TEST_F(CostModelTest, StatsAreSane) {
   EXPECT_EQ(row(b).subtree, 0);
   EXPECT_EQ(row(b).children, 0);
   EXPECT_EQ(row(b).outermost, 4);
-  EXPECT_EQ(row(DocStats::kDocumentRow).subtree, 8);
-  EXPECT_EQ(row(DocStats::kLeafRow).count, 4);  // two texts, two attributes
-  EXPECT_EQ(row(DocStats::kElementRow).count, 6);
-  EXPECT_EQ(row(DocStats::kElementRow).subtree, 10);
+  EXPECT_EQ(row(Stats::kDocumentRow).subtree, 8);
+  EXPECT_EQ(row(Stats::kLeafRow).count, 4);  // two texts, two attributes
+  EXPECT_EQ(row(Stats::kElementRow).count, 6);
+  EXPECT_EQ(row(Stats::kElementRow).subtree, 10);
 
   struct Want {
     int row;
@@ -178,28 +178,28 @@ TEST_F(CostModelTest, StatsAreSane) {
     int64_t parents;
   };
   const Want want[] = {
-      {DocStats::kDocumentRow, xml::NodeKind::kElement, "a", 1, 1},
+      {Stats::kDocumentRow, xml::NodeKind::kElement, "a", 1, 1},
       {a, xml::NodeKind::kElement, "a", 1, 1},
       {a, xml::NodeKind::kElement, "b", 4, 2},
       {a, xml::NodeKind::kText, nullptr, 2, 2},
       {a, xml::NodeKind::kAttribute, "id", 1, 1},
       {b, xml::NodeKind::kAttribute, "x", 1, 1},
-      {DocStats::kElementRow, xml::NodeKind::kElement, "b", 4, 2},
-      {DocStats::kElementRow, xml::NodeKind::kAttribute, "x", 1, 1},
+      {Stats::kElementRow, xml::NodeKind::kElement, "b", 4, 2},
+      {Stats::kElementRow, xml::NodeKind::kAttribute, "x", 1, 1},
   };
   size_t pairs = 0;
   for (const Want& w : want) {
     const Symbol name = w.name == nullptr ? kInvalidSymbol : sym(w.name);
-    const DocStats::Pair* p = s.FindPair(w.row, DocStats::ChildKey(w.kind, name));
+    const Stats::Pair* p = s.FindPair(w.row, Stats::ChildKey(w.kind, name));
     ASSERT_NE(p, nullptr) << w.row << " " << (w.name ? w.name : "text");
     EXPECT_EQ(p->children, w.children) << w.row << " " << (w.name ? w.name : "text");
     EXPECT_EQ(p->parents, w.parents) << w.row << " " << (w.name ? w.name : "text");
-    if (w.row != DocStats::kElementRow) ++pairs;
+    if (w.row != Stats::kElementRow) ++pairs;
   }
   // No other pair: b has no element or text children.
-  EXPECT_EQ(s.FindPair(b, DocStats::ChildKey(xml::NodeKind::kElement, sym("b"))),
+  EXPECT_EQ(s.FindPair(b, Stats::ChildKey(xml::NodeKind::kElement, sym("b"))),
             nullptr);
-  const auto& elements = row(DocStats::kElementRow);
+  const auto& elements = row(Stats::kElementRow);
   EXPECT_EQ(s.pairs.size() - (elements.pairs_end - elements.pairs_begin),
             pairs);
 }

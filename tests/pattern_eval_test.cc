@@ -290,6 +290,85 @@ TEST_P(PatternEvalTest, DescendantOrSelfOverAnElementAndItsAttribute) {
   EXPECT_EQ((*rows)[1], e->Attributes()[0]);
 }
 
+TEST_P(PatternEvalTest, NestedSameTagElements) {
+  // Two nested pairs of a's: in the first only the inner a has a b child,
+  // in the second only the outer one; only the inner a of the first pair
+  // has a k attribute. Every element is named by its id.
+  StringInterner in2;
+  auto res = xml::Parse(
+      "<r><a id=\"1\"><a id=\"2\" k=\"x\"><b id=\"5\"/></a></a>"
+      "<a id=\"3\"><b id=\"6\"/><a id=\"4\"/></a></r>",
+      &in2);
+  ASSERT_TRUE(res.ok()) << res.status().ToString();
+  const xml::Document& doc = *res.value();
+  const Symbol out = in2.Intern("out");
+  const NodeTest a = NodeTest::Name(in2.Intern("a"));
+  const NodeTest b = NodeTest::Name(in2.Intern("b"));
+  const NodeTest id = NodeTest::Name(in2.Intern("id"));
+  const auto step = [&](Axis axis, const NodeTest& test) {
+    return MakeSingleStep(kInvalidSymbol, axis, test, out);
+  };
+  // The ids of the nodes `tp` returns from `ctx`, in order: an
+  // attribute's value, an element's id attribute.
+  const auto ids = [&](const TreePattern& tp, const xdm::Sequence& ctx) {
+    auto rows = EvalPattern(tp, ctx, GetParam());
+    EXPECT_TRUE(rows.ok()) << rows.status().ToString();
+    std::string s;
+    for (const xml::Node* n : rows.ok() ? *rows
+                                        : std::vector<const xml::Node*>{}) {
+      if (!s.empty()) s += ' ';
+      s += n->IsAttribute() ? n->Text() : n->Attributes()[0]->Text();
+    }
+    return s;
+  };
+  const xdm::Sequence root{xdm::Item(doc.root())};
+  const auto& as = doc.ElementsByTag(in2.Intern("a"));  // ids 1, 2, 3, 4
+  ASSERT_EQ(as.size(), 4u);
+
+  // descendant::a[child::b], then its attributes under nested owners.
+  TreePattern tp = step(Axis::kDescendant, a);
+  pattern::AttachPredicate(&tp, step(Axis::kChild, b));
+  EXPECT_EQ(ids(tp, root), "2 3");
+  pattern::AppendPath(&tp, step(Axis::kAttribute, id));
+  EXPECT_EQ(ids(tp, root), "2 3");
+
+  // descendant::a[descendant::b] keeps both a's of the first pair;
+  // descendant::a[descendant::a] only the outer ones, since no a is its
+  // own descendant.
+  tp = step(Axis::kDescendant, a);
+  pattern::AttachPredicate(&tp, step(Axis::kDescendant, b));
+  EXPECT_EQ(ids(tp, root), "1 2 3");
+  tp = step(Axis::kDescendant, a);
+  pattern::AttachPredicate(&tp, step(Axis::kDescendant, a));
+  EXPECT_EQ(ids(tp, root), "1 3");
+
+  // descendant::a[attribute::k] and descendant::a/child::a/attribute::id.
+  tp = step(Axis::kDescendant, a);
+  pattern::AttachPredicate(
+      &tp, step(Axis::kAttribute, NodeTest::Name(in2.Intern("k"))));
+  EXPECT_EQ(ids(tp, root), "2");
+  tp = step(Axis::kDescendant, a);
+  pattern::AppendPath(&tp, step(Axis::kChild, a));
+  pattern::AppendPath(&tp, step(Axis::kAttribute, id));
+  EXPECT_EQ(ids(tp, root), "2 4");
+
+  // attribute::id and child::b from the nested contexts a1 and a2.
+  const xdm::Sequence nested{xdm::Item(as[0]), xdm::Item(as[1])};
+  EXPECT_EQ(ids(step(Axis::kAttribute, id), nested), "1 2");
+  EXPECT_EQ(ids(step(Axis::kChild, b), nested), "5");
+
+  // A descendant-or-self step whose context a1 matches its test but is no
+  // candidate after refinement: a1 reaches a2, not itself.
+  tp = step(Axis::kDescendant, a);
+  pattern::AppendPath(&tp, step(Axis::kDescendantOrSelf, a));
+  pattern::AttachPredicate(&tp, step(Axis::kChild, b));
+  EXPECT_EQ(ids(tp, root), "2 3");
+  tp = step(Axis::kDescendantOrSelf, a);
+  pattern::AttachPredicate(&tp, step(Axis::kChild, b));
+  pattern::AppendPath(&tp, step(Axis::kAttribute, id));
+  EXPECT_EQ(ids(tp, {xdm::Item(as[0]), xdm::Item(as[2])}), "2 3");
+}
+
 INSTANTIATE_TEST_SUITE_P(AllAlgorithms, PatternEvalTest,
                          ::testing::Values(PatternAlgo::kNLJoin,
                                            PatternAlgo::kStaircase,

@@ -164,6 +164,9 @@ TEST_F(PositionalTest, RandomizedAgreementOnMember) {
   const char* queries[] = {
       "$input//t01[1]", "$input//t02[2]/t03[1]", "$input/t01[1]//t04[3]",
       "$input//t05[1][t06]", "$input//t01[2]//t02[1]",
+      // Positional steps from nested same-tag contexts: each context's
+      // search starts where the previous one's did, and may lie inside it.
+      "$input//t02//t02[2]", "$input//t03/descendant::t03[1]/t04",
   };
   for (const char* q : queries) {
     auto cq_ref = e2.Compile(q, PaperMode());
