@@ -12,8 +12,10 @@
 #     the checkers themselves.
 #  3. Release + TSan — the morsel-parallel driver's threading tests
 #     (parallel_eval_test, concurrency_test, and lifted_pattern_test's
-#     lifted evaluations and whole queries at threads=2 through the
-#     morsel merge), the columnar-batch tests (tuple_batch_test:
+#     whole queries at threads=2, each asserted to fan its outer pattern
+#     out from the document root through the morsel merge; lifted layers
+#     of several contexts run sequentially), the columnar-batch tests
+#     (tuple_batch_test:
 #     concurrent readers of batches sharing columns) and the plan-cache
 #     concurrency suite (plan_cache_test: the single-flight stampede and
 #     hit/miss/erase/clear hammer) under ThreadSanitizer:

@@ -66,12 +66,12 @@ const std::vector<exec::PatternAlgo>& CrossCheckAlgos() {
 }
 
 Status CrossCheckPattern(const pattern::TreePattern& tp,
-                         const xdm::Sequence& context,
+                         std::span<const xml::Node* const> context,
                          const StringInterner& interner) {
   auto reference = exec::EvalPattern(tp, context, exec::PatternAlgo::kNLJoin);
   XQTP_RETURN_NOT_OK(reference.status());
   // The parallel legs' driver settings: a tiny forced fan-out so even
-  // small witness inputs morselize, exercising the driver's partitioning
+  // small witness inputs morselize, exercising the driver's root fan-out
   // and order-preserving merge on every iteration.
   exec::ParallelContext par;
   par.threads = 2;
@@ -159,7 +159,7 @@ Status CrossCheck(const CrossCheckInput& in, const core::VarTable& vars,
          exec::Evaluate(*in.optimized, vars, bindings, opts)});
     if (has_pattern) {
       // Parallel leg: the same plan through the morsel driver with a
-      // forced fan-out, validating partitioning + merge per iteration.
+      // forced fan-out, validating root fan-out + merge per iteration.
       exec::EvalOptions popts = opts;
       popts.threads = 2;
       popts.parallel_min_fanout = 2;

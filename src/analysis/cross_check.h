@@ -9,6 +9,7 @@
 #ifndef XQTP_ANALYSIS_CROSS_CHECK_H_
 #define XQTP_ANALYSIS_CROSS_CHECK_H_
 
+#include <span>
 #include <vector>
 
 #include "algebra/ops.h"
@@ -30,13 +31,13 @@ const std::vector<exec::PatternAlgo>& CrossCheckAlgos();
 /// identical before/after forms "diverge".
 bool ItemsAgree(const xdm::Item& a, const xdm::Item& b);
 
-/// Evaluates `tp` over `context` with every algorithm and compares the
-/// bound nodes against the nested-loop reference. Returns Internal on
-/// the first divergence, naming the algorithm, the pattern, and the first
-/// differing node index.
+/// Evaluates `tp` over the context node set `context` (exec::ContextNodes)
+/// with every algorithm and compares the bound nodes against the
+/// nested-loop reference. Returns Internal on the first divergence, naming
+/// the algorithm, the pattern, and the first differing node index.
 [[nodiscard]]
 Status CrossCheckPattern(const pattern::TreePattern& tp,
-                         const xdm::Sequence& context,
+                         std::span<const xml::Node* const> context,
                          const StringInterner& interner);
 
 /// Whole-pipeline differential check for one compiled query under fixed

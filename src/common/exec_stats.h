@@ -32,8 +32,8 @@ struct ExecStats {
   /// staircase join, twig join. One count per EvalPattern, like
   /// pattern_evals, however many morsels it fans out into; a kCostBased
   /// evaluation counts under the algorithm the cost model chose, and a
-  /// pattern TwigJoin hands to the nested loop (HandlesPatternShape)
-  /// counts under the nested loop.
+  /// context spanning two documents, or a pattern TwigJoin hands to the
+  /// nested loop (HandlesPatternShape), counts under the nested loop.
   int64_t nl_evals = 0;
   int64_t sc_evals = 0;
   int64_t tj_evals = 0;

@@ -560,16 +560,14 @@ class Estimate {
   Mix last_candidates_;  ///< its matches' rows, as one node
 };
 
-/// The contexts as a Mix over the statistics of their (first) document,
-/// or nullptr when no context is a node.
-const Stats* Profile(const xdm::Sequence& context, Mix* mix) {
-  const Stats* stats = nullptr;
+/// The contexts as a Mix over the statistics of their document, or
+/// nullptr when there are none.
+const Stats* Profile(std::span<const xml::Node* const> context, Mix* mix) {
+  if (context.empty()) return nullptr;
+  const Stats* stats = &context.front()->doc->Stats();
   int last_row = -1;
   double run = 0;
-  for (const xdm::Item& it : context) {
-    if (!it.IsNode()) continue;
-    const xml::Node* n = it.node();
-    if (stats == nullptr) stats = &n->doc->Stats();
+  for (const xml::Node* n : context) {
     const int row = stats->RowOf(*n);
     if (row != last_row) {
       mix->Add(last_row, run);
@@ -603,7 +601,8 @@ PatternAlgo Runner(const TreePattern& tp, PatternAlgo algo) {
 
 }  // namespace
 
-PredictedWork PredictWork(const TreePattern& tp, const xdm::Sequence& context,
+PredictedWork PredictWork(const TreePattern& tp,
+                          std::span<const xml::Node* const> context,
                           PatternAlgo algo) {
   Mix contexts;
   const Stats* stats = Profile(context, &contexts);
@@ -611,7 +610,8 @@ PredictedWork PredictWork(const TreePattern& tp, const xdm::Sequence& context,
   return Estimate(*stats, contexts, tp).Work(Runner(tp, algo));
 }
 
-double EstimateCost(const TreePattern& tp, const xdm::Sequence& context,
+double EstimateCost(const TreePattern& tp,
+                    std::span<const xml::Node* const> context,
                     PatternAlgo algo) {
   Mix contexts;
   const Stats* stats = Profile(context, &contexts);
@@ -621,7 +621,7 @@ double EstimateCost(const TreePattern& tp, const xdm::Sequence& context,
 }
 
 PatternAlgo ChooseAlgorithm(const TreePattern& tp,
-                            const xdm::Sequence& context) {
+                            std::span<const xml::Node* const> context) {
   Mix contexts;
   const Stats* stats = Profile(context, &contexts);
   if (tp.root == nullptr || stats == nullptr) return PatternAlgo::kNLJoin;

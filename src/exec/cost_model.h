@@ -84,21 +84,23 @@ struct PredictedWork {
   double steps = 0;
 };
 
-/// The counters evaluating `tp` over `context` with `algo` is predicted
-/// to record. When `algo` hands `tp` to the nested loop
-/// (HandlesPatternShape), these are the nested loop's.
+/// The counters evaluating `tp` over the context node set `context` (one
+/// document) with `algo` is predicted to record. When `algo` hands `tp`
+/// to the nested loop (HandlesPatternShape), these are the nested loop's.
 PredictedWork PredictWork(const pattern::TreePattern& tp,
-                          const xdm::Sequence& context, PatternAlgo algo);
+                          std::span<const xml::Node* const> context,
+                          PatternAlgo algo);
 
 /// Estimated time, in nanoseconds, of evaluating `tp` over the given
 /// contexts with `algo` (the nested loop's when `algo` hands `tp` to it).
 /// 0 for an empty context.
 double EstimateCost(const pattern::TreePattern& tp,
-                    const xdm::Sequence& context, PatternAlgo algo);
+                    std::span<const xml::Node* const> context,
+                    PatternAlgo algo);
 
 /// The cheapest algorithm for this pattern and context per the model.
 PatternAlgo ChooseAlgorithm(const pattern::TreePattern& tp,
-                            const xdm::Sequence& context);
+                            std::span<const xml::Node* const> context);
 
 }  // namespace xqtp::exec
 

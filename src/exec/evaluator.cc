@@ -36,8 +36,8 @@ int64_t ApproxBytes(const Sequence& s) {
 /// the stream.
 using BatchSink = std::function<Status(TupleBatch&&)>;
 
-/// A dependent sub-plan MapToItem{IN#f}(TupleTreePattern[P{f}](IN)) with
-/// a liftable P: per row, it returns P's bindings over that row's context.
+/// A dependent sub-plan MapToItem{IN#f}(TupleTreePattern[P{f}](IN)): per
+/// row, it returns P's bindings over that row's context.
 bool IsLiftablePattern(const Op& op) {
   if (op.kind != OpKind::kMapToItem ||
       op.dep->kind != OpKind::kFieldAccess ||
@@ -46,7 +46,7 @@ bool IsLiftablePattern(const Op& op) {
   }
   const Op& ttp = *op.inputs[0];
   return ttp.inputs[0]->kind == OpKind::kInputTuple &&
-         CanLiftPattern(ttp.tp) && ttp.tp.output == op.dep->field;
+         ttp.tp.output == op.dep->field;
 }
 
 /// The lift rule: collects the liftable patterns (IsLiftablePattern)
@@ -509,13 +509,11 @@ class Evaluator {
   }
 
   /// TupleTreePattern kernel over one input batch. A one-row batch is
-  /// one EvalPattern over that row's contexts; a wider one is lifted
-  /// (EvalPatternLifted) when the pattern allows it, and only patterns
-  /// it does not cover (a non-pattern axis) are evaluated row by row.
-  /// Output rows land in a PatternBatchBuilder (single-row inputs
-  /// broadcast their unmodified fields — zero replication for the
-  /// dominant root-in-one-tuple plan) and leave in batches of at most
-  /// tuple_batch_rows.
+  /// one EvalPattern over that row's ContextNodes; a wider one is lifted
+  /// (EvalPatternLifted). Output rows land in a PatternBatchBuilder
+  /// (single-row inputs broadcast their unmodified fields — zero
+  /// replication for the dominant root-in-one-tuple plan) and leave in
+  /// batches of at most tuple_batch_rows.
   Status EvalPatternBatch(const Op& op, const TupleBatch& in,
                           const BatchSink& sink) {
     if (in.rows() == 0) return Status::OK();
@@ -535,7 +533,7 @@ class Evaluator {
       return Emit(sink, std::move(full));
     };
     ScopedMemoryCharge mem;
-    if (in.rows() > 1 && CanLiftPattern(op.tp)) {
+    if (in.rows() > 1) {
       XQTP_ASSIGN_OR_RETURN(LiftedBindings lifted,
                             EvalPatternLifted(op.tp, in, opts_.algo, par()));
       XQTP_RETURN_NOT_OK(mem.Grow(LiftedBytes(lifted)));
@@ -545,15 +543,14 @@ class Evaluator {
         }
       }
     } else {
-      for (size_t i = 0; i < in.rows(); ++i) {
-        XQTP_ASSIGN_OR_RETURN(
-            std::vector<const xml::Node*> nodes,
-            EvalPattern(op.tp, in.Value(*ctx_col, i), opts_.algo, par()));
-        XQTP_RETURN_NOT_OK(mem.Grow(
-            static_cast<int64_t>(nodes.size() * sizeof(const xml::Node*))));
-        for (const xml::Node* node : nodes) {
-          XQTP_RETURN_NOT_OK(add(i, node));
-        }
+      XQTP_ASSIGN_OR_RETURN(std::vector<const xml::Node*> ctx,
+                            ContextNodes(in.Value(*ctx_col, 0)));
+      XQTP_ASSIGN_OR_RETURN(std::vector<const xml::Node*> nodes,
+                            EvalPattern(op.tp, ctx, opts_.algo, par()));
+      XQTP_RETURN_NOT_OK(mem.Grow(
+          static_cast<int64_t>(nodes.size() * sizeof(const xml::Node*))));
+      for (const xml::Node* node : nodes) {
+        XQTP_RETURN_NOT_OK(add(0, node));
       }
     }
     if (builder->rows() == 0) return Status::OK();
@@ -643,10 +640,6 @@ class Evaluator {
 
 }  // namespace
 
-bool CanLiftPattern(const pattern::TreePattern& tp) {
-  return tp.UsesOnlyPatternAxes();
-}
-
 Result<LiftedBindings> EvalPatternLifted(const pattern::TreePattern& tp,
                                          const TupleBatch& in,
                                          PatternAlgo algo,
@@ -716,11 +709,11 @@ Result<LiftedBindings> EvalPatternLifted(const pattern::TreePattern& tp,
   std::vector<Run> runs(ctx.size());
   for (uint32_t layer = 0; layer < layer_last.size(); ++layer) {
     std::vector<uint32_t> members;
-    Sequence layer_ctx;
+    std::vector<const xml::Node*> layer_ctx;
     for (uint32_t id = 0; id < ctx.size(); ++id) {
       if (layer_of[id] != layer) continue;
       members.push_back(id);
-      layer_ctx.push_back(Item(ctx[id]));
+      layer_ctx.push_back(ctx[id]);
     }
     XQTP_ASSIGN_OR_RETURN(std::vector<const xml::Node*> found,
                           EvalPattern(tp, layer_ctx, algo, par));

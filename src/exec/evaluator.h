@@ -33,8 +33,8 @@ struct EvalOptions {
   /// any thread count; only the ExecStats attribution of driver-side index
   /// scans can differ.
   int threads = 0;
-  /// Minimum root fan-out (context nodes or root-step candidates) before
-  /// a pattern evaluation is morselized.
+  /// Minimum root fan-out (the root step's candidates from a one-node
+  /// context) before a pattern evaluation is morselized.
   int parallel_min_fanout = 256;
   /// Monotonic wall-clock deadline. When set, governor checks compare
   /// steady_clock::now() against it and the evaluation returns
@@ -75,18 +75,13 @@ struct LiftedBindings {
   std::vector<size_t> offsets;  ///< rows + 1 entries
 };
 
-/// Whether EvalPatternLifted evaluates `tp`: only the downward or self
-/// axes the optimizer builds patterns from — so every binding lies in its
-/// context's pre/post region.
-bool CanLiftPattern(const pattern::TreePattern& tp);
-
-/// Loop-lifted evaluation of `tp` (CanLiftPattern) over the context
-/// field of every row of `in`: one EvalPattern, so one counted pattern
-/// evaluation, per layer of the batch's distinct contexts in which no
-/// context lies inside another, instead of one per row. A layer's
-/// bindings are the disjoint union of its contexts' own, and one merge
-/// over document order hands each binding to its context. A non-node
-/// context item is a TypeError, as in the pattern algorithms.
+/// Loop-lifted evaluation of `tp` over the context field of every row of
+/// `in`: one EvalPattern, so one counted pattern evaluation, per layer of
+/// the batch's distinct contexts in which no context lies inside another,
+/// instead of one per row. Pattern axes only go down or stay put, so a
+/// layer's bindings are the disjoint union of its contexts' own, and one
+/// merge over document order hands each binding to its context. A
+/// non-node context item is a TypeError, as in ContextNodes.
 [[nodiscard]]
 Result<LiftedBindings> EvalPatternLifted(const pattern::TreePattern& tp,
                                          const TupleBatch& in,

@@ -85,18 +85,14 @@ void Enumerate(const Node* ctx, const PatternNode& p,
 
 }  // namespace
 
-Result<std::vector<const Node*>> EvalPatternNL(const TreePattern& tp,
-                                               const xdm::Sequence& context) {
+Result<std::vector<const Node*>> EvalPatternNL(
+    const TreePattern& tp, std::span<const Node* const> context) {
   XQTP_FAULT_POINT("exec.pattern.nl");
   std::vector<const Node*> out;
   if (tp.root == nullptr) return out;
   GovernorTicker gov;
-  for (const xdm::Item& it : context) {
-    if (!it.IsNode()) {
-      return Status::TypeError(
-          "tree pattern applied to a non-node context item");
-    }
-    Enumerate(it.node(), *tp.root, &out, &gov);
+  for (const Node* c : context) {
+    Enumerate(c, *tp.root, &out, &gov);
     if (!gov.status().ok()) return gov.status();
   }
   SortDedup(&out);

@@ -6,18 +6,18 @@
 //     (xml::DocOrderLess). A morsel's result is therefore a sorted run,
 //     and an order-preserving merge + dedup of the runs reproduces the
 //     sequential output bit for bit;
-//  2. the union over context nodes (or over root-step candidates, for
-//     the self-rooted rewrite) of the pattern's matches equals the
-//     matches over the whole context — pattern evaluation is per-context
-//     independent, so any partition of the context is sound.
+//  2. the union over the root step's candidates of the self-rooted
+//     pattern's matches equals the pattern's matches from the context
+//     node — pattern evaluation is per-context independent, so any
+//     partition of the candidates is sound.
 #include "exec/parallel.h"
 
 #include <pthread.h>
 
 #include <algorithm>
 #include <atomic>
+#include <cassert>
 #include <iterator>
-#include <optional>
 #include <thread>
 #include <utility>
 
@@ -248,17 +248,13 @@ std::vector<const Node*> MergeSortedRuns(
   return acc;
 }
 
+/// Pre-builds the lazily-constructed per-tag streams that evaluating the
+/// pattern below `p` will touch, so worker threads only ever hit the built
+/// fast path of Document's lazy getters.
 void PrewarmSteps(const Document& doc, const PatternNode& p) {
   StepStream(doc, p.axis, p.test);
   for (const PatternNodePtr& pred : p.predicates) PrewarmSteps(doc, *pred);
   if (p.next != nullptr) PrewarmSteps(doc, *p.next);
-}
-
-/// Pre-builds the lazily-constructed per-tag streams that evaluating `tp`
-/// will touch, so worker threads only ever hit the built fast path of
-/// Document's lazy getters.
-void PrewarmPatternIndexes(const Document& doc, const TreePattern& tp) {
-  PrewarmSteps(doc, *tp.root);
 }
 
 /// Merges the per-morsel worker counters into the calling scope (if any):
@@ -272,91 +268,54 @@ void MergeWorkerStats(const std::vector<ExecStats>& slots) {
 }  // namespace
 
 bool TryEvalPatternParallel(const pattern::TreePattern& tp,
-                            const xdm::Sequence& context, PatternAlgo algo,
-                            const ParallelContext& par,
+                            std::span<const Node* const> context,
+                            PatternAlgo algo, const ParallelContext& par,
                             Result<std::vector<const Node*>>* out) {
-  if (par.threads < 2 || tp.root == nullptr) return false;
-  // kCostBased must be resolved by the caller (one algorithm across all
-  // morsels); an unresolved choice is not morselizable.
-  if (algo == PatternAlgo::kCostBased) return false;
-  for (const xdm::Item& it : context) {
-    // Non-node contexts carry TypeError semantics the sequential
-    // algorithms own; keep them on the sequential path.
-    if (!it.IsNode()) return false;
+  // EvalPattern resolves kCostBased first, so every morsel runs ONE
+  // algorithm.
+  assert(algo != PatternAlgo::kCostBased);
+  if (par.threads < 2 || tp.root == nullptr || context.size() != 1) {
+    return false;
   }
-
-  std::vector<const Node*> units;
-  TreePattern self_tp;
-  const TreePattern* eval_tp = &tp;
-
-  if (context.size() >= static_cast<size_t>(par.min_fanout)) {
-    // Strategy 1: the context itself is wide — contiguous ranges of it,
-    // in document order and without duplicates, become morsels and each
-    // runs the unmodified pattern. SortDedup leaves a sorted distinct
-    // context (a lifted layer) as it is after one pass.
-    units.reserve(context.size());
-    for (const xdm::Item& it : context) units.push_back(it.node());
-    SortDedup(&units);
-  } else {
-    // Strategy 2: root fan-out. Expand the root step's candidates from
-    // the index, rewrite the pattern self-rooted, morselize candidates.
-    const PatternNode& root = *tp.root;
-    if (root.position != 0) return false;
-    if (root.axis != Axis::kChild && root.axis != Axis::kDescendant &&
-        root.axis != Axis::kDescendantOrSelf) {
-      return false;
-    }
-    if (context.empty()) return false;
-    const Document* doc = context.front().node()->doc;
-    std::vector<const Node*> ctx;
-    ctx.reserve(context.size());
-    for (const xdm::Item& it : context) {
-      if (it.node()->doc != doc) return false;  // index scans are per-doc
-      ctx.push_back(it.node());
-    }
-    SortDedup(&ctx);
-    // The candidates lie in the contexts' subtrees, and DocumentBuilder's
-    // numbering gives a node post - pre + depth descendants (attributes
-    // included). Below min_fanout even that bound cannot morselize, so
-    // skip the scan rather than throw its result away.
-    size_t bound = 0;
-    for (const Node* n : ctx) {
-      bound += static_cast<size_t>(n->post - n->pre + n->depth) +
-               (root.axis == Axis::kDescendantOrSelf ? 1 : 0);
-    }
-    if (bound < static_cast<size_t>(par.min_fanout)) return false;
-    GovernorTicker gov;
-    std::vector<const Node*> candidates = ScanRegions(
-        StepStream(*doc, root.axis, root.test), ctx, root.axis, root.test,
-        &gov);
-    if (!gov.status().ok()) {
-      *out = gov.status();
-      return true;
-    }
-    if (candidates.size() < static_cast<size_t>(par.min_fanout)) return false;
-    self_tp = tp.Clone();
-    self_tp.root->axis = Axis::kSelf;  // candidates already match the test
-    eval_tp = &self_tp;
-    units = std::move(candidates);
+  // Root fan-out: expand the root step's candidates from the index,
+  // rewrite the pattern self-rooted, morselize the candidates.
+  const PatternNode& root = *tp.root;
+  if (root.position != 0) return false;
+  if (root.axis != Axis::kChild && root.axis != Axis::kDescendant &&
+      root.axis != Axis::kDescendantOrSelf) {
+    return false;
   }
+  const Node* ctx = context.front();
+  // The candidates lie in the context's subtree, and DocumentBuilder's
+  // numbering gives a node post - pre + depth descendants (attributes
+  // included). Below min_fanout even that bound cannot morselize, so skip
+  // the scan rather than throw its result away.
+  const size_t bound = static_cast<size_t>(ctx->post - ctx->pre + ctx->depth) +
+                       (root.axis == Axis::kDescendantOrSelf ? 1 : 0);
+  if (bound < static_cast<size_t>(par.min_fanout)) return false;
+  const Document& doc = *ctx->doc;
+  GovernorTicker gov;
+  const std::vector<const Node*> candidates = ScanRegions(
+      StepStream(doc, root.axis, root.test), context, root.axis, root.test,
+      &gov);
+  if (!gov.status().ok()) {
+    *out = gov.status();
+    return true;
+  }
+  if (candidates.size() < static_cast<size_t>(par.min_fanout)) return false;
 
-  // Clamp the fan-out to what the units can feed before sizing morsels,
-  // so small-fan-out queries never borrow workers they cannot keep busy.
+  // Clamp the fan-out to what the candidates can feed before sizing
+  // morsels, so small-fan-out queries never borrow workers they cannot
+  // keep busy.
   const int width =
-      ClampParallelThreads(units.size(), par.threads, par.min_fanout);
+      ClampParallelThreads(candidates.size(), par.threads, par.min_fanout);
   std::vector<MorselRange> morsels =
-      PlanMorsels(units.size(), width, par.min_fanout);
+      PlanMorsels(candidates.size(), width, par.min_fanout);
   if (morsels.size() < 2) return false;
 
-  // Pre-warm every document the morsels touch, so workers only ever hit
-  // the built (shared-lock) path of the lazy getters.
-  std::vector<const Document*> docs;
-  for (const Node* n : units) {
-    if (std::find(docs.begin(), docs.end(), n->doc) == docs.end()) {
-      docs.push_back(n->doc);
-      PrewarmPatternIndexes(*n->doc, *eval_tp);
-    }
-  }
+  TreePattern self_tp = tp.Clone();
+  self_tp.root->axis = Axis::kSelf;  // candidates already match the test
+  PrewarmSteps(doc, *self_tp.root);
 
   struct Part {
     Result<std::vector<const Node*>> nodes = std::vector<const Node*>{};
@@ -373,8 +332,7 @@ bool TryEvalPatternParallel(const pattern::TreePattern& tp,
     // The "no interning mid-query" assert is per-thread (so plan-cache
     // fills may intern concurrently on other serving threads); each
     // worker re-establishes the freeze for its morsel's duration.
-    std::optional<StringInterner::ExecutionFreeze> freeze;
-    if (!docs.empty()) freeze.emplace(*docs.front()->interner());
+    StringInterner::ExecutionFreeze freeze(*doc.interner());
     Part& part = parts[static_cast<size_t>(m)];
     Status entry = GovernorPoll();
 #if XQTP_FAULT_INJECTION
@@ -389,12 +347,9 @@ bool TryEvalPatternParallel(const pattern::TreePattern& tp,
       return;
     }
     const MorselRange& mr = morsels[static_cast<size_t>(m)];
-    xdm::Sequence ctx;
-    ctx.reserve(mr.end - mr.begin);
-    for (size_t i = mr.begin; i < mr.end; ++i) {
-      ctx.push_back(xdm::Item(units[i]));
-    }
-    part.nodes = EvalPatternSequential(*eval_tp, ctx, algo);
+    part.nodes = EvalPatternSequential(
+        self_tp, std::span(candidates).subspan(mr.begin, mr.end - mr.begin),
+        algo);
     stats_slots[static_cast<size_t>(m)] = scope.stats();
   });
   MergeWorkerStats(stats_slots);

@@ -8,22 +8,15 @@
 // semantics (distinct bindings in document order). The nested
 // Map/TreeJoin "old engine" plan has no such unit to cut.
 //
-// Two morselization strategies, chosen per evaluation:
-//
-//  1. context partitioning — when the pattern's context sequence is
-//     already wide (>= EvalOptions::parallel_min_fanout nodes), contiguous
-//     document-order ranges of the sorted, duplicate-free context become
-//     morsels and each runs the unmodified pattern, so a repeated context
-//     is evaluated once. Only a context that a one-pass probe finds
-//     unsorted or repeated is sorted. A context nested inside another may
-//     still land in a different morsel: both morsels bind the nodes of the
-//     overlap, and the merge drops the second copy.
-//  2. root fan-out — the common optimized plan feeds ONE context node (the
-//     document root) per pattern. The driver expands the root step's
-//     candidate set directly from the per-tag index (the staircase-join
-//     region scan), rewrites the pattern to be self-rooted (the remainder:
-//     predicates + continuation), and partitions the candidates into
-//     morsels.
+// One source of morsels: the root fan-out of a one-node context. The
+// common optimized plan feeds ONE context node (the document root) per
+// pattern. The driver expands the root step's candidate set directly from
+// the per-tag index (the staircase-join region scan), rewrites the
+// pattern to be self-rooted (the remainder: predicates + continuation),
+// and cuts the candidates into morsels, each a sub-span of them. A
+// context of several nodes (a loop-lifted layer) runs sequentially: cut
+// into morsels it made XQ3, XQ5, XQ14 and XQ17 7-13% slower at threads=2
+// than at threads=1 (EXPERIMENTS.md E22).
 //
 // RunMorsels is the one way morsels run: the calling thread plus workers
 // borrowed, per morselizing evaluation, from a process-wide reservoir of
@@ -33,20 +26,20 @@
 // per-morsel slots that the driver merges into the calling scope on join,
 // so counters stay exact under parallelism. Pattern evaluation never
 // touches the engine's interner (see StringInterner::ExecutionFreeze);
-// lazily-built document indexes are pre-warmed before fan-out so
-// Document::lazy_mu_ is only ever taken on its shared (read) path by
-// workers.
+// the lazily-built document indexes the pattern reads are pre-warmed
+// before fan-out so Document::lazy_mu_ is only ever taken on its shared
+// (read) path by workers.
 #ifndef XQTP_EXEC_PARALLEL_H_
 #define XQTP_EXEC_PARALLEL_H_
 
 #include <functional>
+#include <span>
 #include <vector>
 
 #include "common/status.h"
 #include "exec/governor.h"
 #include "exec/pattern_eval.h"
 #include "pattern/tree_pattern.h"
-#include "xdm/item.h"
 
 namespace xqtp::exec {
 
@@ -75,8 +68,8 @@ struct ParallelContext {
   /// Resolved thread count (>= 2; a context is only built for parallel
   /// runs). The driver runs at most ClampParallelThreads of it.
   int threads = 2;
-  /// Minimum root fan-out (context nodes or root-step candidates) before
-  /// the driver morselizes; below it the sequential path runs.
+  /// Minimum root fan-out (root-step candidates) before the driver
+  /// morselizes; below it the sequential path runs.
   int min_fanout = 256;
 };
 
@@ -89,20 +82,20 @@ struct ParallelContext {
 /// the XMark //item//location bench before this clamp).
 int ClampParallelThreads(size_t units, int threads, int min_fanout);
 
-/// Attempts morsel-parallel evaluation of `tp` over `context` with the
-/// (already cost-resolved) algorithm. Returns true and fills `*out` when
-/// the driver handled the evaluation; false when the input is not
-/// morselizable (small fan-out, non-node contexts, positional or
-/// non-downward root, multi-document context) and the sequential path
-/// should run instead. Results are bit-identical to the sequential
-/// algorithm: the same nodes in the same order.
+/// Attempts morsel-parallel evaluation of `tp` over the context node set
+/// `context` (EvalPattern's) with the algorithm EvalPattern resolved.
+/// Returns true and fills `*out` when the driver handled the evaluation;
+/// false when the input is not morselizable (not exactly one context
+/// node, positional or non-downward root, small fan-out) and the
+/// sequential path should run instead. Results are bit-identical to the
+/// sequential algorithm: the same nodes in the same order.
 bool TryEvalPatternParallel(const pattern::TreePattern& tp,
-                            const xdm::Sequence& context, PatternAlgo algo,
-                            const ParallelContext& par,
+                            std::span<const xml::Node* const> context,
+                            PatternAlgo algo, const ParallelContext& par,
                             Result<std::vector<const xml::Node*>>* out);
 
 /// Number of pattern evaluations that actually fanned out into morsels
-/// since process start (context partitioning or root fan-out).
+/// since process start.
 /// Process-wide, monotonic, thread-safe. Exposed so tests can assert
 /// that a given execution path did — or, for the sequential legacy
 /// Engine::Execute contract, did not — parallelize.

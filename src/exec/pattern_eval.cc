@@ -1,8 +1,9 @@
-// Shared tree-pattern machinery: the algorithm dispatch behind
-// TupleTreePattern (EvalPattern / EvalPatternSequential), the pattern
-// shapes each algorithm handles itself, the index stream a step scans and
-// the staircase region scan over it, the document-order sort and dedup
-// node sets are finalized with, and the governance
+// Shared tree-pattern machinery: the context contract (ContextNodes, and
+// EvalPattern's handling of what no optimized plan sends), the algorithm
+// dispatch behind TupleTreePattern (EvalPattern / EvalPatternSequential),
+// the pattern shapes each algorithm handles itself, the index stream a
+// step scans and the staircase region scan over it, the document-order
+// sort and dedup node sets are finalized with, and the governance
 // boundary — a cooperative governor check guards every pattern
 // evaluation, and the individual algorithms poll on a stride inside their
 // inner loops (GovernorTicker), so a deadline or external cancel
@@ -11,6 +12,7 @@
 #include "exec/pattern_eval.h"
 
 #include <algorithm>
+#include <cassert>
 
 #include "common/fault_injection.h"
 #include "exec/cost_model.h"
@@ -45,7 +47,7 @@ bool HandlesPatternShape(PatternAlgo algo, const TreePattern& tp) {
     case PatternAlgo::kStaircase:
       return true;
     case PatternAlgo::kTwig:
-      return tp.UsesOnlyPatternAxes() && !tp.HasPositionalSteps();
+      return !tp.HasPositionalSteps();
   }
   return false;
 }
@@ -73,7 +75,7 @@ const std::vector<const xml::Node*>& StepStream(const xml::Document& doc,
 
 std::vector<const xml::Node*> ScanRegions(
     const std::vector<const xml::Node*>& stream,
-    const std::vector<const xml::Node*>& ctx, Axis axis, const NodeTest& test,
+    std::span<const xml::Node* const> ctx, Axis axis, const NodeTest& test,
     GovernorTicker* gov) {
   const bool child = axis == Axis::kChild;
   const bool self = axis == Axis::kDescendantOrSelf;
@@ -118,22 +120,44 @@ std::vector<const xml::Node*> ScanRegions(
   return out;
 }
 
+namespace {
+
+/// True iff `nodes` are in document order and distinct.
+bool IsNodeSet(std::span<const xml::Node* const> nodes) {
+  return std::adjacent_find(nodes.begin(), nodes.end(),
+                            [](const xml::Node* a, const xml::Node* b) {
+                              return !xml::DocOrderLess(a, b);
+                            }) == nodes.end();
+}
+
+}  // namespace
+
 void SortDedup(std::vector<const xml::Node*>* nodes) {
   // Most sets arrive in document order and distinct (one context's
-  // bindings, a lifted layer): one pass finds that out and skips the sort.
-  const auto out_of_order = [](const xml::Node* a, const xml::Node* b) {
-    return !xml::DocOrderLess(a, b);
-  };
-  if (std::adjacent_find(nodes->begin(), nodes->end(), out_of_order) ==
-      nodes->end()) {
-    return;
-  }
+  // bindings, a context field): one pass finds that out and skips the sort.
+  if (IsNodeSet(*nodes)) return;
   std::sort(nodes->begin(), nodes->end(), xml::DocOrderLess);
   nodes->erase(std::unique(nodes->begin(), nodes->end()), nodes->end());
 }
 
+Result<std::vector<const xml::Node*>> ContextNodes(
+    const xdm::Sequence& context) {
+  std::vector<const xml::Node*> nodes;
+  nodes.reserve(context.size());
+  for (const xdm::Item& it : context) {
+    if (!it.IsNode()) {
+      return Status::TypeError(
+          "tree pattern applied to a non-node context item");
+    }
+    nodes.push_back(it.node());
+  }
+  SortDedup(&nodes);
+  return nodes;
+}
+
 Result<std::vector<const xml::Node*>> EvalPatternSequential(
-    const TreePattern& tp, const xdm::Sequence& context, PatternAlgo algo) {
+    const TreePattern& tp, std::span<const xml::Node* const> context,
+    PatternAlgo algo) {
   // Every pattern evaluation — morsel or whole — crosses a governance
   // boundary here; the algorithms' inner loops add strided polls on top.
   XQTP_RETURN_NOT_OK(GovernorPoll());
@@ -152,11 +176,26 @@ Result<std::vector<const xml::Node*>> EvalPatternSequential(
 }
 
 Result<std::vector<const xml::Node*>> EvalPattern(
-    const TreePattern& tp, const xdm::Sequence& context, PatternAlgo algo,
-    const ParallelContext* par) {
-  // Resolve the cost-based choice once, against the full context, so a
-  // morselized evaluation runs ONE algorithm across all its morsels.
-  if (algo == PatternAlgo::kCostBased) algo = ChooseAlgorithm(tp, context);
+    const TreePattern& tp, std::span<const xml::Node* const> context,
+    PatternAlgo algo, const ParallelContext* par) {
+  assert(IsNodeSet(context) && "pattern context not made by ContextNodes");
+  // The optimizer builds patterns from the pattern axes only, and
+  // VerifyPlan rejects any other step; no algorithm evaluates one.
+  if (!tp.UsesOnlyPatternAxes()) {
+    return Status::Internal("tree pattern step outside the pattern axes");
+  }
+  // The index scans work one document at a time; a context that spans two
+  // runs the nested loop. Otherwise the cost-based choice is resolved
+  // once, against the full context, so a morselized evaluation runs ONE
+  // algorithm across all its morsels.
+  const auto other_document = [&context](const xml::Node* n) {
+    return n->doc != context.front()->doc;
+  };
+  if (std::any_of(context.begin(), context.end(), other_document)) {
+    algo = PatternAlgo::kNLJoin;
+  } else if (algo == PatternAlgo::kCostBased) {
+    algo = ChooseAlgorithm(tp, context);
+  }
   if (ExecStats* s = CurrentExecStats()) {
     ++s->pattern_evals;
     switch (HandlesPatternShape(algo, tp) ? algo : PatternAlgo::kNLJoin) {

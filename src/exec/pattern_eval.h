@@ -13,14 +13,23 @@
 //                streams (bottom-up match-set computation, then a top-down
 //                filtering pass).
 //
+// The context contract. A context field becomes a node set once, in
+// ContextNodes: document-ordered and duplicate-free, the input structural
+// joins read. Every layer below it (EvalPattern, the algorithms, the
+// morsel driver and the cost model) takes that set as a span and checks
+// nothing again. EvalPattern alone handles the shapes no optimized plan
+// sends: a context spanning two documents runs the nested loop (the index
+// scans work one document at a time), and a pattern with a step outside
+// the pattern grammar (AxisAllowedInPattern) is Status::Internal.
+//
 // Both index algorithms, and the parallel driver's root-step expansion,
 // read the tag streams through one staircase region scan (ScanRegions).
-//
-// The shapes HandlesPatternShape rejects for TwigJoin (non-pattern axes,
-// positional steps) fall back to the nested-loop algorithm.
+// TwigJoin hands patterns with positional steps to the nested loop
+// (HandlesPatternShape).
 #ifndef XQTP_EXEC_PATTERN_EVAL_H_
 #define XQTP_EXEC_PATTERN_EVAL_H_
 
+#include <span>
 #include <vector>
 
 #include "common/status.h"
@@ -40,9 +49,9 @@ enum class PatternAlgo : uint8_t {
 const char* PatternAlgoName(PatternAlgo algo);
 
 /// Whether `algo` evaluates patterns of `tp`'s shape itself. False means
-/// it hands `tp` to EvalPatternNL: a non-pattern axis or a positional step
-/// (TwigJoin). The algorithms and the cost model share this rule, so the
-/// cost of a handoff is priced as the nested loop that actually runs.
+/// it hands `tp` to EvalPatternNL: a positional step (TwigJoin). The
+/// algorithms and the cost model share this rule, so the cost of a
+/// handoff is priced as the nested loop that actually runs.
 bool HandlesPatternShape(PatternAlgo algo, const pattern::TreePattern& tp);
 
 /// The document-ordered index a pattern step with `axis` and `test`
@@ -55,7 +64,7 @@ const std::vector<const xml::Node*>& StepStream(const xml::Document& doc,
 class GovernorTicker;
 
 /// The staircase region scan: the entries of the document-ordered
-/// `stream` reachable from the sorted, duplicate-free context nodes `ctx`
+/// `stream` reachable from the context node set `ctx` (one document)
 /// along `axis` (child, descendant or descendant-or-self), in document
 /// order and without duplicates.
 ///  - On the descendant axes a context inside an earlier context's
@@ -70,7 +79,7 @@ class GovernorTicker;
 /// caller surfaces gov->status().
 std::vector<const xml::Node*> ScanRegions(
     const std::vector<const xml::Node*>& stream,
-    const std::vector<const xml::Node*>& ctx, Axis axis, const NodeTest& test,
+    std::span<const xml::Node* const> ctx, Axis axis, const NodeTest& test,
     GovernorTicker* gov);
 
 /// Sorts `nodes` into document order and removes duplicates: the one
@@ -79,19 +88,29 @@ std::vector<const xml::Node*> ScanRegions(
 /// one pass and is left as it is.
 void SortDedup(std::vector<const xml::Node*>* nodes);
 
+/// The pattern context a TupleTreePattern reads from one row's context
+/// field: its nodes in document order, without duplicates (SortDedup).
+/// An atomic item is a TypeError; no layer below checks for one again.
+[[nodiscard]]
+Result<std::vector<const xml::Node*>> ContextNodes(
+    const xdm::Sequence& context);
+
 /// Parallel-evaluation parameters (exec/parallel.h); EvalPattern takes an
 /// optional pointer so pattern evaluation stays usable without the driver.
 struct ParallelContext;
 
-/// Evaluates `tp` over the given context nodes with the chosen algorithm.
-/// `context` items must all be nodes. Returns the extraction point's
-/// distinct bindings in document order. With a non-null `par`,
-/// evaluations whose root fan-out crosses the morsel threshold run on the
-/// parallel driver (exec/parallel.h) with bit-identical results;
-/// everything else takes the sequential path.
+/// Evaluates `tp` over the context node set `context` (document-ordered
+/// and duplicate-free, as ContextNodes returns it; asserted in Debug) with
+/// the chosen algorithm. Returns the extraction point's distinct bindings
+/// in document order. A context spanning two documents runs the nested
+/// loop; a step outside the pattern grammar is Status::Internal. With a
+/// non-null `par`, an evaluation whose root fan-out from a one-node
+/// context crosses the morsel threshold runs on the parallel driver
+/// (exec/parallel.h) with bit-identical results; everything else takes
+/// the sequential path.
 [[nodiscard]]
 Result<std::vector<const xml::Node*>> EvalPattern(
-    const pattern::TreePattern& tp, const xdm::Sequence& context,
+    const pattern::TreePattern& tp, std::span<const xml::Node* const> context,
     PatternAlgo algo, const ParallelContext* par = nullptr);
 
 /// The sequential dispatch behind EvalPattern: runs exactly one algorithm
@@ -101,19 +120,21 @@ Result<std::vector<const xml::Node*>> EvalPattern(
 /// evaluation, however many morsels it fans out into.
 [[nodiscard]]
 Result<std::vector<const xml::Node*>> EvalPatternSequential(
-    const pattern::TreePattern& tp, const xdm::Sequence& context,
+    const pattern::TreePattern& tp, std::span<const xml::Node* const> context,
     PatternAlgo algo);
 
-// Individual algorithm entry points (used directly by unit tests).
+// The algorithms, behind EvalPattern: each takes a context node set and a
+// pattern over the pattern axes; the index algorithms also take a context
+// from one document.
 [[nodiscard]]
 Result<std::vector<const xml::Node*>> EvalPatternNL(
-    const pattern::TreePattern& tp, const xdm::Sequence& context);
+    const pattern::TreePattern& tp, std::span<const xml::Node* const> context);
 [[nodiscard]]
 Result<std::vector<const xml::Node*>> EvalPatternStaircase(
-    const pattern::TreePattern& tp, const xdm::Sequence& context);
+    const pattern::TreePattern& tp, std::span<const xml::Node* const> context);
 [[nodiscard]]
 Result<std::vector<const xml::Node*>> EvalPatternTwig(
-    const pattern::TreePattern& tp, const xdm::Sequence& context);
+    const pattern::TreePattern& tp, std::span<const xml::Node* const> context);
 
 }  // namespace xqtp::exec
 

@@ -5,8 +5,8 @@
 // context's subtree contribute nothing new on the descendant axes) and the
 // per-tag index is scanned once per remaining context region, skipping
 // between regions with binary search (ScanRegions, pattern_eval.h).
-// Attribute and the other axis steps use the constant-cost structure
-// pointers of the data model, as in Galax.
+// Attribute and self steps use the constant-cost structure pointers of
+// the data model, as in Galax.
 // Predicate branches are existential semijoins evaluated per candidate
 // node — this is exactly why the paper observes Staircase join degrading
 // on heavily-branched patterns (QE3/QE6) while remaining excellent on
@@ -37,7 +37,7 @@ class StaircaseEval {
   /// (the future-work extension) keeps only the position-th raw match per
   /// context node, which disables staircase pruning for that step (a
   /// covered context still has its own k-th match).
-  std::vector<const Node*> Step(std::vector<const Node*> ctx, Axis axis,
+  std::vector<const Node*> Step(std::span<const Node* const> ctx, Axis axis,
                                 const NodeTest& test, int position = 0) {
     std::vector<const Node*> out;
     if (ctx.empty() || !gov_.Tick()) return out;
@@ -89,59 +89,38 @@ class StaircaseEval {
       SortDedup(&out);
       return out;
     }
-    switch (axis) {
-      case Axis::kChild:
-      case Axis::kDescendant:
-      case Axis::kDescendantOrSelf:
-        // Child is also evaluated against the index, scanning the tag
-        // stream inside each context's subtree region and filtering on the
-        // parent pointer — the pre/post-plane treatment of Staircase join.
-        // This is why the paper's Section 5.3 observes SCJoin paying an
-        // index scan per step even for child axes, while Table 1 shows
-        // child and descendant variants costing about the same.
-        return ScanRegions(StepStream(*ctx.front()->doc, axis, test), ctx,
-                           axis, test, &gov_);
-      case Axis::kAttribute:
-        for (const Node* c : ctx) {
-          for (const Node* a : c->Attributes()) {
-            if (xdm::MatchesTest(a, axis, test)) out.push_back(a);
-          }
+    if (axis == Axis::kChild || axis == Axis::kDescendant ||
+        axis == Axis::kDescendantOrSelf) {
+      // Child is also evaluated against the index, scanning the tag
+      // stream inside each context's subtree region and filtering on the
+      // parent pointer — the pre/post-plane treatment of Staircase join.
+      // This is why the paper's Section 5.3 observes SCJoin paying an
+      // index scan per step even for child axes, while Table 1 shows
+      // child and descendant variants costing about the same.
+      return ScanRegions(StepStream(*ctx.front()->doc, axis, test), ctx, axis,
+                         test, &gov_);
+    }
+    if (axis == Axis::kAttribute) {
+      for (const Node* c : ctx) {
+        for (const Node* a : c->Attributes()) {
+          if (xdm::MatchesTest(a, axis, test)) out.push_back(a);
         }
-        SortDedup(&out);
-        break;
-      case Axis::kSelf:
-        for (const Node* c : ctx) {
-          if (xdm::MatchesTest(c, axis, test)) out.push_back(c);
-        }
-        break;
-      case Axis::kParent:
-        for (const Node* c : ctx) {
-          if (c->parent != nullptr &&
-              xdm::MatchesTest(c->parent, axis, test)) {
-            out.push_back(c->parent);
-          }
-        }
-        SortDedup(&out);
-        break;
-      case Axis::kAncestor:
-      case Axis::kAncestorOrSelf:
-      case Axis::kFollowingSibling:
-      case Axis::kPrecedingSibling: {
-        // Non-pattern axes: navigational fallback (such steps only occur
-        // in hand-built patterns; see TreePattern::UsesOnlyPatternAxes).
-        xdm::Sequence items;
-        for (const Node* c : ctx) xdm::EvalAxisStep(c, axis, test, &items);
-        for (const xdm::Item& it : items) out.push_back(it.node());
-        SortDedup(&out);
-        break;
       }
+      SortDedup(&out);
+      return out;
+    }
+    // The self axis, the one pattern axis left (EvalPattern admits no
+    // other).
+    for (const Node* c : ctx) {
+      if (xdm::MatchesTest(c, axis, test)) out.push_back(c);
     }
     return out;
   }
 
   /// Existential predicate check: does the sub-pattern match from `node`?
   bool Exists(const Node* node, const PatternNode& p) {
-    std::vector<const Node*> cur = Step({node}, p.axis, p.test, p.position);
+    std::vector<const Node*> cur =
+        Step(std::span(&node, 1), p.axis, p.test, p.position);
     return !Matches(std::move(cur), p).empty();
   }
 
@@ -167,8 +146,8 @@ class StaircaseEval {
       candidates = std::move(kept);
     }
     if (p.next == nullptr) return candidates;
-    std::vector<const Node*> next = Step(std::move(candidates), p.next->axis,
-                                         p.next->test, p.next->position);
+    std::vector<const Node*> next =
+        Step(candidates, p.next->axis, p.next->test, p.next->position);
     return Matches(std::move(next), *p.next);
   }
 
@@ -184,26 +163,12 @@ class StaircaseEval {
 }  // namespace
 
 Result<std::vector<const Node*>> EvalPatternStaircase(
-    const TreePattern& tp, const xdm::Sequence& context) {
+    const TreePattern& tp, std::span<const Node* const> context) {
   XQTP_FAULT_POINT("exec.pattern.staircase");
   if (tp.root == nullptr) return std::vector<const Node*>{};
-  std::vector<const Node*> ctx;
-  ctx.reserve(context.size());
-  for (const xdm::Item& it : context) {
-    if (!it.IsNode()) {
-      return Status::TypeError(
-          "tree pattern applied to a non-node context item");
-    }
-    ctx.push_back(it.node());
-  }
-  SortDedup(&ctx);
-  // The index scans work one document at a time.
-  for (const Node* n : ctx) {
-    if (n->doc != ctx.front()->doc) return EvalPatternNL(tp, context);
-  }
   StaircaseEval eval;
-  std::vector<const Node*> first = eval.Step(
-      std::move(ctx), tp.root->axis, tp.root->test, tp.root->position);
+  std::vector<const Node*> first =
+      eval.Step(context, tp.root->axis, tp.root->test, tp.root->position);
   std::vector<const Node*> result = eval.Matches(std::move(first), *tp.root);
   XQTP_RETURN_NOT_OK(eval.status());
   // Already document-ordered and duplicate-free by construction.

@@ -34,6 +34,7 @@ using xml::Document;
 using xml::Node;
 
 using NodeVec = std::vector<const Node*>;
+using NodeSpan = std::span<const Node* const>;
 
 /// The structural semijoin of two document-ordered, duplicate-free node
 /// sets along a pattern axis (child, attribute, descendant,
@@ -41,8 +42,8 @@ using NodeVec = std::vector<const Node*>;
 /// `upper` nodes that reach some `lower` node along `axis`; otherwise the
 /// `lower` nodes that some `upper` node reaches. Each node read ticks
 /// `gov`; a tripped governor truncates the result.
-NodeVec Semijoin(const NodeVec& upper, const NodeVec& lower, Axis axis,
-                 bool keep_upper, GovernorTicker* gov) {
+NodeVec Semijoin(NodeSpan upper, NodeSpan lower, Axis axis, bool keep_upper,
+                 GovernorTicker* gov) {
   const bool self = axis == Axis::kSelf || axis == Axis::kDescendantOrSelf;
   const bool down =
       axis == Axis::kDescendant || axis == Axis::kDescendantOrSelf;
@@ -97,8 +98,8 @@ NodeVec Semijoin(const NodeVec& upper, const NodeVec& lower, Axis axis,
 /// stream, read the contexts; every other step scans the contexts' pruned
 /// regions of its stream, and a child or attribute step merges that
 /// window with the contexts.
-NodeVec ReachableVia(const Document& doc, const PatternNode& q,
-                     const NodeVec& ctx, GovernorTicker* gov) {
+NodeVec ReachableVia(const Document& doc, const PatternNode& q, NodeSpan ctx,
+                     GovernorTicker* gov) {
   if (q.axis == Axis::kSelf) {
     NodeVec out;
     for (const Node* c : ctx) {
@@ -137,19 +138,19 @@ struct StepSet {
 /// step left without candidates ends the chain, and the refinement empties
 /// every set above it.
 std::vector<StepSet> Refine(const Document& doc, const PatternNode& p,
-                            const NodeVec& ctx, GovernorTicker* gov) {
+                            NodeSpan ctx, GovernorTicker* gov) {
   std::vector<StepSet> chain;
-  const NodeVec* from = &ctx;
-  for (const PatternNode* q = &p; q != nullptr && !from->empty();
+  NodeSpan from = ctx;
+  for (const PatternNode* q = &p; q != nullptr && !from.empty();
        q = q->next.get()) {
-    NodeVec m = ReachableVia(doc, *q, *from, gov);
+    NodeVec m = ReachableVia(doc, *q, from, gov);
     for (const PatternNodePtr& pred : q->predicates) {
       if (m.empty()) break;
       m = Semijoin(m, Refine(doc, *pred, m, gov).front().nodes, pred->axis,
                    /*keep_upper=*/true, gov);
     }
     chain.push_back({q, std::move(m)});
-    from = &chain.back().nodes;
+    from = chain.back().nodes;
   }
   for (size_t i = chain.size(); i > 1; --i) {
     chain[i - 2].nodes = Semijoin(chain[i - 2].nodes, chain[i - 1].nodes,
@@ -161,8 +162,7 @@ std::vector<StepSet> Refine(const Document& doc, const PatternNode& p,
 
 }  // namespace
 
-Result<NodeVec> EvalPatternTwig(const TreePattern& tp,
-                                const xdm::Sequence& context) {
+Result<NodeVec> EvalPatternTwig(const TreePattern& tp, NodeSpan context) {
   XQTP_FAULT_POINT("exec.pattern.twig");
   if (tp.root == nullptr) return NodeVec{};
   if (!HandlesPatternShape(PatternAlgo::kTwig, tp)) {
@@ -170,27 +170,14 @@ Result<NodeVec> EvalPatternTwig(const TreePattern& tp,
     // merges cannot express — delegate to the nested-loop evaluator.
     return EvalPatternNL(tp, context);
   }
-  NodeVec ctx;
-  ctx.reserve(context.size());
-  for (const xdm::Item& it : context) {
-    if (!it.IsNode()) {
-      return Status::TypeError(
-          "tree pattern applied to a non-node context item");
-    }
-    ctx.push_back(it.node());
-  }
-  if (ctx.empty()) return NodeVec{};
-  SortDedup(&ctx);
-  // The stream-based merge works one document at a time.
-  for (const Node* n : ctx) {
-    if (n->doc != ctx.front()->doc) return EvalPatternNL(tp, context);
-  }
+  if (context.empty()) return NodeVec{};
 
   // The scans and merges are the twig join's hot loops; a tripped governor
   // truncates them and the final poll below surfaces the latched verdict,
   // discarding the partial sets.
   GovernorTicker gov;
-  std::vector<StepSet> path = Refine(*ctx.front()->doc, *tp.root, ctx, &gov);
+  std::vector<StepSet> path =
+      Refine(*context.front()->doc, *tp.root, context, &gov);
   // Phase 3: final top-down pass over the refined main-path sets.
   NodeVec reach = std::move(path.front().nodes);
   for (size_t i = 1; i < path.size() && !reach.empty(); ++i) {

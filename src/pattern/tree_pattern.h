@@ -9,7 +9,8 @@
 // paper restricts patterns to one output node, so the one output-field
 // annotation belongs to the pattern and always sits on the extraction
 // point. The TupleTreePattern operator evaluates the pattern against the
-// context nodes found in the input tuples' field.
+// context nodes found in the input tuples' field, taken as one
+// document-ordered, duplicate-free node set (exec::ContextNodes).
 #ifndef XQTP_PATTERN_TREE_PATTERN_H_
 #define XQTP_PATTERN_TREE_PATTERN_H_
 
@@ -71,8 +72,8 @@ struct TreePattern {
 
   /// True iff every step (main path and predicates) uses an axis allowed
   /// by the pattern grammar (the downward axes). The optimizer only
-  /// builds such patterns; hand-built patterns violating this are
-  /// evaluated by the nested-loop algorithm.
+  /// builds such patterns, the plan verifier rejects any other, and
+  /// exec::EvalPattern returns Status::Internal for one.
   bool UsesOnlyPatternAxes() const;
 
   /// True iff any step carries a positional constraint (the extension).

@@ -114,10 +114,10 @@ void CollectRuns(const Op& op, const Op* in,
 
 /// The contexts `producer`'s pattern hands on: the nodes it binds over
 /// its own contexts, or the root.
-xdm::Sequence ContextsOf(
+std::vector<const xml::Node*> ContextsOf(
     const Op* producer, const xml::Document& doc,
     const std::vector<std::pair<const Op*, const Op*>>& runs) {
-  if (producer == nullptr) return {xdm::Item(doc.root())};
+  if (producer == nullptr) return {doc.root()};
   const Op* above = nullptr;
   for (const auto& [op, from] : runs) {
     if (op == producer) above = from;
@@ -125,9 +125,7 @@ xdm::Sequence ContextsOf(
   auto nodes = EvalPattern(producer->tp, ContextsOf(above, doc, runs),
                            PatternAlgo::kNLJoin);
   EXPECT_TRUE(nodes.ok());
-  xdm::Sequence out;
-  for (const xml::Node* n : *nodes) out.push_back(xdm::Item(n));
-  return out;
+  return nodes.ok() ? *nodes : std::vector<const xml::Node*>{};
 }
 
 /// The algorithm counted for the one pattern evaluation in `s`.
@@ -236,7 +234,8 @@ TEST_F(CostModelTest, EstimatesTrackCounters) {
     ASSERT_FALSE(runs.empty()) << c.id;
     for (const auto& [op, producer] : runs) {
       ++patterns;
-      const xdm::Sequence context = ContextsOf(producer, *c.doc, runs);
+      const std::vector<const xml::Node*> context =
+          ContextsOf(producer, *c.doc, runs);
       const std::string what =
           c.id + " " + op->tp.ToString(*c.engine->interner());
       for (PatternAlgo algo : {PatternAlgo::kNLJoin, PatternAlgo::kStaircase,
@@ -301,15 +300,15 @@ TEST_F(CostModelTest, PicksTheNestedLoopForADeepSelectiveChildStep) {
   TreePattern tp = MakeSingleStep(Tag("dot"), Axis::kChild,
                                   NodeTest::Name(Tag("t1")), Tag("out"));
   ScopedExecStats scope;
-  ASSERT_TRUE(
-      EvalPattern(tp, {xdm::Item(deep_node)}, PatternAlgo::kCostBased).ok());
+  const std::vector<const xml::Node*> ctx{deep_node};
+  ASSERT_TRUE(EvalPattern(tp, ctx, PatternAlgo::kCostBased).ok());
   EXPECT_EQ(RanAlone(scope.stats()), PatternAlgo::kNLJoin);
 }
 
 TEST_F(CostModelTest, IndexAlgorithmsWinOnRootedDescendantPatterns) {
   TreePattern tp = MakeSingleStep(Tag("dot"), Axis::kDescendant,
                                   NodeTest::Name(Tag("t01")), Tag("out"));
-  xdm::Sequence ctx{xdm::Item(wide_->root())};
+  const std::vector<const xml::Node*> ctx{wide_->root()};
   double nl = EstimateCost(tp, ctx, PatternAlgo::kNLJoin);
   double sc = EstimateCost(tp, ctx, PatternAlgo::kStaircase);
   double tj = EstimateCost(tp, ctx, PatternAlgo::kTwig);
@@ -333,7 +332,7 @@ TEST_F(CostModelTest, TwigWinsOnBranchyPatterns) {
   pattern::AttachPredicate(
       &tp, MakeSingleStep(kInvalidSymbol, Axis::kDescendant,
                           NodeTest::Name(Tag("t04")), kInvalidSymbol));
-  xdm::Sequence ctx{xdm::Item(wide_->root())};
+  const std::vector<const xml::Node*> ctx{wide_->root()};
   double sc = EstimateCost(tp, ctx, PatternAlgo::kStaircase);
   double tj = EstimateCost(tp, ctx, PatternAlgo::kTwig);
   EXPECT_LT(tj, sc);
@@ -349,7 +348,7 @@ TEST_F(CostModelTest, NestedLoopWinsOnDeepSelectiveContexts) {
   }
   TreePattern tp = MakeSingleStep(Tag("dot"), Axis::kChild,
                                   NodeTest::Name(Tag("t1")), Tag("out"));
-  xdm::Sequence ctx{xdm::Item(deep_node)};
+  const std::vector<const xml::Node*> ctx{deep_node};
   double nl = EstimateCost(tp, ctx, PatternAlgo::kNLJoin);
   double sc = EstimateCost(tp, ctx, PatternAlgo::kStaircase);
   double tj = EstimateCost(tp, ctx, PatternAlgo::kTwig);
@@ -391,7 +390,7 @@ TEST_F(CostModelTest, HandoffsArePricedAsTheNestedLoop) {
   pattern::AppendPath(&positional, std::move(step));
   ASSERT_TRUE(positional.HasPositionalSteps());
 
-  xdm::Sequence ctx{xdm::Item(wide_->root())};
+  const std::vector<const xml::Node*> ctx{wide_->root()};
   double nl_positional = EstimateCost(positional, ctx, PatternAlgo::kNLJoin);
   EXPECT_EQ(EstimateCost(positional, ctx, PatternAlgo::kTwig), nl_positional);
   EXPECT_NE(EstimateCost(positional, ctx, PatternAlgo::kStaircase),
@@ -404,7 +403,7 @@ TEST_F(CostModelTest, FoldedPositionalPatternsAvoidTheTwigHandoff) {
   // pick it.
   engine::CompileOptions copts;
   copts.positional_patterns = true;
-  xdm::Sequence ctx{xdm::Item(wide_->root())};
+  const std::vector<const xml::Node*> ctx{wide_->root()};
   for (const char* q :
        {"$input/desc::t01/child::t02[1]/child::t03[child::t04]",
         "$input/desc::t01/desc::t02[1]/desc::t03[desc::t04]"}) {

@@ -100,8 +100,8 @@ TEST(CrossCheck, AllAlgorithmsAgreeOnWitnessCorpus) {
   // would quietly check the sequential path twice.
   int64_t before = exec::ParallelEvaluationCountForTesting();
   for (const analysis::WitnessDoc& w : corpus.docs()) {
-    Status s = analysis::CrossCheckPattern(
-        tp, {xdm::Item(w.doc->root())}, interner);
+    const std::vector<const xml::Node*> root{w.doc->root()};
+    Status s = analysis::CrossCheckPattern(tp, root, interner);
     EXPECT_TRUE(s.ok()) << w.name << ": " << s.ToString();
   }
   EXPECT_GT(exec::ParallelEvaluationCountForTesting(), before)

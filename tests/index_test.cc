@@ -144,7 +144,8 @@ TEST(ScanRegionsGovernorTest, CancelledGovernorStopsALongScan) {
   QueryGovernor governor(limits);
   ScopedGovernor governed(&governor);
   GovernorTicker gov;
-  NodeVec out = ScanRegions(stream, {res.value()->root()}, Axis::kDescendant,
+  const NodeVec ctx{res.value()->root()};
+  NodeVec out = ScanRegions(stream, ctx, Axis::kDescendant,
                             NodeTest::Name(in.Intern("a")), &gov);
   EXPECT_LT(out.size(), stream.size());
   EXPECT_EQ(gov.status().code(), StatusCode::kCancelled);

@@ -104,14 +104,15 @@ class LiftedPatternTest : public ::testing::Test {
   }
 
   /// Each row of EvalPatternLifted over `batch` must equal EvalPattern
-  /// over that row's context alone, for every pattern and algorithm, at
-  /// one thread and through the morsel driver with a forced fan-out.
+  /// over that row's context alone (through ContextNodes, as the batch's
+  /// rows hold their contexts unsorted and repeated), for every pattern
+  /// and algorithm, at one thread and through the morsel driver with a
+  /// forced fan-out.
   void ExpectRowsMatch(const TupleBatch& batch) {
     ParallelContext par;
     par.threads = 2;
     par.min_fanout = 2;
     for (const pattern::TreePattern& tp : Patterns()) {
-      ASSERT_TRUE(CanLiftPattern(tp));
       const std::string text = tp.ToString(*engine_.interner());
       for (PatternAlgo algo : kAlgos) {
         for (const ParallelContext* p : {static_cast<ParallelContext*>(nullptr),
@@ -123,7 +124,9 @@ class LiftedPatternTest : public ::testing::Test {
                                    << lifted.status().ToString();
           ASSERT_EQ(lifted->offsets.size(), batch.rows() + 1) << what;
           for (size_t r = 0; r < batch.rows(); ++r) {
-            auto want = EvalPattern(tp, *batch.Get(r, dot_), algo);
+            auto ctx = ContextNodes(*batch.Get(r, dot_));
+            ASSERT_TRUE(ctx.ok()) << what;
+            auto want = EvalPattern(tp, *ctx, algo);
             ASSERT_TRUE(want.ok()) << what;
             std::vector<const xml::Node*> got(
                 lifted->nodes.begin() +
@@ -203,12 +206,16 @@ TEST_F(LiftedPatternTest, NonNodeContextIsATypeError) {
 }
 
 /// Whole queries: the lifted default, the per-row path and the Core
-/// interpreter agree under every algorithm at threads 1 and 2. Returns
-/// the pattern evaluations of the NLJoin runs at one thread, lifted
-/// (index 0) and per row (index 1).
+/// interpreter agree under every algorithm at threads 1 and 2. With
+/// `fans_out`, every threads=2 run whose reference succeeds must reach the
+/// morsel driver (through the outer pattern's root fan-out at
+/// parallel_min_fanout = 2), so the TSan leg races the query across
+/// threads. Returns the pattern evaluations of the NLJoin runs at one
+/// thread, lifted (index 0) and per row (index 1).
 std::vector<int64_t> ExpectQueryAgrees(engine::Engine* e,
                                        const std::string& query,
-                                       const engine::Engine::GlobalMap& g) {
+                                       const engine::Engine::GlobalMap& g,
+                                       bool fans_out = true) {
   auto cq = e->Compile(query);
   EXPECT_TRUE(cq.ok()) << query << ": " << cq.status().ToString();
   if (!cq.ok()) return {};
@@ -227,9 +234,14 @@ std::vector<int64_t> ExpectQueryAgrees(engine::Engine* e,
                                  " batch_rows=" + std::to_string(batch_rows) +
                                  "]";
         ScopedExecStats scope;
+        const int64_t morselized = ParallelEvaluationCountForTesting();
         auto res = e->Execute(*cq, g, opts);
         if (algo == PatternAlgo::kNLJoin && threads == 1) {
           evals[batch_rows == 1 ? 1 : 0] = scope.stats().pattern_evals;
+        }
+        if (fans_out && threads == 2 && ref.ok()) {
+          EXPECT_GT(ParallelEvaluationCountForTesting(), morselized)
+              << what << ": no evaluation reached the morsel driver";
         }
         if (!ref.ok()) {
           EXPECT_FALSE(res.ok()) << what;
@@ -328,8 +340,12 @@ TEST(LiftedQueryTest, GeneratedReRootShape) {
       "<a id=\"3\"><a><b id=\"3\"/><b id=\"2\"/></a></a></a></b></b></r>");
   ASSERT_TRUE(d.ok());
   engine::Engine::GlobalMap g{{"input", {Item((*d)->root())}}};
+  // Nothing here fans out: the outer pattern's root step, child::r, has
+  // one candidate, and the inner pattern runs over two-node layers
+  // (lifted) or one-candidate contexts (per row).
   std::vector<int64_t> evals = ExpectQueryAgrees(
-      &e, "for $v23 in $input/r/b/b//a/a return $v23//a/b[@id != 2]", g);
+      &e, "for $v23 in $input/r/b/b//a/a return $v23//a/b[@id != 2]", g,
+      /*fans_out=*/false);
   ASSERT_EQ(evals.size(), 2u);
   EXPECT_LT(evals[0], evals[1]);
 }

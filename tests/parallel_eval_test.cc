@@ -288,53 +288,6 @@ TEST(ParallelRerootTest, SelfRootedStreamKeepsContextMatches) {
   }
 }
 
-// Context partitioning cuts the context in document order without
-// duplicates: a context that lists every node twice, in reverse order,
-// binds the same nodes and does the same work as the sorted distinct
-// context, so a repeated context is evaluated once.
-TEST(ParallelContextTest, RepeatedUnsortedContextIsEvaluatedOnce) {
-  engine::Engine e;
-  workload::XmarkParams p;
-  p.factor = 0.01;
-  const xml::Document* d =
-      e.AddDocument("x", workload::GenerateXmark(p, e.interner()));
-  xdm::Sequence distinct;
-  for (const xml::Node* n : d->AllElements()) distinct.push_back(xdm::Item(n));
-  xdm::Sequence repeated;
-  for (auto it = distinct.rbegin(); it != distinct.rend(); ++it) {
-    repeated.push_back(*it);
-    repeated.push_back(*it);
-  }
-  const pattern::TreePattern tp = pattern::MakeSingleStep(
-      e.interner()->Intern("dot"), Axis::kChild, NodeTest::AnyName(),
-      e.interner()->Intern("out"));
-  ParallelContext par;
-  par.threads = 2;
-  par.min_fanout = 2;
-  for (PatternAlgo algo : kAllAlgos) {
-    auto run = [&](const xdm::Sequence& context, ExecStats* stats) {
-      const int64_t before = ParallelEvaluationCountForTesting();
-      ScopedExecStats scope;
-      auto nodes = EvalPattern(tp, context, algo, &par);
-      *stats = scope.stats();
-      EXPECT_GT(ParallelEvaluationCountForTesting(), before)
-          << PatternAlgoName(algo) << ": the evaluation did not morselize";
-      return nodes;
-    };
-    ExecStats want;
-    ExecStats got;
-    auto ref = run(distinct, &want);
-    auto res = run(repeated, &got);
-    ASSERT_TRUE(ref.ok() && res.ok()) << PatternAlgoName(algo);
-    EXPECT_FALSE(ref->empty()) << PatternAlgoName(algo);
-    EXPECT_EQ(*res, *ref) << PatternAlgoName(algo);
-    EXPECT_EQ(got.nodes_visited, want.nodes_visited) << PatternAlgoName(algo);
-    EXPECT_EQ(got.index_entries_scanned, want.index_entries_scanned)
-        << PatternAlgoName(algo);
-    EXPECT_EQ(got.index_skips, want.index_skips) << PatternAlgoName(algo);
-  }
-}
-
 // Regression for the BENCH_smoke.json scaling cliff ($input//item//location
 // NLJoin: 528µs @2t → 618µs @4t → 717µs @8t before the clamp): the driver
 // must size its width and morsels by the work actually available — one
@@ -494,9 +447,8 @@ TEST_F(ParallelEvalTest, LegacyExecuteOverloadNeverParallelizes) {
   EXPECT_EQ(ParallelEvaluationCountForTesting(), before)
       << "legacy Execute overload routed through the parallel driver";
 
-  // min_fanout=4 (ParallelOpts) keeps the single root context below the
-  // context-partitioning threshold, so the pattern parallelizes via the
-  // root fan-out strategy — the path real single-document queries take.
+  // The pattern parallelizes via root fan-out from the one root context
+  // — the path real single-document queries take.
   auto parallel =
       engine_.Execute(*cq, globals, ParallelOpts(PatternAlgo::kNLJoin, 2));
   ASSERT_TRUE(parallel.ok()) << parallel.status().ToString();

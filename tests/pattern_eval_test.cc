@@ -1,9 +1,13 @@
 // Unit tests for the three physical tree-pattern algorithms, each checked
-// against the same expectations and against each other.
+// against the same expectations and against each other, and for the
+// context contract in front of them (ContextNodes).
 #include <gtest/gtest.h>
 
+#include "engine/engine.h"
+#include "exec/exec_stats.h"
 #include "exec/parallel.h"
 #include "exec/pattern_eval.h"
+#include "workload/xmark_gen.h"
 #include "xdm/sequence_ops.h"
 #include "xml/parser.h"
 
@@ -12,6 +16,16 @@ namespace {
 
 using pattern::MakeSingleStep;
 using pattern::TreePattern;
+
+/// EvalPattern over a context field, as the TupleTreePattern kernel runs
+/// it: through ContextNodes.
+Result<std::vector<const xml::Node*>> EvalOver(
+    const TreePattern& tp, const xdm::Sequence& context, PatternAlgo algo,
+    const ParallelContext* par = nullptr) {
+  XQTP_ASSIGN_OR_RETURN(std::vector<const xml::Node*> nodes,
+                        ContextNodes(context));
+  return EvalPattern(tp, nodes, algo, par);
+}
 
 class PatternEvalTest : public ::testing::TestWithParam<PatternAlgo> {
  protected:
@@ -34,7 +48,7 @@ class PatternEvalTest : public ::testing::TestWithParam<PatternAlgo> {
 
   std::vector<const xml::Node*> Eval(const TreePattern& tp,
                                      const xdm::Sequence& ctx) {
-    auto res = EvalPattern(tp, ctx, GetParam());
+    auto res = EvalOver(tp, ctx, GetParam());
     EXPECT_TRUE(res.ok()) << res.status().ToString();
     return res.ok() ? *res : std::vector<const xml::Node*>{};
   }
@@ -167,7 +181,7 @@ TEST_P(PatternEvalTest, DescendantOrSelfTiesWithParentStep) {
   pattern::AppendPath(
       &tp, MakeSingleStep(kInvalidSymbol, Axis::kDescendantOrSelf,
                           NodeTest::AnyNode(), in2.Intern("out")));
-  auto rows = EvalPattern(tp, {xdm::Item(res.value()->root())}, GetParam());
+  auto rows = EvalOver(tp, {xdm::Item(res.value()->root())}, GetParam());
   ASSERT_TRUE(rows.ok()) << rows.status().ToString();
   ASSERT_EQ(rows->size(), 3u);  // r itself plus its two d children
   EXPECT_EQ((*rows)[0]->name, in2.Intern("r"));
@@ -202,24 +216,16 @@ TEST_P(PatternEvalTest, AncestorRelatedContextsDuplicateSiblings) {
   TreePattern tp = MakeSingleStep(in2.Intern("dot"), Axis::kChild,
                                   NodeTest::Name(in2.Intern("d")),
                                   in2.Intern("out"));
-  auto rows = EvalPattern(tp, ctx, GetParam());
+  auto rows = EvalOver(tp, ctx, GetParam());
   ASSERT_TRUE(rows.ok()) << rows.status().ToString();
   EXPECT_EQ(rows->size(), 2u);
 
   TreePattern none = MakeSingleStep(in2.Intern("dot"), Axis::kChild,
                                     NodeTest::Name(in2.Intern("e")),
                                     in2.Intern("out"));
-  auto empty_rows = EvalPattern(none, ctx, GetParam());
+  auto empty_rows = EvalOver(none, ctx, GetParam());
   ASSERT_TRUE(empty_rows.ok()) << empty_rows.status().ToString();
   EXPECT_TRUE(empty_rows->empty());
-}
-
-TEST_P(PatternEvalTest, NonNodeContextIsError) {
-  TreePattern tp = MakeSingleStep(dot_, Axis::kChild, NodeTest::AnyName(),
-                                  out_);
-  auto res = EvalPattern(tp, {xdm::Item(static_cast<int64_t>(1))}, GetParam());
-  EXPECT_FALSE(res.ok());
-  EXPECT_EQ(res.status().code(), StatusCode::kTypeError);
 }
 
 TEST_P(PatternEvalTest, TextNodeTest) {
@@ -228,7 +234,7 @@ TEST_P(PatternEvalTest, TextNodeTest) {
   ASSERT_TRUE(res.ok());
   TreePattern tp = MakeSingleStep(in2.Intern("dot"), Axis::kDescendant,
                                   NodeTest::Text(), in2.Intern("out"));
-  auto rows_res = EvalPattern(tp, {xdm::Item(res.value()->root())}, GetParam());
+  auto rows_res = EvalOver(tp, {xdm::Item(res.value()->root())}, GetParam());
   ASSERT_TRUE(rows_res.ok()) << rows_res.status().ToString();
   EXPECT_EQ(rows_res->size(), 2u);
 }
@@ -251,7 +257,7 @@ TEST_P(PatternEvalTest, AttributeWildcardSteps) {
                                       kInvalidSymbol);
     pattern::AppendPath(&path, MakeSingleStep(kInvalidSymbol, Axis::kAttribute,
                                               wildcard, in2.Intern("out")));
-    auto rows = EvalPattern(path, ctx, GetParam());
+    auto rows = EvalOver(path, ctx, GetParam());
     ASSERT_TRUE(rows.ok()) << rows.status().ToString();
     ASSERT_EQ(rows->size(), 3u);
     EXPECT_EQ((*rows)[0]->Text(), "1");
@@ -265,7 +271,7 @@ TEST_P(PatternEvalTest, AttributeWildcardSteps) {
         &pred,
         MakeSingleStep(kInvalidSymbol, Axis::kAttribute, wildcard,
                        kInvalidSymbol));
-    rows = EvalPattern(pred, ctx, GetParam());
+    rows = EvalOver(pred, ctx, GetParam());
     ASSERT_TRUE(rows.ok()) << rows.status().ToString();
     ASSERT_EQ(rows->size(), 4u);
     EXPECT_EQ((*rows)[0]->name, in2.Intern("r"));
@@ -284,7 +290,7 @@ TEST_P(PatternEvalTest, DescendantOrSelfOverAnElementAndItsAttribute) {
   xdm::Sequence ctx{xdm::Item(e), xdm::Item(e->Attributes()[0])};
   TreePattern tp = MakeSingleStep(in2.Intern("dot"), Axis::kDescendantOrSelf,
                                   NodeTest::AnyNode(), in2.Intern("out"));
-  auto rows = EvalPattern(tp, ctx, GetParam());
+  auto rows = EvalOver(tp, ctx, GetParam());
   ASSERT_TRUE(rows.ok()) << rows.status().ToString();
   ASSERT_EQ(rows->size(), 3u);  // e, its attribute k, then f
   EXPECT_EQ((*rows)[1], e->Attributes()[0]);
@@ -311,7 +317,7 @@ TEST_P(PatternEvalTest, NestedSameTagElements) {
   // The ids of the nodes `tp` returns from `ctx`, in order: an
   // attribute's value, an element's id attribute.
   const auto ids = [&](const TreePattern& tp, const xdm::Sequence& ctx) {
-    auto rows = EvalPattern(tp, ctx, GetParam());
+    auto rows = EvalOver(tp, ctx, GetParam());
     EXPECT_TRUE(rows.ok()) << rows.status().ToString();
     std::string s;
     for (const xml::Node* n : rows.ok() ? *rows
@@ -383,7 +389,8 @@ INSTANTIATE_TEST_SUITE_P(AllAlgorithms, PatternEvalTest,
 TEST(PatternBindings, PaperSection41Example) {
   StringInterner in;
   auto res = xml::Parse(
-      "<x1><a><c id=\"1\"><d id=\"2\"/><d id=\"3\"/></c></a></x1>", &in);
+      "<x1><a><c id=\"1\"><d id=\"2\"/><d id=\"3\"/></c></a><a/></x1>",
+      &in);
   ASSERT_TRUE(res.ok());
   // IN#x/descendant::a/child::c[attribute::id]/child::d{z}
   TreePattern tp = MakeSingleStep(in.Intern("x"), Axis::kDescendant,
@@ -401,12 +408,9 @@ TEST(PatternBindings, PaperSection41Example) {
   ASSERT_EQ(tp.ToString(in),
             "IN#x/descendant::a/child::c[attribute::id]/child::d{z}");
 
-  const xml::Node* root = res.value()->root();
-  // The document node and x1: two contexts, so a forced fan-out of 2
-  // cuts them into two morsels whose runs the merge deduplicates.
-  const xdm::Sequence contexts[] = {{xdm::Item(root)},
-                                    {xdm::Item(root),
-                                     xdm::Item(root->first_child)}};
+  // The second a gives the root step two candidates, so a forced fan-out
+  // of 2 cuts them into two morsels.
+  const std::vector<const xml::Node*> ctx{res.value()->root()};
   ParallelContext par;
   par.threads = 2;
   par.min_fanout = 2;
@@ -414,7 +418,6 @@ TEST(PatternBindings, PaperSection41Example) {
                            PatternAlgo::kTwig}) {
     for (const ParallelContext* p : {static_cast<ParallelContext*>(nullptr),
                                      &par}) {
-      const xdm::Sequence& ctx = contexts[p != nullptr ? 1 : 0];
       const std::string what = std::string(PatternAlgoName(algo)) +
                                (p != nullptr ? " t2" : " t1");
       const int64_t morselized_before = ParallelEvaluationCountForTesting();
@@ -427,6 +430,73 @@ TEST(PatternBindings, PaperSection41Example) {
       EXPECT_EQ((*nodes)[0]->Attributes()[0]->Text(), "2") << what;
       EXPECT_EQ((*nodes)[1]->Attributes()[0]->Text(), "3") << what;
     }
+  }
+}
+
+// ---- the context contract --------------------------------------------------
+
+// An atomic context item is one TypeError, raised before any algorithm
+// runs, wherever it sits in the context.
+TEST(ContextNodesTest, NonNodeContextIsError) {
+  StringInterner in;
+  auto res = xml::Parse("<r/>", &in);
+  ASSERT_TRUE(res.ok());
+  const xdm::Item one(static_cast<int64_t>(1));
+  const xdm::Item root(res.value()->root());
+  for (const xdm::Sequence& context :
+       {xdm::Sequence{one}, xdm::Sequence{root, one},
+        xdm::Sequence{one, root}}) {
+    auto nodes = ContextNodes(context);
+    ASSERT_FALSE(nodes.ok());
+    EXPECT_EQ(nodes.status().code(), StatusCode::kTypeError);
+  }
+}
+
+// A context that lists every node twice, in reverse document order, is
+// the sorted distinct context once it has gone through ContextNodes: every
+// algorithm binds the same nodes and does the same work, so a repeated
+// context is evaluated once.
+TEST(ContextNodesTest, RepeatedUnsortedContextIsEvaluatedOnce) {
+  engine::Engine e;
+  workload::XmarkParams p;
+  p.factor = 0.01;
+  const xml::Document* d =
+      e.AddDocument("x", workload::GenerateXmark(p, e.interner()));
+  const std::vector<const xml::Node*>& distinct = d->AllElements();
+  xdm::Sequence repeated;
+  for (auto it = distinct.rbegin(); it != distinct.rend(); ++it) {
+    repeated.push_back(xdm::Item(*it));
+    repeated.push_back(xdm::Item(*it));
+  }
+  auto nodes = ContextNodes(repeated);
+  ASSERT_TRUE(nodes.ok()) << nodes.status().ToString();
+  EXPECT_EQ(*nodes, distinct);
+  const TreePattern tp = MakeSingleStep(e.interner()->Intern("dot"),
+                                        Axis::kChild, NodeTest::AnyName(),
+                                        e.interner()->Intern("out"));
+  for (PatternAlgo algo : {PatternAlgo::kNLJoin, PatternAlgo::kStaircase,
+                           PatternAlgo::kTwig, PatternAlgo::kCostBased}) {
+    ExecStats want;
+    ExecStats got;
+    Result<std::vector<const xml::Node*>> ref = std::vector<const xml::Node*>{};
+    Result<std::vector<const xml::Node*>> res = ref;
+    {
+      ScopedExecStats scope;
+      ref = EvalPattern(tp, distinct, algo);
+      want = scope.stats();
+    }
+    {
+      ScopedExecStats scope;
+      res = EvalOver(tp, repeated, algo);
+      got = scope.stats();
+    }
+    ASSERT_TRUE(ref.ok() && res.ok()) << PatternAlgoName(algo);
+    EXPECT_FALSE(ref->empty()) << PatternAlgoName(algo);
+    EXPECT_EQ(*res, *ref) << PatternAlgoName(algo);
+    EXPECT_EQ(got.nodes_visited, want.nodes_visited) << PatternAlgoName(algo);
+    EXPECT_EQ(got.index_entries_scanned, want.index_entries_scanned)
+        << PatternAlgoName(algo);
+    EXPECT_EQ(got.index_skips, want.index_skips) << PatternAlgoName(algo);
   }
 }
 

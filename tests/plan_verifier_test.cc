@@ -9,7 +9,9 @@
 #include "analysis/verify_scope.h"
 #include "core/ast.h"
 #include "engine/engine.h"
+#include "exec/evaluator.h"
 #include "pattern/tree_pattern.h"
+#include "xml/parser.h"
 
 namespace xqtp {
 namespace {
@@ -126,6 +128,39 @@ TEST_F(PlanVerifierTest, UpwardAxisInPattern) {
   OpPtr plan = LegalPlan();
   plan->inputs[0]->tp.root->axis = Axis::kParent;
   ExpectViolation(analysis::VerifyPlan(*plan, Opts()), "pattern-axis");
+}
+
+// The same plan in a build that does not verify plans: exec::Evaluate
+// returns Internal under every algorithm and thread count, on a one-row
+// batch and on a lifted two-row one. No fallback evaluates the step.
+TEST_F(PlanVerifierTest, UpwardAxisInPatternIsInternalWhenEvaluated) {
+  auto doc = xml::Parse("<r><a><b/></a><a><b/></a></r>", &interner_);
+  ASSERT_TRUE(doc.ok()) << doc.status().ToString();
+  const auto& bs = (*doc)->ElementsByTag(interner_.Intern("b"));
+  ASSERT_EQ(bs.size(), 2u);
+  OpPtr plan = LegalPlan();
+  plan->inputs[0]->tp.root->axis = Axis::kParent;
+  for (const xdm::Sequence& d :
+       {xdm::Sequence{xdm::Item(bs[0])},
+        xdm::Sequence{xdm::Item(bs[0]), xdm::Item(bs[1])}}) {
+    const exec::Bindings bindings{{d_, d}};
+    for (exec::PatternAlgo algo :
+         {exec::PatternAlgo::kNLJoin, exec::PatternAlgo::kStaircase,
+          exec::PatternAlgo::kTwig, exec::PatternAlgo::kCostBased}) {
+      for (int threads : {1, 2}) {
+        exec::EvalOptions opts;
+        opts.algo = algo;
+        opts.threads = threads;
+        opts.parallel_min_fanout = 2;
+        auto res = exec::Evaluate(*plan, vars_, bindings, opts);
+        const std::string what = std::string(exec::PatternAlgoName(algo)) +
+                                 " t" + std::to_string(threads) + ", " +
+                                 std::to_string(d.size()) + " context rows";
+        ASSERT_FALSE(res.ok()) << what;
+        EXPECT_EQ(res.status().code(), StatusCode::kInternal) << what;
+      }
+    }
+  }
 }
 
 TEST_F(PlanVerifierTest, NameTestWithoutName) {
