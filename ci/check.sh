@@ -9,7 +9,10 @@
 #     NDEBUG, so every test additionally runs the Core and plan verifiers
 #     AND the translation-validation oracle (witness-corpus differential
 #     execution of every rewrite checkpoint) with the sanitizers watching
-#     the checkers themselves.
+#     the checkers themselves. Its "exec" tests include the allocation
+#     guard (tuple_alloc_test: fewer than one heap allocation per 8 nodes
+#     a tuple pipeline binds, counted by its own replaced operator new),
+#     so the guard also runs under the ASan allocator.
 #  3. Release + TSan — the morsel-parallel driver's threading tests
 #     (parallel_eval_test, concurrency_test, and lifted_pattern_test's
 #     whole queries at threads=2, each asserted to fan its outer pattern
@@ -46,9 +49,10 @@
 #    sanitizers lives in ci/fuzz.sh;
 #  - a bounded smoke run of bench_parallel, bench_governor,
 #    bench_costmodel (the bench the cost model's unit costs are fitted
-#    from) and bench_table1's 2.1 MB rows (the paper's Table 1 under TJ,
-#    SC and NL), so the binaries keep running end to end (timings are
-#    printed, not judged);
+#    from), bench_table1's 2.1 MB rows (the paper's Table 1 under TJ,
+#    SC and NL) and bench_xmark_queries (each XMark corpus query on
+#    xmark_serve's document, executed and serialized), so the binaries
+#    keep running end to end (timings are printed, not judged);
 #  - a smoke run of the served-query benchmark (bench/e2e/run.py --smoke):
 #    every served workload, briefly, untraced and traced, with each
 #    response hash checked against the Core-interpreter reference and
@@ -175,12 +179,13 @@ build-ci-release/tools/equiv_fuzz --iters 500 --seed 1 \
   --artifacts fuzz-artifacts --quiet
 leg_done equiv-fuzz
 
-echo "==== [bench-smoke] bench_parallel + bench_governor + bench_costmodel + bench_table1 (2.1MB), one short run ===="
+echo "==== [bench-smoke] bench_parallel + bench_governor + bench_costmodel + bench_table1 (2.1MB) + bench_xmark_queries, one short run ===="
 build-ci-release/bench/bench_parallel --benchmark_min_time=0.05
 build-ci-release/bench/bench_governor --benchmark_min_time=0.05
 build-ci-release/bench/bench_costmodel --benchmark_min_time=0.05
 build-ci-release/bench/bench_table1 --benchmark_min_time=0.05 \
   --benchmark_filter=/2.1MB
+build-ci-release/bench/bench_xmark_queries --benchmark_min_time=0.05
 leg_done bench-smoke
 
 echo "==== [bench-e2e-smoke] served workloads vs the reference results ===="

@@ -31,7 +31,7 @@ const std::vector<exec::PatternAlgo>& CrossCheckAlgos();
 /// identical before/after forms "diverge".
 bool ItemsAgree(const xdm::Item& a, const xdm::Item& b);
 
-/// Evaluates `tp` over the context node set `context` (exec::ContextNodes)
+/// Evaluates `tp` over the context node set `context` (exec::SortDedup)
 /// with every algorithm and compares the bound nodes against the
 /// nested-loop reference. Returns Internal on the first divergence, naming
 /// the algorithm, the pattern, and the first differing node index.

@@ -52,14 +52,6 @@ Status Violation(const char* invariant, const std::string& detail) {
       std::string("plan verifier: [") + invariant + "] " + detail));
 }
 
-/// The evaluation context of an item plan: the ambient tuple's fields when
-/// inside a dependent plan, and whether a current item (IN as item) is
-/// available (MapFromItem dependents only).
-struct ItemCtx {
-  const FieldSet* ambient = nullptr;
-  bool has_item = false;
-};
-
 class PlanVerifier {
  public:
   explicit PlanVerifier(const PlanVerifyOptions& opts) : opts_(opts) {}
@@ -71,7 +63,7 @@ class PlanVerifier {
                            " at the plan root: a compiled query is an item "
                            "plan");
     }
-    return CheckItem(plan, ItemCtx{});
+    return CheckItem(plan, /*ambient=*/nullptr);
   }
 
  private:
@@ -214,13 +206,19 @@ class PlanVerifier {
       case OpKind::kMapFromItem: {
         XQTP_RETURN_NOT_OK(CheckArity(op, 1));
         XQTP_RETURN_NOT_OK(CheckField(op.field, "MapFromItem"));
-        // The item input runs in the enclosing context, without a current
-        // item; the dependent plan sees the enclosing tuple plus the
-        // current item (exec::Evaluator::EvalTuples).
-        XQTP_RETURN_NOT_OK(
-            CheckItem(*op.inputs[0], ItemCtx{ambient, /*has_item=*/false}));
-        XQTP_RETURN_NOT_OK(
-            CheckItem(*op.dep, ItemCtx{ambient, /*has_item=*/true}));
+        // The dependent is IN, the current item, so the field holds
+        // exactly that one item (the layout of exec/tuple.h).
+        if (op.dep->kind != OpKind::kInputItem) {
+          return Violation("one-item-field",
+                           "MapFromItem dependent is " +
+                               std::string(OpName(op.dep->kind)) +
+                               ", not IN (item): a tuple field holds one "
+                               "item");
+        }
+        XQTP_RETURN_NOT_OK(CheckDeps(*op.dep));
+        XQTP_RETURN_NOT_OK(CheckArity(*op.dep, 0));
+        // The item input runs in the enclosing context.
+        XQTP_RETURN_NOT_OK(CheckItem(*op.inputs[0], ambient));
         produced->clear();
         produced->insert(op.field);
         return Status::OK();
@@ -229,8 +227,7 @@ class PlanVerifier {
         XQTP_RETURN_NOT_OK(CheckArity(op, 1));
         FieldSet in;
         XQTP_RETURN_NOT_OK(CheckTuple(*op.inputs[0], ambient, &in));
-        XQTP_RETURN_NOT_OK(
-            CheckItem(*op.dep, ItemCtx{&in, /*has_item=*/false}));
+        XQTP_RETURN_NOT_OK(CheckItem(*op.dep, &in));
         *produced = std::move(in);
         return Status::OK();
       }
@@ -256,7 +253,9 @@ class PlanVerifier {
     }
   }
 
-  Status CheckItem(const Op& op, ItemCtx ctx) {
+  /// Verifies an item plan evaluated against ambient tuple fields
+  /// `ambient` (nullptr outside any dependent context).
+  Status CheckItem(const Op& op, const FieldSet* ambient) {
     if (algebra::IsTuplePlan(op.kind)) {
       return Violation("plan-sort", std::string(OpName(op.kind)) +
                                         " used where an item plan is "
@@ -286,22 +285,20 @@ class PlanVerifier {
         return Status::OK();
       }
       case OpKind::kInputItem:
-        XQTP_RETURN_NOT_OK(CheckArity(op, 0));
-        if (!ctx.has_item) {
-          return Violation("item-context",
-                           "IN (item) used outside a MapFromItem dependent "
-                           "plan");
-        }
-        return Status::OK();
+        // A MapFromItem checks its own dependent: no item plan sees a
+        // current item.
+        return Violation("item-context",
+                         "IN (item) used outside a MapFromItem dependent "
+                         "plan");
       case OpKind::kFieldAccess: {
         XQTP_RETURN_NOT_OK(CheckArity(op, 0));
         XQTP_RETURN_NOT_OK(CheckField(op.field, "IN#field"));
-        if (ctx.ambient == nullptr) {
+        if (ambient == nullptr) {
           return Violation("tuple-context",
                            "IN#" + FieldName(op.field) +
                                " used outside a tuple context");
         }
-        if (ctx.ambient->count(op.field) == 0) {
+        if (ambient->count(op.field) == 0) {
           return Violation("field-def-use",
                            "IN#" + FieldName(op.field) +
                                " reads a field produced by no upstream "
@@ -312,16 +309,16 @@ class PlanVerifier {
       case OpKind::kTreeJoin:
         XQTP_RETURN_NOT_OK(CheckArity(op, 1));
         XQTP_RETURN_NOT_OK(CheckNodeTest(op.test, "TreeJoin"));
-        return CheckItem(*op.inputs[0], ctx);
+        return CheckItem(*op.inputs[0], ambient);
       case OpKind::kDdo:
         XQTP_RETURN_NOT_OK(CheckArity(op, 1));
-        return CheckItem(*op.inputs[0], ctx);
+        return CheckItem(*op.inputs[0], ambient);
       case OpKind::kMapToItem: {
         XQTP_RETURN_NOT_OK(CheckArity(op, 1));
         FieldSet fields;
-        XQTP_RETURN_NOT_OK(CheckTuple(*op.inputs[0], ctx.ambient, &fields));
-        // Per-tuple dependents see that tuple only — no current item.
-        return CheckItem(*op.dep, ItemCtx{&fields, /*has_item=*/false});
+        XQTP_RETURN_NOT_OK(CheckTuple(*op.inputs[0], ambient, &fields));
+        // Per-tuple dependents see that tuple only.
+        return CheckItem(*op.dep, &fields);
       }
       case OpKind::kFnCall: {
         int arity = core::CoreFnArity(op.fn);
@@ -334,7 +331,7 @@ class PlanVerifier {
                               " arguments, has " + std::to_string(have));
         }
         for (const OpPtr& in : op.inputs) {
-          XQTP_RETURN_NOT_OK(CheckItem(*in, ctx));
+          XQTP_RETURN_NOT_OK(CheckItem(*in, ambient));
         }
         return Status::OK();
       }
@@ -344,23 +341,23 @@ class PlanVerifier {
       case OpKind::kOr:
         XQTP_RETURN_NOT_OK(CheckArity(op, 2));
         for (const OpPtr& in : op.inputs) {
-          XQTP_RETURN_NOT_OK(CheckItem(*in, ctx));
+          XQTP_RETURN_NOT_OK(CheckItem(*in, ambient));
         }
         return Status::OK();
       case OpKind::kSequence:
         for (const OpPtr& in : op.inputs) {
-          XQTP_RETURN_NOT_OK(CheckItem(*in, ctx));
+          XQTP_RETURN_NOT_OK(CheckItem(*in, ambient));
         }
         return Status::OK();
       case OpKind::kIf:
         XQTP_RETURN_NOT_OK(CheckArity(op, 3));
         for (const OpPtr& in : op.inputs) {
-          XQTP_RETURN_NOT_OK(CheckItem(*in, ctx));
+          XQTP_RETURN_NOT_OK(CheckItem(*in, ambient));
         }
         return Status::OK();
       case OpKind::kForEach: {
         XQTP_RETURN_NOT_OK(CheckArity(op, 1));
-        XQTP_RETURN_NOT_OK(CheckItem(*op.inputs[0], ctx));
+        XQTP_RETURN_NOT_OK(CheckItem(*op.inputs[0], ambient));
         if (op.var == core::kNoVar) {
           return Violation("scoped-var-scope",
                            "ForEach carries no loop variable");
@@ -372,39 +369,39 @@ class PlanVerifier {
         }
         scoped_.insert(op.var);
         if (op.pos_var != core::kNoVar) scoped_.insert(op.pos_var);
-        Status st = op.dep2 != nullptr ? CheckItem(*op.dep2, ctx)
+        Status st = op.dep2 != nullptr ? CheckItem(*op.dep2, ambient)
                                        : Status::OK();
-        if (st.ok()) st = CheckItem(*op.dep, ctx);
+        if (st.ok()) st = CheckItem(*op.dep, ambient);
         scoped_.erase(op.var);
         if (op.pos_var != core::kNoVar) scoped_.erase(op.pos_var);
         return st;
       }
       case OpKind::kLetIn: {
         XQTP_RETURN_NOT_OK(CheckArity(op, 1));
-        XQTP_RETURN_NOT_OK(CheckItem(*op.inputs[0], ctx));
+        XQTP_RETURN_NOT_OK(CheckItem(*op.inputs[0], ambient));
         if (op.var == core::kNoVar) {
           return Violation("scoped-var-scope",
                            "LetIn carries no variable");
         }
         scoped_.insert(op.var);
-        Status st = CheckItem(*op.dep, ctx);
+        Status st = CheckItem(*op.dep, ambient);
         scoped_.erase(op.var);
         return st;
       }
       case OpKind::kTypeswitch: {
         XQTP_RETURN_NOT_OK(CheckArity(op, 1));
-        XQTP_RETURN_NOT_OK(CheckItem(*op.inputs[0], ctx));
+        XQTP_RETURN_NOT_OK(CheckItem(*op.inputs[0], ambient));
         if (op.var == core::kNoVar || op.pos_var == core::kNoVar) {
           return Violation("scoped-var-scope",
                            "Typeswitch requires both a case and a default "
                            "binder");
         }
         scoped_.insert(op.var);
-        Status st = CheckItem(*op.dep, ctx);
+        Status st = CheckItem(*op.dep, ambient);
         scoped_.erase(op.var);
         if (st.ok()) {
           scoped_.insert(op.pos_var);
-          st = CheckItem(*op.dep2, ctx);
+          st = CheckItem(*op.dep2, ambient);
           scoped_.erase(op.pos_var);
         }
         return st;

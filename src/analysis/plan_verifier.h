@@ -4,10 +4,11 @@
 // right after it fires (and attributed to it via VerifyScope).
 //
 // The verifier models the evaluator's contexts exactly: an item plan runs
-// with an optional ambient tuple (dependent plans) and an optional current
-// item (MapFromItem dependents); a tuple plan runs against the ambient
-// tuple of its enclosing dependent context. Field sets are propagated
-// through the pipeline the same way exec::Evaluate binds them.
+// with an optional ambient tuple (dependent plans); a tuple plan runs
+// against the ambient tuple of its enclosing dependent context. The
+// current item (IN as item) exists only as a MapFromItem's dependent.
+// Field sets are propagated through the pipeline the same way
+// exec::Evaluate binds them.
 //
 // Invariants checked (each failure is a Status::Internal naming the
 // invariant in [brackets]):
@@ -23,7 +24,10 @@
 //  - [field-def-use]    no IN#field read and no TupleTreePattern context
 //                       field that no upstream operator produces
 //  - [tuple-context]    IN (tuple) only inside a dependent plan
-//  - [item-context]     IN (item) only inside a MapFromItem dependent
+//  - [item-context]     IN (item) only as a MapFromItem dependent
+//  - [one-item-field]   a MapFromItem's dependent is IN (item), so every
+//                       tuple field holds exactly one item (the column
+//                       layout of exec/tuple.h)
 //  - [invalid-field]    field symbols are valid and known to the interner
 //  - [single-output]    a TupleTreePattern carries its output field
 //  - [pattern-root]     a TupleTreePattern has a context field and at

@@ -175,12 +175,14 @@ MutNode FromXml(const xml::Node* n, const StringInterner& interner) {
 
 void SerializeMut(const MutNode& m, std::string* out) {
   if (m.is_text) {
-    *out += xml::EscapeText(m.tag_or_text);
+    xml::AppendEscaped(m.tag_or_text, out);
     return;
   }
   *out += "<" + m.tag_or_text;
   for (const auto& [name, value] : m.attrs) {
-    *out += " " + name + "=\"" + xml::EscapeText(value) + "\"";
+    *out += " " + name + "=\"";
+    xml::AppendEscaped(value, out);
+    *out += '"';
   }
   if (m.children.empty()) {
     *out += "/>";

@@ -2,7 +2,9 @@
 
 #include <algorithm>
 #include <functional>
+#include <iterator>
 #include <optional>
+#include <span>
 #include <utility>
 #include <vector>
 
@@ -90,35 +92,37 @@ bool InRegion(const xml::Node* ctx, const xml::Node* node) {
 }
 
 /// Builds a TupleTreePattern's output batch: one row per bound node, the
-/// node's input row with the node (as a singleton sequence) in the
-/// pattern's output field. The schema is the input batch's columns in
-/// order, less an input column the output field overwrites, then the
-/// output column.
+/// node's input row with the node in the pattern's output field. The
+/// schema is the input batch's columns in order, less an input column the
+/// output field overwrites, then the output column.
 ///
 /// When the input batch has exactly one logical row (the dominant
 /// optimized plan: one tuple carrying the document root), the input
 /// columns are NOT replicated per output row — Finish attaches them as
 /// broadcast columns sharing the input's storage, so a root fan-out
-/// binding 10^5 nodes copies zero input sequences.
+/// binding 10^5 nodes copies zero input items.
 class PatternBatchBuilder {
  public:
-  PatternBatchBuilder(const TupleBatch& in, Symbol output)
+  /// A builder for `rows` output rows.
+  PatternBatchBuilder(const TupleBatch& in, Symbol output, size_t rows)
       : in_(in), output_(output), broadcast_(in.rows() == 1) {
+    bound_.reserve(rows);
     if (broadcast_) return;
     for (const TupleBatch::BoundColumn& bc : in.columns()) {
-      if (bc.column->field != output) gathered_.push_back({&bc, {}});
+      if (bc.column->field != output) {
+        gathered_.push_back({&bc, {}});
+        gathered_.back().values.reserve(rows);
+      }
     }
   }
 
   /// Appends one output row: input row `row` with `node` bound.
   void Add(size_t row, const xml::Node* node) {
     for (Gathered& g : gathered_) g.values.push_back(in_.Value(*g.src, row));
-    bound_.push_back(Sequence{Item(node)});
+    bound_.emplace_back(node);
   }
 
-  size_t rows() const { return bound_.size(); }
-
-  /// Assembles the batch (counts rows() materialized tuples; the
+  /// Assembles the batch (counts its rows as materialized tuples; the
   /// ExecStats batch count is taken where the batch is YIELDED between
   /// operators). The builder is consumed.
   TupleBatch Finish() {
@@ -158,7 +162,7 @@ class PatternBatchBuilder {
   /// An input column copied per output row (multi-row inputs only).
   struct Gathered {
     const TupleBatch::BoundColumn* src;
-    std::vector<Sequence> values;
+    std::vector<Item> values;
   };
 
   const TupleBatch& in_;
@@ -166,7 +170,7 @@ class PatternBatchBuilder {
   /// Single-row input: the input columns stay shared (broadcast).
   const bool broadcast_;
   std::vector<Gathered> gathered_;
-  std::vector<Sequence> bound_;
+  std::vector<Item> bound_;
 };
 
 class Evaluator {
@@ -186,15 +190,15 @@ class Evaluator {
   }
 
   Result<Sequence> Run(const Op& plan) {
-    return EvalItem(plan, RowView(), nullptr);
+    return EvalItem(plan, RowView());
   }
 
  private:
   /// Evaluates an item plan. `tuple` is the current tuple context for
   /// dependent plans (IN#field / IN as tuple) — a RowView over one row of
-  /// a TupleBatch; `item` is the current item for MapFromItem dependents
-  /// (IN as item).
-  Result<Sequence> EvalItem(const Op& op, RowView tuple, const Item* item) {
+  /// a TupleBatch. No item plan sees a current item: the one MapFromItem
+  /// dependent, IN (item), is read by the MapFromItem kernel itself.
+  Result<Sequence> EvalItem(const Op& op, RowView tuple) {
     // The operator boundary is the evaluator's cooperative check cadence,
     // strided: a full governor check (cancel + deadline + budget) every
     // 32nd operator evaluation. Unstrided, the check's clock read and
@@ -226,21 +230,19 @@ class Evaluator {
         return it->second;
       }
       case OpKind::kInputItem:
-        if (item == nullptr) {
-          return Status::Internal("IN (item) used outside a dependent plan");
-        }
-        return Sequence{*item};
+        return Status::Internal(
+            "IN (item) used outside a MapFromItem dependent");
       case OpKind::kFieldAccess: {
         if (!tuple.valid()) {
           return Status::Internal("IN#field used outside a tuple context");
         }
-        const Sequence* v = tuple.Get(op.field);
+        const Item* v = tuple.Get(op.field);
         if (v == nullptr) return Sequence{};
-        return *v;
+        return Sequence{*v};
       }
       case OpKind::kTreeJoin: {
         XQTP_ASSIGN_OR_RETURN(Sequence ctx,
-                              EvalItem(*op.inputs[0], tuple, item));
+                              EvalItem(*op.inputs[0], tuple));
         Sequence out;
         out.reserve(ctx.size());
         for (const Item& it : ctx) {
@@ -253,7 +255,7 @@ class Evaluator {
       }
       case OpKind::kDdo: {
         XQTP_ASSIGN_OR_RETURN(Sequence in,
-                              EvalItem(*op.inputs[0], tuple, item));
+                              EvalItem(*op.inputs[0], tuple));
         // DistinctDocOrder's O(n) sortedness probe returns inputs that are
         // already sorted and distinct (single-output patterns emit such
         // sequences by construction) without re-sorting.
@@ -273,28 +275,30 @@ class Evaluator {
         Sequence out;
         ScopedMemoryCharge mem;
         const Op& dep = *op.dep;
-        // Satellite fast path: a dependent plan that is just IN#field
-        // needs no per-row evaluation at all — resolve the field symbol
-        // ONCE per batch and concatenate the column's sequences.
+        // Fast path: a dependent plan that is just IN#field needs no
+        // per-row evaluation at all — resolve the field symbol ONCE per
+        // batch and append the column's items, one per row.
         const bool field_fast = dep.kind == OpKind::kFieldAccess;
         XQTP_RETURN_NOT_OK(EvalTupleBatches(
             *op.inputs[0], tuple, [&](TupleBatch&& b) -> Status {
               if (field_fast) {
                 const TupleBatch::BoundColumn* col = b.Find(dep.field);
                 if (col == nullptr) return Status::OK();  // absent = ()
-                int64_t bytes = 0;
-                for (size_t i = 0; i < b.rows(); ++i) {
-                  const Sequence& v = b.Value(*col, i);
-                  bytes += ApproxBytes(v);
-                  out.insert(out.end(), v.begin(), v.end());
+                if (out.capacity() - out.size() < b.rows()) {
+                  out.reserve(
+                      std::max(out.size() + b.rows(), 2 * out.capacity()));
                 }
-                return mem.Grow(bytes);
+                for (size_t i = 0; i < b.rows(); ++i) {
+                  out.push_back(b.Value(*col, i));
+                }
+                return mem.Grow(
+                    static_cast<int64_t>(b.rows() * sizeof(Item)));
               }
               LiftScope lifted(&lifts_);
               XQTP_RETURN_NOT_OK(LiftPatterns(dep, b, &lifted));
               for (size_t i = 0; i < b.rows(); ++i) {
                 XQTP_ASSIGN_OR_RETURN(
-                    Sequence part, EvalItem(dep, RowView(&b, i), nullptr));
+                    Sequence part, EvalItem(dep, RowView(&b, i)));
                 XQTP_RETURN_NOT_OK(mem.Grow(ApproxBytes(part)));
                 out.insert(out.end(), part.begin(), part.end());
               }
@@ -303,25 +307,25 @@ class Evaluator {
         return out;
       }
       case OpKind::kFnCall:
-        return EvalFnCall(op, tuple, item);
+        return EvalFnCall(op, tuple);
       case OpKind::kCompare: {
-        XQTP_ASSIGN_OR_RETURN(Sequence l, EvalItem(*op.inputs[0], tuple, item));
-        XQTP_ASSIGN_OR_RETURN(Sequence r, EvalItem(*op.inputs[1], tuple, item));
+        XQTP_ASSIGN_OR_RETURN(Sequence l, EvalItem(*op.inputs[0], tuple));
+        XQTP_ASSIGN_OR_RETURN(Sequence r, EvalItem(*op.inputs[1], tuple));
         XQTP_ASSIGN_OR_RETURN(bool b, xdm::GeneralCompare(op.cmp_op, l, r));
         return Sequence{Item(b)};
       }
       case OpKind::kArith: {
-        XQTP_ASSIGN_OR_RETURN(Sequence l, EvalItem(*op.inputs[0], tuple, item));
-        XQTP_ASSIGN_OR_RETURN(Sequence r, EvalItem(*op.inputs[1], tuple, item));
+        XQTP_ASSIGN_OR_RETURN(Sequence l, EvalItem(*op.inputs[0], tuple));
+        XQTP_ASSIGN_OR_RETURN(Sequence r, EvalItem(*op.inputs[1], tuple));
         return xdm::EvalArith(op.arith_op, l, r);
       }
       case OpKind::kAnd:
       case OpKind::kOr: {
-        XQTP_ASSIGN_OR_RETURN(Sequence l, EvalItem(*op.inputs[0], tuple, item));
+        XQTP_ASSIGN_OR_RETURN(Sequence l, EvalItem(*op.inputs[0], tuple));
         XQTP_ASSIGN_OR_RETURN(bool lb, xdm::EffectiveBooleanValue(l));
         if (op.kind == OpKind::kAnd && !lb) return Sequence{Item(false)};
         if (op.kind == OpKind::kOr && lb) return Sequence{Item(true)};
-        XQTP_ASSIGN_OR_RETURN(Sequence r, EvalItem(*op.inputs[1], tuple, item));
+        XQTP_ASSIGN_OR_RETURN(Sequence r, EvalItem(*op.inputs[1], tuple));
         XQTP_ASSIGN_OR_RETURN(bool rb, xdm::EffectiveBooleanValue(r));
         return Sequence{Item(rb)};
       }
@@ -329,20 +333,20 @@ class Evaluator {
         Sequence out;
         ScopedMemoryCharge mem;
         for (const OpPtr& in : op.inputs) {
-          XQTP_ASSIGN_OR_RETURN(Sequence part, EvalItem(*in, tuple, item));
+          XQTP_ASSIGN_OR_RETURN(Sequence part, EvalItem(*in, tuple));
           XQTP_RETURN_NOT_OK(mem.Grow(ApproxBytes(part)));
           out.insert(out.end(), part.begin(), part.end());
         }
         return out;
       }
       case OpKind::kIf: {
-        XQTP_ASSIGN_OR_RETURN(Sequence c, EvalItem(*op.inputs[0], tuple, item));
+        XQTP_ASSIGN_OR_RETURN(Sequence c, EvalItem(*op.inputs[0], tuple));
         XQTP_ASSIGN_OR_RETURN(bool cb, xdm::EffectiveBooleanValue(c));
-        return EvalItem(*op.inputs[cb ? 1 : 2], tuple, item);
+        return EvalItem(*op.inputs[cb ? 1 : 2], tuple);
       }
       case OpKind::kForEach: {
         XQTP_ASSIGN_OR_RETURN(Sequence seq,
-                              EvalItem(*op.inputs[0], tuple, item));
+                              EvalItem(*op.inputs[0], tuple));
         Sequence out;
         // The FLWOR loop is where cross products materialize: the charge
         // grows with the accumulated output, so a runaway join trips the
@@ -356,12 +360,12 @@ class Evaluator {
           }
           if (op.dep2 != nullptr) {
             XQTP_ASSIGN_OR_RETURN(Sequence cond,
-                                  EvalItem(*op.dep2, tuple, item));
+                                  EvalItem(*op.dep2, tuple));
             XQTP_ASSIGN_OR_RETURN(bool keep,
                                   xdm::EffectiveBooleanValue(cond));
             if (!keep) continue;
           }
-          XQTP_ASSIGN_OR_RETURN(Sequence part, EvalItem(*op.dep, tuple, item));
+          XQTP_ASSIGN_OR_RETURN(Sequence part, EvalItem(*op.dep, tuple));
           XQTP_RETURN_NOT_OK(mem.Grow(ApproxBytes(part)));
           out.insert(out.end(), part.begin(), part.end());
         }
@@ -371,20 +375,20 @@ class Evaluator {
       }
       case OpKind::kLetIn: {
         XQTP_ASSIGN_OR_RETURN(Sequence binding,
-                              EvalItem(*op.inputs[0], tuple, item));
+                              EvalItem(*op.inputs[0], tuple));
         scoped_[op.var] = std::move(binding);
-        Result<Sequence> res = EvalItem(*op.dep, tuple, item);
+        Result<Sequence> res = EvalItem(*op.dep, tuple);
         scoped_.erase(op.var);
         return res;
       }
       case OpKind::kTypeswitch: {
         XQTP_ASSIGN_OR_RETURN(Sequence input,
-                              EvalItem(*op.inputs[0], tuple, item));
+                              EvalItem(*op.inputs[0], tuple));
         bool numeric = input.size() == 1 && input[0].IsNumeric();
         core::VarId v = numeric ? op.var : op.pos_var;
         const Op& branch = numeric ? *op.dep : *op.dep2;
         scoped_[v] = std::move(input);
-        Result<Sequence> res = EvalItem(branch, tuple, item);
+        Result<Sequence> res = EvalItem(branch, tuple);
         scoped_.erase(v);
         return res;
       }
@@ -398,12 +402,12 @@ class Evaluator {
     return Status::Internal("unreachable operator kind");
   }
 
-  Result<Sequence> EvalFnCall(const Op& op, RowView tuple, const Item* item) {
+  Result<Sequence> EvalFnCall(const Op& op, RowView tuple) {
     XQTP_FAULT_POINT("exec.fn_call");
     std::vector<Sequence> args;
     args.reserve(op.inputs.size());
     for (const OpPtr& in : op.inputs) {
-      XQTP_ASSIGN_OR_RETURN(Sequence a, EvalItem(*in, tuple, item));
+      XQTP_ASSIGN_OR_RETURN(Sequence a, EvalItem(*in, tuple));
       args.push_back(std::move(a));
     }
     return ApplyCoreFn(op.fn, args);
@@ -414,15 +418,14 @@ class Evaluator {
 
   /// Yields one batch downstream: counts it, gives the governor its
   /// per-BATCH poll, and charges the batch's bytes for the duration of
-  /// the downstream processing — computed only under a governor, since
-  /// ApproxBytes walks every logical row. Empty batches are dropped here
-  /// so kernels never see them.
+  /// the downstream processing. Empty batches are dropped here so kernels
+  /// never see them.
   Status Emit(const BatchSink& sink, TupleBatch&& b) {
     if (b.rows() == 0) return Status::OK();
     CountBatch();
     XQTP_RETURN_NOT_OK(GovernorPoll());
     ScopedMemoryCharge mem;
-    if (mem.active()) XQTP_RETURN_NOT_OK(mem.Grow(b.ApproxBytes()));
+    XQTP_RETURN_NOT_OK(mem.Grow(b.ApproxBytes()));
     return sink(std::move(b));
   }
 
@@ -443,28 +446,26 @@ class Evaluator {
         return Emit(sink, ambient.ToBatch());
       }
       case OpKind::kMapFromItem: {
+        // MapFromItem{[f : IN]}: each input item is one row's field f, as
+        // it is (the one-item invariant, exec/tuple.h). VerifyPlan's
+        // [one-item-field] rule rejects any other dependent.
+        if (op.dep->kind != OpKind::kInputItem) {
+          return Status::Internal(
+              "MapFromItem dependent is not IN (item): a tuple field holds "
+              "one item");
+        }
         XQTP_ASSIGN_OR_RETURN(Sequence items,
-                              EvalItem(*op.inputs[0], ambient, nullptr));
-        const Op& dep = *op.dep;
-        // The normalizer's MapFromItem dependents are almost always the
-        // identity (IN as item): build the column straight from the
-        // input items without a per-item plan walk.
-        const bool identity = dep.kind == OpKind::kInputItem;
+                              EvalItem(*op.inputs[0], ambient));
         const size_t target = static_cast<size_t>(BatchRows());
         for (size_t begin = 0; begin < items.size(); begin += target) {
           const size_t end = std::min(items.size(), begin + target);
           TupleColumn col;
           col.field = op.field;
-          col.values.reserve(end - begin);
-          for (size_t i = begin; i < end; ++i) {
-            if (identity) {
-              col.values.push_back(Sequence{items[i]});
-            } else {
-              XQTP_ASSIGN_OR_RETURN(Sequence v,
-                                    EvalItem(dep, ambient, &items[i]));
-              col.values.push_back(std::move(v));
-            }
-          }
+          col.values.assign(
+              std::make_move_iterator(items.begin() +
+                                      static_cast<ptrdiff_t>(begin)),
+              std::make_move_iterator(items.begin() +
+                                      static_cast<ptrdiff_t>(end)));
           TupleBatch b(end - begin);
           b.AddOwnedColumn(std::move(col));
           CountTuplesMaterialized(static_cast<int64_t>(end - begin));
@@ -485,7 +486,7 @@ class Evaluator {
                 for (size_t i = 0; i < in.rows(); ++i) {
                   XQTP_ASSIGN_OR_RETURN(
                       Sequence pred,
-                      EvalItem(*op.dep, RowView(&in, i), nullptr));
+                      EvalItem(*op.dep, RowView(&in, i)));
                   XQTP_ASSIGN_OR_RETURN(bool k,
                                         xdm::EffectiveBooleanValue(pred));
                   if (k) keep.push_back(static_cast<uint32_t>(i));
@@ -493,7 +494,7 @@ class Evaluator {
               }
               if (keep.empty()) return Status::OK();
               // All rows kept: forward the batch itself. Otherwise yield
-              // a selection view — columns shared, zero sequences copied.
+              // a selection view — columns shared, zero items copied.
               if (keep.size() == in.rows()) return Emit(sink, std::move(in));
               return Emit(sink, in.SelectRows(keep));
             });
@@ -509,11 +510,11 @@ class Evaluator {
   }
 
   /// TupleTreePattern kernel over one input batch. A one-row batch is
-  /// one EvalPattern over that row's ContextNodes; a wider one is lifted
+  /// one EvalPattern over that row's ContextNode; a wider one is lifted
   /// (EvalPatternLifted). Output rows land in a PatternBatchBuilder
   /// (single-row inputs broadcast their unmodified fields — zero
-  /// replication for the dominant root-in-one-tuple plan) and leave in
-  /// batches of at most tuple_batch_rows.
+  /// replication for the dominant root-in-one-tuple plan), one per batch
+  /// of at most tuple_batch_rows rows.
   Status EvalPatternBatch(const Op& op, const TupleBatch& in,
                           const BatchSink& sink) {
     if (in.rows() == 0) return Status::OK();
@@ -522,39 +523,34 @@ class Evaluator {
       return Status::Internal(
           "TupleTreePattern input tuple lacks the context field");
     }
-    const size_t target = static_cast<size_t>(BatchRows());
-    std::optional<PatternBatchBuilder> builder(std::in_place, in,
-                                               op.tp.output);
-    auto add = [&](size_t row, const xml::Node* node) -> Status {
-      builder->Add(row, node);
-      if (builder->rows() < target) return Status::OK();
-      TupleBatch full = builder->Finish();
-      builder.emplace(in, op.tp.output);
-      return Emit(sink, std::move(full));
-    };
     ScopedMemoryCharge mem;
+    LiftedBindings bound;
     if (in.rows() > 1) {
-      XQTP_ASSIGN_OR_RETURN(LiftedBindings lifted,
+      XQTP_ASSIGN_OR_RETURN(bound,
                             EvalPatternLifted(op.tp, in, opts_.algo, par()));
-      XQTP_RETURN_NOT_OK(mem.Grow(LiftedBytes(lifted)));
-      for (size_t i = 0; i < in.rows(); ++i) {
-        for (size_t k = lifted.offsets[i]; k < lifted.offsets[i + 1]; ++k) {
-          XQTP_RETURN_NOT_OK(add(i, lifted.nodes[k]));
-        }
-      }
+      XQTP_RETURN_NOT_OK(mem.Grow(LiftedBytes(bound)));
     } else {
-      XQTP_ASSIGN_OR_RETURN(std::vector<const xml::Node*> ctx,
-                            ContextNodes(in.Value(*ctx_col, 0)));
-      XQTP_ASSIGN_OR_RETURN(std::vector<const xml::Node*> nodes,
-                            EvalPattern(op.tp, ctx, opts_.algo, par()));
-      XQTP_RETURN_NOT_OK(mem.Grow(
-          static_cast<int64_t>(nodes.size() * sizeof(const xml::Node*))));
-      for (const xml::Node* node : nodes) {
-        XQTP_RETURN_NOT_OK(add(0, node));
-      }
+      XQTP_ASSIGN_OR_RETURN(const xml::Node* ctx,
+                            ContextNode(in.Value(*ctx_col, 0)));
+      XQTP_ASSIGN_OR_RETURN(
+          bound.nodes,
+          EvalPattern(op.tp, std::span(&ctx, 1), opts_.algo, par()));
+      XQTP_RETURN_NOT_OK(mem.Grow(static_cast<int64_t>(
+          bound.nodes.size() * sizeof(const xml::Node*))));
+      bound.offsets = {0, bound.nodes.size()};
     }
-    if (builder->rows() == 0) return Status::OK();
-    return Emit(sink, builder->Finish());
+    const size_t target = static_cast<size_t>(BatchRows());
+    size_t row = 0;
+    for (size_t begin = 0; begin < bound.nodes.size(); begin += target) {
+      const size_t end = std::min(bound.nodes.size(), begin + target);
+      PatternBatchBuilder builder(in, op.tp.output, end - begin);
+      for (size_t k = begin; k < end; ++k) {
+        while (bound.offsets[row + 1] <= k) ++row;
+        builder.Add(row, bound.nodes[k]);
+      }
+      XQTP_RETURN_NOT_OK(Emit(sink, builder.Finish()));
+    }
+    return Status::OK();
   }
 
   // ------------------------------------------------------------------
@@ -653,36 +649,38 @@ Result<LiftedBindings> EvalPatternLifted(const pattern::TreePattern& tp,
   GovernorTicker gov;
   ScopedMemoryCharge mem;
 
-  // Every (context node, row) pair, in document order of the node.
+  // Every row's context node, in document order. The rows of a batch
+  // usually arrive in that order (a pattern's document-ordered output):
+  // one pass finds that out, and only a batch out of order is sorted.
   struct Use {
     const xml::Node* node;
     uint32_t row;
-    uint32_t ctx;  // index into `ctx` below
   };
   std::vector<Use> uses;
+  uses.reserve(rows);
   for (size_t r = 0; r < rows; ++r) {
-    for (const Item& it : in.Value(*col, r)) {
-      if (!it.IsNode()) {
-        return Status::TypeError(
-            "tree pattern applied to a non-node context item");
-      }
-      uses.push_back({it.node(), static_cast<uint32_t>(r), 0});
-    }
+    XQTP_ASSIGN_OR_RETURN(const xml::Node* node,
+                          ContextNode(in.Value(*col, r)));
+    uses.push_back({node, static_cast<uint32_t>(r)});
   }
   XQTP_RETURN_NOT_OK(mem.Grow(static_cast<int64_t>(uses.size() * sizeof(Use))));
-  std::sort(uses.begin(), uses.end(), [](const Use& a, const Use& b) {
-    return a.node != b.node ? xml::DocOrderLess(a.node, b.node) : a.row < b.row;
-  });
+  const auto doc_order = [](const Use& a, const Use& b) {
+    return xml::DocOrderLess(a.node, b.node);
+  };
+  if (!std::is_sorted(uses.begin(), uses.end(), doc_order)) {
+    std::sort(uses.begin(), uses.end(), doc_order);
+  }
 
   // The distinct contexts, each in the first layer whose last context does
   // not contain it. Contexts arrive in document order, so a context
   // outside a layer's last one is outside all of that layer's: no context
   // of a layer lies inside another, and there are never more layers than
-  // the contexts nest deep.
+  // the contexts nest deep. row_ctx names each row's context.
   std::vector<const xml::Node*> ctx;
   std::vector<uint32_t> layer_of;
   std::vector<const xml::Node*> layer_last;
-  for (Use& u : uses) {
+  std::vector<uint32_t> row_ctx(rows);
+  for (const Use& u : uses) {
     if (ctx.empty() || ctx.back() != u.node) {
       size_t k = 0;
       while (k < layer_last.size() && InRegion(layer_last[k], u.node)) ++k;
@@ -694,7 +692,7 @@ Result<LiftedBindings> EvalPatternLifted(const pattern::TreePattern& tp,
       ctx.push_back(u.node);
       layer_of.push_back(static_cast<uint32_t>(k));
     }
-    u.ctx = static_cast<uint32_t>(ctx.size() - 1);
+    row_ctx[u.row] = static_cast<uint32_t>(ctx.size() - 1);
   }
 
   // One EvalPattern per layer. Pattern axes only go down or stay put, so
@@ -738,46 +736,16 @@ Result<LiftedBindings> EvalPatternLifted(const pattern::TreePattern& tp,
     }
   }
 
-  // Each row's contexts in document order: a counting sort of the uses
-  // by row keeps the node order within each row.
-  std::vector<uint32_t> start(rows + 1, 0);
-  for (const Use& u : uses) ++start[u.row + 1];
-  for (size_t r = 0; r < rows; ++r) start[r + 1] += start[r];
-  std::vector<uint32_t> row_ctx(uses.size());
-  {
-    std::vector<uint32_t> fill(start.begin(), start.end() - 1);
-    for (const Use& u : uses) row_ctx[fill[u.row]++] = u.ctx;
-  }
-
-  // A row's bindings are its distinct contexts' runs, concatenated: runs
-  // of disjoint contexts follow each other in document order. Only a row
-  // holding a context inside another of its own contexts needs a merge.
+  // A row's bindings are its context's run.
   LiftedBindings out;
   out.offsets.reserve(rows + 1);
   out.offsets.push_back(0);
   for (size_t r = 0; r < rows; ++r) {
-    const size_t first = out.nodes.size();
-    const xml::Node* cover = nullptr;
-    bool nested = false;
-    for (uint32_t i = start[r]; i < start[r + 1]; ++i) {
-      const uint32_t id = row_ctx[i];
-      if (i > start[r] && id == row_ctx[i - 1]) continue;  // same node again
-      if (!gov.Tick()) return gov.status();
-      if (cover != nullptr && InRegion(cover, ctx[id])) {
-        nested = true;
-      } else {
-        cover = ctx[id];
-      }
-      out.nodes.insert(out.nodes.end(),
-                       bound.begin() + static_cast<ptrdiff_t>(runs[id].begin),
-                       bound.begin() + static_cast<ptrdiff_t>(runs[id].end));
-    }
-    if (nested) {
-      auto row_begin = out.nodes.begin() + static_cast<ptrdiff_t>(first);
-      std::sort(row_begin, out.nodes.end(), xml::DocOrderLess);
-      out.nodes.erase(std::unique(row_begin, out.nodes.end()),
-                      out.nodes.end());
-    }
+    if (!gov.Tick()) return gov.status();
+    const Run& run = runs[row_ctx[r]];
+    out.nodes.insert(out.nodes.end(),
+                     bound.begin() + static_cast<ptrdiff_t>(run.begin),
+                     bound.begin() + static_cast<ptrdiff_t>(run.end));
     out.offsets.push_back(out.nodes.size());
   }
   XQTP_RETURN_NOT_OK(

@@ -75,13 +75,16 @@ struct LiftedBindings {
   std::vector<size_t> offsets;  ///< rows + 1 entries
 };
 
-/// Loop-lifted evaluation of `tp` over the context field of every row of
-/// `in`: one EvalPattern, so one counted pattern evaluation, per layer of
-/// the batch's distinct contexts in which no context lies inside another,
-/// instead of one per row. Pattern axes only go down or stay put, so a
+/// Loop-lifted evaluation of `tp` over the context node of every row of
+/// `in` (one item per field, exec/tuple.h): one EvalPattern, so one
+/// counted pattern evaluation, per layer of the batch's distinct contexts
+/// in which no context lies inside another, instead of one per row. The
+/// contexts are sorted into document order only when the rows do not
+/// already arrive in it. Pattern axes only go down or stay put, so a
 /// layer's bindings are the disjoint union of its contexts' own, and one
-/// merge over document order hands each binding to its context. A
-/// non-node context item is a TypeError, as in ContextNodes.
+/// merge over document order hands each binding to its context; a row's
+/// bindings are its context's. A non-node context item is a TypeError, as
+/// in ContextNode.
 [[nodiscard]]
 Result<LiftedBindings> EvalPatternLifted(const pattern::TreePattern& tp,
                                          const TupleBatch& in,

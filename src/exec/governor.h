@@ -192,11 +192,6 @@ class ScopedMemoryCharge {
   ScopedMemoryCharge(const ScopedMemoryCharge&) = delete;
   ScopedMemoryCharge& operator=(const ScopedMemoryCharge&) = delete;
 
-  /// True when a governor is installed. Callers whose charge is costly
-  /// to compute (TupleBatch::ApproxBytes walks every row) compute it
-  /// only then.
-  bool active() const { return governor_ != nullptr; }
-
   /// Accounts `bytes` more; kResourceExhausted when the flushed total
   /// exceeds the budget.
   [[nodiscard]]

@@ -1,4 +1,4 @@
-// Shared tree-pattern machinery: the context contract (ContextNodes, and
+// Shared tree-pattern machinery: the context contract (ContextNode, and
 // EvalPattern's handling of what no optimized plan sends), the algorithm
 // dispatch behind TupleTreePattern (EvalPattern / EvalPatternSequential),
 // the pattern shapes each algorithm handles itself, the index stream a
@@ -140,19 +140,11 @@ void SortDedup(std::vector<const xml::Node*>* nodes) {
   nodes->erase(std::unique(nodes->begin(), nodes->end()), nodes->end());
 }
 
-Result<std::vector<const xml::Node*>> ContextNodes(
-    const xdm::Sequence& context) {
-  std::vector<const xml::Node*> nodes;
-  nodes.reserve(context.size());
-  for (const xdm::Item& it : context) {
-    if (!it.IsNode()) {
-      return Status::TypeError(
-          "tree pattern applied to a non-node context item");
-    }
-    nodes.push_back(it.node());
+Result<const xml::Node*> ContextNode(const xdm::Item& context) {
+  if (!context.IsNode()) {
+    return Status::TypeError("tree pattern applied to a non-node context item");
   }
-  SortDedup(&nodes);
-  return nodes;
+  return context.node();
 }
 
 Result<std::vector<const xml::Node*>> EvalPatternSequential(
@@ -178,7 +170,7 @@ Result<std::vector<const xml::Node*>> EvalPatternSequential(
 Result<std::vector<const xml::Node*>> EvalPattern(
     const TreePattern& tp, std::span<const xml::Node* const> context,
     PatternAlgo algo, const ParallelContext* par) {
-  assert(IsNodeSet(context) && "pattern context not made by ContextNodes");
+  assert(IsNodeSet(context) && "pattern context not a document-ordered set");
   // The optimizer builds patterns from the pattern axes only, and
   // VerifyPlan rejects any other step; no algorithm evaluates one.
   if (!tp.UsesOnlyPatternAxes()) {

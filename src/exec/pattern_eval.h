@@ -13,14 +13,16 @@
 //                streams (bottom-up match-set computation, then a top-down
 //                filtering pass).
 //
-// The context contract. A context field becomes a node set once, in
-// ContextNodes: document-ordered and duplicate-free, the input structural
-// joins read. Every layer below it (EvalPattern, the algorithms, the
-// morsel driver and the cost model) takes that set as a span and checks
-// nothing again. EvalPattern alone handles the shapes no optimized plan
-// sends: a context spanning two documents runs the nested loop (the index
-// scans work one document at a time), and a pattern with a step outside
-// the pattern grammar (AxisAllowedInPattern) is Status::Internal.
+// The context contract. A context field holds one item, which becomes a
+// node once, in ContextNode; a lifted batch's distinct context nodes
+// form document-ordered, duplicate-free layers (EvalPatternLifted), the
+// input structural joins read. Every layer below (EvalPattern, the
+// algorithms, the morsel driver and the cost model) takes such a set as
+// a span and checks nothing again. EvalPattern alone
+// handles the shapes no optimized plan sends: a context spanning two
+// documents runs the nested loop (the index scans work one document at a
+// time), and a pattern with a step outside the pattern grammar
+// (AxisAllowedInPattern) is Status::Internal.
 //
 // Both index algorithms, and the parallel driver's root-step expansion,
 // read the tag streams through one staircase region scan (ScanRegions).
@@ -89,18 +91,17 @@ std::vector<const xml::Node*> ScanRegions(
 void SortDedup(std::vector<const xml::Node*>* nodes);
 
 /// The pattern context a TupleTreePattern reads from one row's context
-/// field: its nodes in document order, without duplicates (SortDedup).
-/// An atomic item is a TypeError; no layer below checks for one again.
+/// field, which holds one item (exec/tuple.h): its node. An atomic item
+/// is a TypeError; no layer below checks for one again.
 [[nodiscard]]
-Result<std::vector<const xml::Node*>> ContextNodes(
-    const xdm::Sequence& context);
+Result<const xml::Node*> ContextNode(const xdm::Item& context);
 
 /// Parallel-evaluation parameters (exec/parallel.h); EvalPattern takes an
 /// optional pointer so pattern evaluation stays usable without the driver.
 struct ParallelContext;
 
 /// Evaluates `tp` over the context node set `context` (document-ordered
-/// and duplicate-free, as ContextNodes returns it; asserted in Debug) with
+/// and duplicate-free, as SortDedup leaves it; asserted in Debug) with
 /// the chosen algorithm. Returns the extraction point's distinct bindings
 /// in document order. A context spanning two documents runs the nested
 /// loop; a step outside the pattern grammar is Status::Internal. With a

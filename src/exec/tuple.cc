@@ -11,7 +11,7 @@ const TupleBatch::BoundColumn* TupleBatch::Find(Symbol field) const {
   return nullptr;
 }
 
-const xdm::Sequence* TupleBatch::Get(size_t i, Symbol field) const {
+const xdm::Item* TupleBatch::Get(size_t i, Symbol field) const {
   const BoundColumn* c = Find(field);
   return c != nullptr ? &Value(*c, i) : nullptr;
 }
@@ -38,19 +38,9 @@ TupleBatch TupleBatch::SelectRows(const std::vector<uint32_t>& keep) const {
 }
 
 int64_t TupleBatch::ApproxBytes() const {
-  const size_t n = rows();
-  int64_t bytes = 0;
-  for (const BoundColumn& c : columns_) {
-    if (c.broadcast) {
-      bytes += static_cast<int64_t>(c.column->values[0].size() *
-                                    sizeof(xdm::Item));
-      continue;
-    }
-    bytes += static_cast<int64_t>(n * sizeof(xdm::Sequence));
-    for (size_t i = 0; i < n; ++i) {
-      bytes += static_cast<int64_t>(Value(c, i).size() * sizeof(xdm::Item));
-    }
-  }
+  size_t items = 0;
+  for (const BoundColumn& c : columns_) items += c.broadcast ? 1 : rows();
+  int64_t bytes = static_cast<int64_t>(items * sizeof(xdm::Item));
   if (sel_) bytes += static_cast<int64_t>(sel_->size() * sizeof(uint32_t));
   return bytes;
 }

@@ -1,12 +1,19 @@
 // Tuples flowing through the tuple algebra, as TupleBatches: ~1024 rows
-// in structure-of-arrays layout — one TupleColumn (a vector of sequences)
+// in structure-of-arrays layout — one TupleColumn (one xdm::Item per row)
 // per field, columns shared by reference across operators via
 // shared_ptr<const TupleColumn>, plus a selection vector so Select
-// filters WITHOUT copying a single sequence and a per-column broadcast
-// flag so a pattern that expands one input tuple into thousands of
-// binding rows replicates the input fields by reference, not by value.
+// filters WITHOUT copying a single item and a per-column broadcast flag
+// so a pattern that expands one input tuple into thousands of binding
+// rows replicates the input fields by reference, not by value.
 // The evaluator (exec/evaluator.cc) streams these between pipeline-able
 // operators; a RowView names one row of a batch.
+//
+// One item per field. Every tuple field holds exactly one item, by
+// construction: MapFromItem binds its field to IN, the current item (the
+// only dependent algebra::Compile builds, and analysis::VerifyPlan's
+// [one-item-field] rule), and a TupleTreePattern binds one node per
+// output tuple. So a column is a flat vector of items with no row
+// offsets, and reading a field allocates nothing.
 //
 // Thread-safety: a TupleBatch is immutable through the shared columns
 // (shared_ptr<const ...>), so any number of threads may read one batch —
@@ -26,12 +33,12 @@
 
 namespace xqtp::exec {
 
-/// One column of a TupleBatch: a field symbol plus one sequence per
-/// physical row. Immutable once wrapped in a TupleColumnPtr; batches
-/// share columns by reference.
+/// One column of a TupleBatch: a field symbol plus one item per physical
+/// row. Immutable once wrapped in a TupleColumnPtr; batches share columns
+/// by reference.
 struct TupleColumn {
   Symbol field = kInvalidSymbol;
-  std::vector<xdm::Sequence> values;
+  std::vector<xdm::Item> values;
 };
 
 using TupleColumnPtr = std::shared_ptr<const TupleColumn>;
@@ -43,7 +50,7 @@ inline TupleColumnPtr MakeColumn(TupleColumn col) {
 
 /// A batch of tuples in columnar (structure-of-arrays) layout.
 ///
-/// Logical vs physical rows: columns store `physical_rows()` sequences;
+/// Logical vs physical rows: columns store `physical_rows()` items;
 /// an optional selection vector maps the batch's `rows()` LOGICAL rows to
 /// physical indices (absent = identity). A broadcast column holds exactly
 /// one physical value served to every logical row — the zero-copy
@@ -79,15 +86,15 @@ class TupleBatch {
   /// not once per row.
   const BoundColumn* Find(Symbol field) const;
 
-  /// The sequence `column` holds for logical row `i`.
-  const xdm::Sequence& Value(const BoundColumn& column, size_t i) const {
+  /// The item `column` holds for logical row `i`.
+  const xdm::Item& Value(const BoundColumn& column, size_t i) const {
     return column.broadcast ? column.column->values[0]
                             : column.column->values[physical(i)];
   }
 
-  /// The field's sequence at logical row `i`, or nullptr if the field is
+  /// The field's item at logical row `i`, or nullptr if the field is
   /// absent (an absent field reads as the empty sequence).
-  const xdm::Sequence* Get(size_t i, Symbol field) const;
+  const xdm::Item* Get(size_t i, Symbol field) const;
 
   /// Appends a column owned by this batch (values.size() must equal
   /// physical_rows(), asserted in debug builds).
@@ -102,8 +109,8 @@ class TupleBatch {
   TupleBatch SelectRows(const std::vector<uint32_t>& keep) const;
 
   /// Approximate heap footprint for the governor's byte accountant:
-  /// per LOGICAL row, the sequence slot plus its items at sizeof(Item);
-  /// broadcast columns counted once, plus the selection vector. A
+  /// sizeof(Item) per LOGICAL row and column, broadcast columns counted
+  /// once, plus the selection vector. A
   /// selection view is charged for the rows it selects, not for the
   /// columns it shares: a one-row view of a 1,000-row batch costs one
   /// row. Columns shared by several live batches are counted by each.
@@ -132,8 +139,8 @@ class RowView {
   const TupleBatch* batch() const { return batch_; }
   size_t row() const { return row_; }
 
-  /// The field's sequence, or nullptr if absent.
-  const xdm::Sequence* Get(Symbol field) const {
+  /// The field's item, or nullptr if absent.
+  const xdm::Item* Get(Symbol field) const {
     return batch_ != nullptr ? batch_->Get(row_, field) : nullptr;
   }
 

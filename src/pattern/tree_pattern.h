@@ -9,8 +9,9 @@
 // paper restricts patterns to one output node, so the one output-field
 // annotation belongs to the pattern and always sits on the extraction
 // point. The TupleTreePattern operator evaluates the pattern against the
-// context nodes found in the input tuples' field, taken as one
-// document-ordered, duplicate-free node set (exec::ContextNodes).
+// context node each input tuple's field holds (exec::ContextNode); a
+// batch of tuples is evaluated over its distinct context nodes, in
+// document order (exec::EvalPatternLifted).
 #ifndef XQTP_PATTERN_TREE_PATTERN_H_
 #define XQTP_PATTERN_TREE_PATTERN_H_
 

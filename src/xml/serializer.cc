@@ -4,28 +4,32 @@
 
 namespace xqtp::xml {
 
-std::string EscapeText(std::string_view text) {
-  std::string out;
-  out.reserve(text.size());
-  for (char c : text) {
-    switch (c) {
+void AppendEscaped(std::string_view text, std::string* out) {
+  // The characters between two escapes go in as one run.
+  size_t run = 0;
+  for (size_t i = 0; i < text.size(); ++i) {
+    const char* entity;
+    switch (text[i]) {
       case '&':
-        out += "&amp;";
+        entity = "&amp;";
         break;
       case '<':
-        out += "&lt;";
+        entity = "&lt;";
         break;
       case '>':
-        out += "&gt;";
+        entity = "&gt;";
         break;
       case '"':
-        out += "&quot;";
+        entity = "&quot;";
         break;
       default:
-        out.push_back(c);
+        continue;
     }
+    out->append(text.data() + run, i - run);
+    out->append(entity);
+    run = i + 1;
   }
-  return out;
+  out->append(text.data() + run, text.size() - run);
 }
 
 namespace {
@@ -38,12 +42,12 @@ void SerializeTo(const Node* n, std::string* out) {
       }
       break;
     case NodeKind::kText:
-      *out += EscapeText(n->Text());
+      AppendEscaped(n->Text(), out);
       break;
     case NodeKind::kAttribute:
       *out += n->doc->interner()->NameOf(n->name);
       *out += "=\"";
-      *out += EscapeText(n->Text());
+      AppendEscaped(n->Text(), out);
       *out += '"';
       break;
     case NodeKind::kElement: {

@@ -13,8 +13,9 @@ namespace xqtp::xml {
 /// Attribute nodes serialize as name="value".
 std::string Serialize(const Node* node);
 
-/// Escapes &, <, >, " for inclusion in XML text or attribute values.
-std::string EscapeText(std::string_view text);
+/// Appends `text` to `out` with &, <, > and " escaped, for inclusion in
+/// XML text or attribute values.
+void AppendEscaped(std::string_view text, std::string* out);
 
 }  // namespace xqtp::xml
 

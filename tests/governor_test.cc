@@ -289,7 +289,7 @@ class LiftedGovernorTest : public ::testing::Test {
     col.field = dot;
     for (const xml::Node* a :
          (*doc)->ElementsByTag(engine_.interner()->Intern("a"))) {
-      col.values.push_back({xdm::Item(a)});
+      col.values.emplace_back(a);
     }
     ASSERT_EQ(col.values.size(), static_cast<size_t>(kRows));
     batch_ = TupleBatch(kRows);

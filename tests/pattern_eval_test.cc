@@ -1,6 +1,6 @@
 // Unit tests for the three physical tree-pattern algorithms, each checked
 // against the same expectations and against each other, and for the
-// context contract in front of them (ContextNodes).
+// context contract in front of them (ContextNode, SortDedup).
 #include <gtest/gtest.h>
 
 #include "engine/engine.h"
@@ -17,13 +17,18 @@ namespace {
 using pattern::MakeSingleStep;
 using pattern::TreePattern;
 
-/// EvalPattern over a context field, as the TupleTreePattern kernel runs
-/// it: through ContextNodes.
+/// EvalPattern over the context nodes of `context`: each item through
+/// ContextNode, then the set through SortDedup, as EvalPatternLifted
+/// forms a layer from the context nodes of a batch's rows.
 Result<std::vector<const xml::Node*>> EvalOver(
     const TreePattern& tp, const xdm::Sequence& context, PatternAlgo algo,
     const ParallelContext* par = nullptr) {
-  XQTP_ASSIGN_OR_RETURN(std::vector<const xml::Node*> nodes,
-                        ContextNodes(context));
+  std::vector<const xml::Node*> nodes;
+  for (const xdm::Item& it : context) {
+    XQTP_ASSIGN_OR_RETURN(const xml::Node* node, ContextNode(it));
+    nodes.push_back(node);
+  }
+  SortDedup(&nodes);
   return EvalPattern(tp, nodes, algo, par);
 }
 
@@ -436,27 +441,24 @@ TEST(PatternBindings, PaperSection41Example) {
 // ---- the context contract --------------------------------------------------
 
 // An atomic context item is one TypeError, raised before any algorithm
-// runs, wherever it sits in the context.
-TEST(ContextNodesTest, NonNodeContextIsError) {
+// runs; a node is its own context.
+TEST(ContextNodeTest, NonNodeContextIsError) {
   StringInterner in;
   auto res = xml::Parse("<r/>", &in);
   ASSERT_TRUE(res.ok());
-  const xdm::Item one(static_cast<int64_t>(1));
-  const xdm::Item root(res.value()->root());
-  for (const xdm::Sequence& context :
-       {xdm::Sequence{one}, xdm::Sequence{root, one},
-        xdm::Sequence{one, root}}) {
-    auto nodes = ContextNodes(context);
-    ASSERT_FALSE(nodes.ok());
-    EXPECT_EQ(nodes.status().code(), StatusCode::kTypeError);
-  }
+  auto atomic = ContextNode(xdm::Item(static_cast<int64_t>(1)));
+  ASSERT_FALSE(atomic.ok());
+  EXPECT_EQ(atomic.status().code(), StatusCode::kTypeError);
+  auto node = ContextNode(xdm::Item(res.value()->root()));
+  ASSERT_TRUE(node.ok()) << node.status().ToString();
+  EXPECT_EQ(*node, res.value()->root());
 }
 
 // A context that lists every node twice, in reverse document order, is
-// the sorted distinct context once it has gone through ContextNodes: every
+// the sorted distinct context once it has gone through SortDedup: every
 // algorithm binds the same nodes and does the same work, so a repeated
 // context is evaluated once.
-TEST(ContextNodesTest, RepeatedUnsortedContextIsEvaluatedOnce) {
+TEST(SortDedupTest, RepeatedUnsortedContextIsEvaluatedOnce) {
   engine::Engine e;
   workload::XmarkParams p;
   p.factor = 0.01;
@@ -468,9 +470,10 @@ TEST(ContextNodesTest, RepeatedUnsortedContextIsEvaluatedOnce) {
     repeated.push_back(xdm::Item(*it));
     repeated.push_back(xdm::Item(*it));
   }
-  auto nodes = ContextNodes(repeated);
-  ASSERT_TRUE(nodes.ok()) << nodes.status().ToString();
-  EXPECT_EQ(*nodes, distinct);
+  std::vector<const xml::Node*> nodes;
+  for (const xdm::Item& it : repeated) nodes.push_back(it.node());
+  SortDedup(&nodes);
+  EXPECT_EQ(nodes, distinct);
   const TreePattern tp = MakeSingleStep(e.interner()->Intern("dot"),
                                         Axis::kChild, NodeTest::AnyName(),
                                         e.interner()->Intern("out"));

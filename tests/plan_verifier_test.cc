@@ -92,6 +92,18 @@ class PlanVerifierTest : public ::testing::Test {
                   FieldAcc(out_));
   }
 
+  /// LegalPlan with MapFromItem{[dot : IN/child::a]} in place of
+  /// MapFromItem{[dot : IN]}.
+  OpPtr ChildStepDependentPlan() {
+    OpPtr step = MakeOp(OpKind::kTreeJoin);
+    step->axis = Axis::kChild;
+    step->test = NodeTest::Name(a_);
+    step->inputs.push_back(MakeOp(OpKind::kInputItem));
+    OpPtr plan = LegalPlan();
+    plan->inputs[0]->inputs[0]->dep = std::move(step);
+    return plan;
+  }
+
   core::VarTable vars_;
   StringInterner interner_;
   core::VarId d_;
@@ -156,6 +168,48 @@ TEST_F(PlanVerifierTest, UpwardAxisInPatternIsInternalWhenEvaluated) {
         const std::string what = std::string(exec::PatternAlgoName(algo)) +
                                  " t" + std::to_string(threads) + ", " +
                                  std::to_string(d.size()) + " context rows";
+        ASSERT_FALSE(res.ok()) << what;
+        EXPECT_EQ(res.status().code(), StatusCode::kInternal) << what;
+      }
+    }
+  }
+}
+
+TEST_F(PlanVerifierTest, MapFromItemDependentOtherThanInputItem) {
+  // MapFromItem{[dot : IN/child::a]}: the field would hold any number of
+  // items per input item.
+  OpPtr plan = ChildStepDependentPlan();
+  ExpectViolation(analysis::VerifyPlan(*plan, Opts()), "one-item-field");
+  // An atomic dependent breaks the same rule.
+  plan->inputs[0]->inputs[0]->dep = MakeOp(OpKind::kConst);
+  ExpectViolation(analysis::VerifyPlan(*plan, Opts()), "one-item-field");
+}
+
+// The same plan in a build that does not verify plans: exec::Evaluate
+// returns Internal under every algorithm and thread count, for one input
+// item and for two. No branch evaluates the dependent.
+TEST_F(PlanVerifierTest, MapFromItemDependentIsInternalWhenEvaluated) {
+  auto doc = xml::Parse("<r><a><a/></a><a><a/></a></r>", &interner_);
+  ASSERT_TRUE(doc.ok()) << doc.status().ToString();
+  const auto& as = (*doc)->ElementsByTag(a_);
+  ASSERT_EQ(as.size(), 4u);
+  OpPtr plan = ChildStepDependentPlan();
+  for (const xdm::Sequence& d :
+       {xdm::Sequence{xdm::Item(as[0])},
+        xdm::Sequence{xdm::Item(as[0]), xdm::Item(as[2])}}) {
+    const exec::Bindings bindings{{d_, d}};
+    for (exec::PatternAlgo algo :
+         {exec::PatternAlgo::kNLJoin, exec::PatternAlgo::kStaircase,
+          exec::PatternAlgo::kTwig, exec::PatternAlgo::kCostBased}) {
+      for (int threads : {1, 2}) {
+        exec::EvalOptions opts;
+        opts.algo = algo;
+        opts.threads = threads;
+        opts.parallel_min_fanout = 2;
+        auto res = exec::Evaluate(*plan, vars_, bindings, opts);
+        const std::string what = std::string(exec::PatternAlgoName(algo)) +
+                                 " t" + std::to_string(threads) + ", " +
+                                 std::to_string(d.size()) + " input items";
         ASSERT_FALSE(res.ok()) << what;
         EXPECT_EQ(res.status().code(), StatusCode::kInternal) << what;
       }

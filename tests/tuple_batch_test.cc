@@ -31,17 +31,16 @@ TupleBatch IntBatch(Symbol field, size_t n) {
   TupleColumn col;
   col.field = field;
   for (size_t i = 0; i < n; ++i) {
-    col.values.push_back(Sequence{Item(static_cast<int64_t>(i))});
+    col.values.emplace_back(static_cast<int64_t>(i));
   }
   b.AddOwnedColumn(std::move(col));
   return b;
 }
 
 int64_t IntAt(const TupleBatch& b, size_t row, Symbol field) {
-  const Sequence* v = b.Get(row, field);
+  const Item* v = b.Get(row, field);
   EXPECT_NE(v, nullptr);
-  EXPECT_EQ(v->size(), 1u);
-  return (*v)[0].integer();
+  return v != nullptr ? v->integer() : -1;
 }
 
 TEST(TupleBatchTest, EmptyBatch) {
@@ -98,7 +97,7 @@ TEST(TupleBatchTest, BroadcastColumnServesEveryRow) {
   TupleBatch b = IntBatch(Sym(1), 4);
   TupleColumn ctx;
   ctx.field = Sym(2);
-  ctx.values.push_back(Sequence{Item(static_cast<int64_t>(42))});
+  ctx.values.emplace_back(static_cast<int64_t>(42));
   b.AddBroadcastColumn(MakeColumn(std::move(ctx)));
   for (size_t i = 0; i < 4; ++i) EXPECT_EQ(IntAt(b, i, Sym(2)), 42);
   // Selection vectors do not apply to broadcast columns.
@@ -109,10 +108,10 @@ TEST(TupleBatchTest, BroadcastColumnServesEveryRow) {
 
 TEST(TupleBatchTest, OneRowViewIsChargedAsOneRow) {
   // A dependent plan's IN is a one-row view of the outer batch; charging
-  // the whole shared column per outer row made each batch O(rows^2).
+  // the whole shared column per outer row made each batch O(rows^2). A
+  // row holds one item per column.
   TupleBatch b = IntBatch(Sym(1), 1000);
-  const int64_t row =
-      static_cast<int64_t>(sizeof(Sequence) + sizeof(Item));
+  const int64_t row = static_cast<int64_t>(sizeof(Item));
   EXPECT_EQ(b.ApproxBytes(), 1000 * row);
   TupleBatch one = RowView(&b, 500).ToBatch();
   EXPECT_EQ(one.ApproxBytes(),
@@ -125,7 +124,7 @@ TEST(RowViewTest, ViewsOneBatchRow) {
   EXPECT_TRUE(from_batch.valid());
   EXPECT_EQ(from_batch.batch(), &b);
   EXPECT_EQ(from_batch.row(), 2u);
-  EXPECT_EQ((*from_batch.Get(Sym(1)))[0].integer(), 2);
+  EXPECT_EQ(from_batch.Get(Sym(1))->integer(), 2);
   EXPECT_EQ(from_batch.Get(Sym(9)), nullptr);
 
   // ToBatch on a batch-backed row shares the column (selection of one).
@@ -157,7 +156,7 @@ TEST(TupleBatchTest, ConcurrentReadersOverSharedColumns) {
     int64_t sum = 0;
     for (size_t round = 0; round < 4; ++round) {
       for (size_t i = 0; i < view.rows(); ++i) {
-        sum += (*view.Get(i, Sym(1)))[0].integer();
+        sum += view.Get(i, Sym(1))->integer();
       }
     }
     return sum;

@@ -277,6 +277,49 @@ TEST(Serializer, RoundTrips) {
   EXPECT_EQ(Serialize(res.value()->root()), xml);
 }
 
+// Escaped characters first, last and adjacent, in text and in attribute
+// values, with plain and empty values beside them, survive a round trip
+// through the parser and serialize back to the same text.
+TEST(Serializer, EscapesRoundTripThroughTheParser) {
+  StringInterner interner;
+  const std::string xml =
+      "<a x=\"&amp;mid&lt;&gt;&quot;&quot;\" e=\"\" p=\"plain\">"
+      "<b>&lt;first</b><b>last&gt;</b><b>&amp;&lt;&gt;&quot;</b>"
+      "<b>no specials</b><b q=\"&quot;\"/>"
+      "<b>&quot;a &amp; b&quot; &lt; c</b></a>";
+  auto res = Parse(xml, &interner);
+  ASSERT_TRUE(res.ok()) << res.status().ToString();
+  const Node* a = res.value()->root()->first_child;
+  ASSERT_EQ(a->Attributes().size(), 3u);
+  EXPECT_EQ(a->Attributes()[0]->Text(), "&mid<>\"\"");
+  EXPECT_EQ(a->Attributes()[1]->Text(), "");
+  EXPECT_EQ(a->Attributes()[2]->Text(), "plain");
+  std::vector<std::string> texts;
+  for (const Node* b = a->first_child; b != nullptr; b = b->next_sibling) {
+    texts.push_back(b->StringValue());
+  }
+  EXPECT_EQ(texts, (std::vector<std::string>{"<first", "last>", "&<>\"",
+                                             "no specials", "",
+                                             "\"a & b\" < c"}));
+  const std::string out = Serialize(res.value()->root());
+  EXPECT_EQ(out, xml);
+  auto again = Parse(out, &interner);
+  ASSERT_TRUE(again.ok()) << again.status().ToString();
+  EXPECT_EQ(Serialize(again.value()->root()), xml);
+}
+
+// AppendEscaped appends to what the string already holds; an empty text
+// appends nothing.
+TEST(Serializer, AppendEscapedAppends) {
+  std::string out = "x";
+  AppendEscaped("", &out);
+  EXPECT_EQ(out, "x");
+  AppendEscaped("<>", &out);
+  AppendEscaped("plain", &out);
+  AppendEscaped("\"&", &out);
+  EXPECT_EQ(out, "x&lt;&gt;plain&quot;&amp;");
+}
+
 TEST(TagIndex, DocumentOrderAndLazy) {
   StringInterner interner;
   auto res = Parse("<a><b/><c><b/></c><b/></a>", &interner);
